@@ -9,6 +9,7 @@ canonical representative in [0, 1).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvalidDataError
 
@@ -152,6 +153,44 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+@lru_cache(maxsize=256)  # Cyc.make asks about the same few primes many times
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == {n: 1}
+
+
+def bareiss(M) -> tuple[int, int]:
+    """Rank of an integer matrix and the determinant of one nonsingular
+    rank x rank minor, by fraction-free (Bareiss) elimination.
+
+    Rows and columns are swapped to find pivots, so every entry stays a
+    minor of M.  For a square matrix of full rank the minor is det(M).
+    """
+    A = [list(map(int, row)) for row in M]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    sign, prev = 1, 1
+    for t in range(min(m, n)):
+        if not A[t][t]:
+            piv = next(((i, j) for i in range(t, m) for j in range(t, n) if A[i][j]), None)
+            if piv is None:
+                return t, sign * prev
+            i, j = piv
+            if i != t:
+                A[t], A[i] = A[i], A[t]
+                sign = -sign
+            if j != t:
+                for row in A:
+                    row[t], row[j] = row[j], row[t]
+                sign = -sign
+        top, p = A[t], A[t][t]
+        for i in range(t + 1, m):
+            row, a = A[i], A[i][t]
+            for j in range(t + 1, n):
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev = p
+    return min(m, n), sign * prev
 
 
 def qmodz(x) -> Fraction:

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .arith import fmt_rational
+from .arith import fmt_rational, is_prime
 from .errors import (
     InvalidDataError,
     LinkformError,
@@ -41,6 +41,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise _UsageError(message)
+
+
+def _prime(text: str) -> int:
+    p = int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{text} is not a prime")
+    return p
 
 
 def _read_json(path: str):
@@ -201,12 +208,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("compute", help="full report for Seifert data")
     add_common(p)
-    p.add_argument("--prime", type=int, help="restrict to one prime")
+    p.add_argument("--prime", type=_prime, help="restrict to one prime")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("classify", help="classification of the linking pairing")
     add_common(p)
-    p.add_argument("--prime", type=int)
+    p.add_argument("--prime", type=_prime)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("realize", help="Seifert data realizing a standard form")

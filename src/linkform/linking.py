@@ -174,12 +174,12 @@ def self_link_profile(G: GramPairing):
     )
 
 
-def welldefined_check(G: GramPairing, *, nonsingular_bound: int = 2**12) -> list[str]:
+def welldefined_check(G: GramPairing) -> list[str]:
     """Diagnostics: symmetry, order-compatibility, and nonsingularity.
 
-    Nonsingularity is checked by brute force when the group order is at
-    most ``nonsingular_bound`` and by the unit-determinant criterion on
-    homogeneous blocks otherwise.
+    Nonsingularity is decided exactly by ``block_diagonalize``: the pairing
+    is singular iff some homogeneous top block has determinant divisible
+    by p.
     """
     problems = []
     r = G.rank
@@ -196,24 +196,10 @@ def welldefined_check(G: GramPairing, *, nonsingular_bound: int = 2**12) -> list
                 problems.append(f"entry ({i},{j}) not reduced to [0,1)")
     if problems:
         return problems
-    if G.is_trivial():
-        return []
-    if G.group_order() <= nonsingular_bound:
-        for x in elements(G.orders):
-            if not any(x):
-                continue
-            if all(eval_pair(G, x, _unit(r, j)) == 0 for j in range(r)):
-                problems.append(f"singular: {x} pairs trivially with all generators")
-                break
-    else:
-        from .pairing import block_diagonalize  # late import avoids a cycle
+    from .pairing import block_diagonalize  # late import avoids a cycle
 
-        try:
-            block_diagonalize(G)
-        except InvalidDataError as exc:
-            problems.append(f"singular: {exc}")
+    try:
+        block_diagonalize(G)
+    except InvalidDataError as exc:
+        problems.append(f"singular: {exc}")
     return problems
-
-
-def _unit(r, j):
-    return tuple(1 if i == j else 0 for i in range(r))

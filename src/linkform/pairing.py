@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import (
+    bareiss,
+    is_prime,
     least_nonresidue,
     legendre,
     padic_val,
@@ -52,17 +54,6 @@ from .torsion import local_orders
 # atoms and standard forms
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class Cyc:
     """Cyclic pairing (n, n') -> [n n' a / p^k] on Z/p^k."""
@@ -73,7 +64,7 @@ class Cyc:
 
     @classmethod
     def make(cls, p: int, k: int, a: int) -> "Cyc":
-        if not _is_prime(p) or k < 1:
+        if not is_prime(p) or k < 1:
             raise InvalidDataError(f"bad cyclic atom ({p},{k},{a})")
         if a % p == 0:
             raise InvalidDataError(f"unit {a} required mod {p}^{k}")
@@ -239,28 +230,9 @@ def standard_form_gram(sf: StandardForm, p: int) -> GramPairing:
 
 
 def _int_det(M) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [list(map(int, row)) for row in M]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if A[t][t] == 0:
-            for i in range(t + 1, n):
-                if A[i][t] != 0:
-                    A[t], A[i] = A[i], A[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                A[i][j] = (A[i][j] * A[t][t] - A[i][t] * A[t][j]) // prev
-            A[i][t] = 0
-        prev = A[t][t]
-    return sign * A[n - 1][n - 1]
+    """Exact determinant of a square integer matrix."""
+    rank, minor = bareiss(M)
+    return minor if rank == len(M) else 0
 
 
 def _solve_mod(A, B, q: int, p: int):

@@ -1,5 +1,6 @@
 """Torsion of H_1 of a Seifert manifold: presentations, localized cyclic
-decompositions, and an exact Smith-normal-form oracle cross-checking them.
+decompositions, and an exact Smith-normal-form oracle, computed modulo a
+determinant, cross-checking them.
 
 H_1(M(g;S)) = Z^{2g} + coker(P) where P is the (r+1) x (r+1) relation
 matrix over generators q_1..q_r, h with rows (sum q_i = 0) and
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .arith import padic_val
+from .arith import bareiss, ext_gcd, padic_val
 from .errors import UnsupportedError
 from .seifert import (
     SeifertData,
@@ -61,101 +63,62 @@ def presentation_matrix(S: SeifertData) -> Presentation:
 @dataclass(frozen=True)
 class SmithForm:
     diagonal: tuple[int, ...]  # d_1 | d_2 | ... | d_k >= 0, padded with 0s
-    left: tuple[tuple[int, ...], ...]  # U, unimodular
-    right: tuple[tuple[int, ...], ...]  # V, unimodular; U A V = diag
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(matrix) -> SmithForm:
-    """Exact Smith normal form with unimodular transforms.
+    """Diagonal of the Smith normal form, computed modulo a determinant.
 
-    Returns diag(d_1..d_k) with d_1 | d_2 | ... and U A V = D.  Pivots are
-    chosen by minimal nonzero absolute value; everything is exact integer
-    arithmetic.
+    A Bareiss pass gives the rank rho and a nonzero rho x rho minor D.  The
+    invariant factors d_1 | ... | d_rho divide D (their product is the gcd
+    of all rho x rho minors), so unimodular gcd steps over Z/|D| find each
+    one as gcd(pivot, D) while every entry stays below |D|
+    (Domich-Kannan-Trotter 1987; Cohen, GTM 138, section 2.4).
     """
-    A = [list(map(int, row)) for row in matrix]
+    rank, D = bareiss(matrix)
+    D = abs(D)
+    A = [[x % D for x in row] for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in A:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+    diag = []
+    for t in range(rank):
+        nonzero = [(A[i][j], i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not nonzero:  # the remaining factors are 0 mod D, i.e. equal to D
+            diag += [D] * (rank - t)
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        _, i, j = min(nonzero)
+        A[t], A[i] = A[i], A[t]
+        for row in A[t:]:
+            row[t], row[j] = row[j], row[t]
         while True:
-            reduced = False
-            for i in range(t + 1, m):
-                if A[i][t] % A[t][t] != 0:
-                    row_op(i, t, A[i][t] // A[t][t])
-                    if abs(A[i][t]) < abs(A[t][t]):
-                        swap_rows(i, t)
-                    reduced = True
-            for j in range(t + 1, n):
-                if A[t][j] % A[t][t] != 0:
-                    col_op(j, t, A[t][j] // A[t][t])
-                    if abs(A[t][j]) < abs(A[t][t]):
-                        swap_cols(j, t)
-                    reduced = True
-            if reduced:
-                continue
-            for i in range(t + 1, m):
+            for i in range(t + 1, m):  # row steps clear column t
                 if A[i][t]:
-                    row_op(i, t, A[i][t] // A[t][t])
-            for j in range(t + 1, n):
+                    g, s, u = ext_gcd(A[t][t], A[i][t])
+                    a, b = A[t][t] // g, A[i][t] // g
+                    A[t], A[i] = (
+                        [(s * x + u * y) % D for x, y in zip(A[t], A[i])],
+                        [(a * y - b * x) % D for x, y in zip(A[t], A[i])],
+                    )
+            for j in range(t + 1, n):  # column steps clear row t
                 if A[t][j]:
-                    col_op(j, t, A[t][j] // A[t][t])
-            # pivot must divide the whole remaining block for d_i | d_{i+1}
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+                    g, s, u = ext_gcd(A[t][t], A[t][j])
+                    a, b = A[t][t] // g, A[t][j] // g
+                    for row in A[t:]:
+                        x, y = row[t], row[j]
+                        row[t], row[j] = (s * x + u * y) % D, (a * y - b * x) % D
+            if any(row[t] for row in A[t + 1 :]):
+                continue  # a column step refilled column t and shrank the pivot
+            # the pivot and gcd(pivot, D) are associates in Z/D; a divisor of
+            # D keeps divisibility of residues well defined
+            g = A[t][t] = gcd(A[t][t], D)
+            bad = next(
+                (j for row in A[t + 1 :] for j in range(t + 1, n) if row[j] % g), None
+            )
+            if bad is None:
                 break
-            row_op(t, offender, -1)
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-
-    diag = tuple(A[i][i] if i < n else 0 for i in range(min(m, n)))
-    return SmithForm(diag, tuple(map(tuple, U)), tuple(map(tuple, V)))
+            for row in A[t + 1 :]:  # column t += column bad: the next row step
+                row[t] = row[bad]  # lowers the pivot to a proper divisor of g
+        diag.append(g)
+    return SmithForm(tuple(diag) + (0,) * (min(m, n) - rank))
 
 
 def local_orders(S: SeifertData, p: int) -> LocalDecomposition:

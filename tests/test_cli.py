@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from linkform.cli import main
 
 NIL = {"genus": 0, "pairs": [[2, 1], [2, 1], [2, 1], [2, -1]]}
@@ -51,6 +53,17 @@ def test_compute_invalid_data_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compute", write(tmp_path, "bad.json", {"pairs": [[4, 2]]}))
     assert code == 2
     assert "gcd" in err
+
+
+@pytest.mark.parametrize("command", ["compute", "classify"])
+@pytest.mark.parametrize("prime", ["0", "1", "4", "-2"])
+def test_prime_option_rejects_non_primes(tmp_path, capsys, command, prime):
+    # 1 used to hang, 0 meant "all primes", 4 and -2 gave a bad-atom error
+    code, out, err = run_cli(
+        capsys, command, write(tmp_path, "nil.json", NIL), "--prime", prime
+    )
+    assert code == 1 and out == ""
+    assert "not a prime" in err
 
 
 def test_classify_subcommand(tmp_path, capsys):

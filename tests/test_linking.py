@@ -8,6 +8,7 @@ from linkform.errors import UnsupportedError
 from linkform.linking import (
     GramPairing,
     element_order,
+    elements,
     eval_pair,
     gram_matrix,
     self_link_profile,
@@ -90,6 +91,43 @@ def test_welldefined_random_batch():
         for p in relevant_primes(S):
             assert welldefined_check(gram_matrix(S, p)) == [], (S, p)
         checked += 1
+
+
+def _radical_is_nontrivial(G):
+    gens = [tuple(int(i == j) for i in range(G.rank)) for j in range(G.rank)]
+    return any(
+        any(x) and all(eval_pair(G, x, e) == 0 for e in gens)
+        for x in elements(G.orders)
+    )
+
+
+def test_welldefined_singular_matches_element_oracle():
+    # random well-defined Gram pairings of order <= 1000, singular or not
+    rng = random.Random(2024)
+    seen = {True: 0, False: 0}
+    while sum(seen.values()) < 150:
+        p = rng.choice([2, 3, 5])
+        ks = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        if p ** sum(ks) > 1000:
+            continue
+        r = len(ks)
+        gram = [[Fraction(0)] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                q = p ** min(ks[i], ks[j])
+                gram[i][j] = gram[j][i] = Fraction(rng.randrange(q), q)
+        G = GramPairing(
+            p,
+            tuple(f"e{i + 1}" for i in range(r)),
+            tuple(p**k for k in ks),
+            tuple(map(tuple, gram)),
+        )
+        diagnostics = welldefined_check(G)
+        singular = _radical_is_nontrivial(G)
+        assert bool(diagnostics) == singular, (G, diagnostics)
+        assert all(d.startswith("singular") for d in diagnostics)
+        seen[singular] += 1
+    assert min(seen.values()) > 20, seen
 
 
 def test_bezout_choice_does_not_change_gram():

@@ -1,10 +1,16 @@
+import json
 import random
+import signal
+from contextlib import contextmanager
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linkform.cli import main
 from linkform.errors import UnsupportedError
-from linkform.seifert import seifert
+from linkform.seifert import euler_invariant, seifert
 from linkform.torsion import (
     local_orders,
     presentation_matrix,
@@ -39,13 +45,6 @@ def _det(M):
     return det
 
 
-def _matmul(A, B):
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
-
-
 def test_presentation_examples():
     P = presentation_matrix(seifert((2, 1), (2, 1)))
     assert P.matrix == ((1, 1, 0), (2, 0, 1), (0, 2, 1))
@@ -61,34 +60,107 @@ def test_snf_examples():
     assert smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
 
 
-def _check_snf(matrix):
-    snf = smith_normal_form(matrix)
+def _determinantal_divisors_snf(matrix):
+    """Smith diagonal from d_1...d_k = gcd of all k x k minors."""
     m, n = len(matrix), len(matrix[0])
-    prod = _matmul(_matmul([list(r) for r in snf.left], [list(r) for r in matrix]),
-                   [list(r) for r in snf.right])
-    for i in range(m):
-        for j in range(n):
-            want = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
-            assert prod[i][j] == want
-    assert abs(_det(snf.left)) == 1
-    assert abs(_det(snf.right)) == 1
-    diag = [d for d in snf.diagonal if d != 0]
-    for a, b in zip(diag, diag[1:]):
+    diag, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        Dk = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                Dk = gcd(Dk, int(_det([[matrix[i][j] for j in cols] for i in rows])))
+        diag.append(Dk // prev if Dk else 0)
+        prev = Dk
+    return tuple(diag)
+
+
+def _check_chain(diagonal):
+    nonzero = [d for d in diagonal if d != 0]
+    assert list(diagonal) == nonzero + [0] * (len(diagonal) - len(nonzero))
+    for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
-    assert all(d >= 0 for d in snf.diagonal)
+    assert all(d >= 0 for d in diagonal)
 
 
-@settings(max_examples=60)
+@settings(max_examples=100)
 @given(
     st.integers(1, 4),
     st.integers(1, 4),
     st.data(),
 )
 def test_snf_transforms_random(m, n, data):
-    matrix = [
-        [data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(m)
-    ]
-    _check_snf(matrix)
+    # rectangular, sparse and, through a dependent last row, singular matrices
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    matrix = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and data.draw(st.booleans()):
+        c = data.draw(st.integers(-3, 3))
+        matrix[-1] = [x + c * y for x, y in zip(matrix[0], matrix[1 % (m - 1)])]
+    snf = smith_normal_form(matrix)
+    assert snf.diagonal == _determinantal_divisors_snf(matrix)
+    _check_chain(snf.diagonal)
+
+
+@contextmanager
+def time_budget(seconds):
+    """Turn a hang into a failure: raise once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _coprime_pairs(rng, count, max_alpha):
+    pairs = []
+    while len(pairs) < count:
+        a, b = rng.randint(2, max_alpha), rng.randint(-max_alpha, max_alpha)
+        if gcd(a, b) == 1:
+            pairs.append((a, b))
+    return pairs
+
+
+def test_compute_r7_finishes(tmp_path, capsys):
+    # the Smith form of this input used to grow past 4300 digits and hang
+    path = tmp_path / "r7.json"
+    pairs = [[28, 1], [12, 1], [6, 1], [15, 1], [15, 1], [18, 1], [10, 1]]
+    path.write_text(json.dumps({"genus": 0, "pairs": pairs}))
+    with time_budget(20):
+        code = main(["compute", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["structure"]["ok"] is True
+
+
+@pytest.mark.parametrize("r", [20, 40])
+def test_snf_large_presentations(r):
+    rng = random.Random(r)
+    for _ in range(3):
+        S = seifert(*_coprime_pairs(rng, r, 1000))
+        eps = euler_invariant(S)
+        if eps == 0:
+            continue
+        with time_budget(20):
+            diag = smith_normal_form(presentation_matrix(S).matrix).diagonal
+        assert prod(diag) == abs(prod(a for a, _ in S.pairs) * eps)
+        _check_chain(diag)
+
+
+def test_structure_check_flat_large():
+    # eps = 0 data from (a, b), (a, -b) pairs: free rank 1 and no Euler-number
+    # primes, so every relevant prime divides a cone point order
+    rng = random.Random(40)
+    for half in (5, 10, 20):
+        pairs = _coprime_pairs(rng, half, 1000)
+        pairs += [(a, -b) for a, b in pairs]
+        rng.shuffle(pairs)
+        S = seifert(*pairs)
+        with time_budget(20):
+            assert structure_check(S)["ok"], S
 
 
 def test_local_orders_nil():
