@@ -129,10 +129,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, m, n
 
 
-def inv_mod(a: int, m: int) -> int:
-    return pow(a, -1, m)
-
-
 def factorize(n: int) -> dict[int, int]:
     """Trial-division factorization; adequate for cone point orders."""
     n = abs(n)

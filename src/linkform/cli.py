@@ -23,7 +23,7 @@ from .errors import (
 from .linking import gram_matrix, welldefined_check
 from .pairing import StandardForm, classify, classify_seifert
 from .realize import exhaustive_search, realize
-from .seifert import SeifertData, euler_invariant, relevant_primes, validate
+from .seifert import SeifertData, euler_invariant, relevant_primes
 from .torsion import local_orders, structure_check
 from .verify import SEED_ENV, SUITES, RunConfig, run_suite
 from .witt import witt_seifert
@@ -50,6 +50,18 @@ def _prime(text: str) -> int:
     return p
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return n
+
+    return parse
+
+
 def _read_json(path: str):
     try:
         if path == "-":
@@ -70,11 +82,7 @@ def _emit(obj, args) -> None:
 
 
 def _load_seifert(path: str) -> SeifertData:
-    S = SeifertData.from_json(_read_json(path))
-    problems = validate(S)
-    if problems:
-        raise InvalidDataError("; ".join(problems))
-    return S
+    return SeifertData.from_json(_read_json(path))
 
 
 def _seifert_report(S: SeifertData, prime: int | None) -> dict:
@@ -229,11 +237,11 @@ def _build_parser() -> _Parser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--json-out")
     p.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV} or 0")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--max-r", type=int, default=5)
-    p.add_argument("--max-alpha", type=int, default=8)
-    p.add_argument("--max-beta", type=int, default=7)
-    p.add_argument("--oracle-bound", type=int, default=2**10)
+    p.add_argument("--trials", type=_at_least(1), default=None)
+    p.add_argument("--max-r", type=_at_least(1), default=5)
+    p.add_argument("--max-alpha", type=_at_least(2), default=8)
+    p.add_argument("--max-beta", type=_at_least(1), default=7)
+    p.add_argument("--oracle-bound", type=_at_least(1), default=2**10)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive bounded realization search")

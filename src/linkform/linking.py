@@ -25,7 +25,7 @@ from math import gcd, lcm, prod
 
 from .arith import ext_gcd, fmt_rational, p_part, parse_rational, qmodz
 from .errors import InvalidDataError
-from .seifert import SeifertData, euler_invariant, reorder_at_prime, require_valid
+from .seifert import SeifertData
 from .torsion import local_orders, unsupported_r1_pairing
 
 
@@ -75,13 +75,6 @@ class GramPairing:
             raise InvalidDataError(f"bad Gram pairing: {obj!r}") from exc
 
 
-def make_gram(prime, orders, rows) -> GramPairing:
-    """Build a GramPairing from raw rationals, with generated labels."""
-    labels = tuple(f"e{i + 1}" for i in range(len(orders)))
-    gram = tuple(tuple(qmodz(x) for x in row) for row in rows)
-    return GramPairing(prime, labels, tuple(orders), gram)
-
-
 def gram_matrix(S: SeifertData, p: int) -> GramPairing:
     """Gram matrix of the p-primary linking pairing of M(g;S).
 
@@ -89,18 +82,16 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
     result is nonsingular; the trivial pairing (no generators) is returned
     when the p-torsion vanishes.  Independent of genus.
     """
-    require_valid(S)
     unsupported_r1_pairing(S)
-    Sp, _ = reorder_at_prime(S, p)
-    eps = euler_invariant(Sp)
     decomp = local_orders(S, p)
+    pairs, eps = decomp.pairs, decomp.eps
     wanted = dict(decomp.orders)
-    a1, b1 = Sp.pairs[0]
-    a2, b2 = Sp.pairs[1]
+    a1, b1 = pairs[0]
+    a2, b2 = pairs[1]
     _, _, n = ext_gcd(a2, b2)
 
     gens: list[tuple[str, int, int | None]] = []  # (label, order, pair index)
-    for i in range(2, Sp.r):
+    for i in range(2, len(pairs)):
         label = f"q{i + 1}'"
         if label in wanted:
             gens.append((label, wanted[label], i))
@@ -111,8 +102,8 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
         _, _, i = gi
         _, _, j = gj
         if i is not None and j is not None:
-            ai, bi = Sp.pairs[i]
-            aj, bj = Sp.pairs[j]
+            ai, bi = pairs[i]
+            aj, bj = pairs[j]
             if i == j:
                 return Fraction(-b2 * bi * (ai * b2 + a2 * bi), ai * ai)
             return Fraction(-b2 * bi * bj * a2, ai * aj)
@@ -121,7 +112,7 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
             den = Fraction(a1) * a2 * a2 * eps
             return num / den
         k = i if i is not None else j
-        ak, bk = Sp.pairs[k]
+        ak, bk = pairs[k]
         return Fraction(bk, ak)
 
     gram = tuple(

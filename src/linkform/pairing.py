@@ -40,13 +40,7 @@ from .linking import (
     gram_matrix,
     self_link_profile,
 )
-from .seifert import (
-    SeifertData,
-    euler_invariant,
-    relevant_primes,
-    reorder_at_prime,
-    require_valid,
-)
+from .seifert import SeifertData, relevant_primes
 from .torsion import local_orders
 
 
@@ -108,10 +102,6 @@ def _atom_key(atom: Atom):
 
 def _atom_prime(atom: Atom) -> int:
     return atom.p if isinstance(atom, Cyc) else 2
-
-
-def _atom_level(atom: Atom) -> int:
-    return atom.k
 
 
 @dataclass(frozen=True)
@@ -502,16 +492,15 @@ def even_predicate_from_data(S: SeifertData) -> bool:
     order and eps is zero or alpha_1 * eps is odd.  Meaningful when the
     2-torsion is homogeneous; see parity() for the matrix-level notion.
     """
-    require_valid(S)
-    S2, _ = reorder_at_prime(S, 2)
-    r2 = sum(1 for a, _ in S2.pairs if a % 2 == 0)
+    local = local_orders(S, 2)
+    pairs, eps = local.pairs, local.eps
+    r2 = sum(1 for a, _ in pairs if a % 2 == 0)
     if r2 == 0:
         return True
-    v1 = padic_val(S2.pairs[0][0], 2)
-    if any(padic_val(S2.pairs[i][0], 2) != v1 for i in range(r2)):
+    v1 = padic_val(pairs[0][0], 2)
+    if any(padic_val(pairs[i][0], 2) != v1 for i in range(r2)):
         return False
-    eps = euler_invariant(S2)
-    return eps == 0 or padic_val(Fraction(S2.pairs[0][0]) * eps, 2) == 0
+    return eps == 0 or padic_val(Fraction(pairs[0][0]) * eps, 2) == 0
 
 
 def div4_diagonal_count(S: SeifertData) -> int:
@@ -521,25 +510,24 @@ def div4_diagonal_count(S: SeifertData) -> int:
     k > 1 and the pairing is even (eps = 0 or alpha_1 * eps odd); together
     with the rank this count decides hyperbolicity.
     """
-    require_valid(S)
-    S2, _ = reorder_at_prime(S, 2)
-    r2 = sum(1 for a, _ in S2.pairs if a % 2 == 0)
+    local = local_orders(S, 2)
+    pairs, eps = local.pairs, local.eps
+    r2 = sum(1 for a, _ in pairs if a % 2 == 0)
     if r2 < 3:
         raise UnsupportedError("need at least three even cone point orders")
-    k = padic_val(S2.pairs[0][0], 2)
+    k = padic_val(pairs[0][0], 2)
     if k < 2:
         raise UnsupportedError("valuation k > 1 required")
-    for a, _ in S2.pairs[:r2]:
+    for a, _ in pairs[:r2]:
         if padic_val(a, 2) != k:
             raise UnsupportedError("even cone point orders must share their valuation")
-    eps = euler_invariant(S2)
-    a1 = S2.pairs[0][0]
+    a1 = pairs[0][0]
     if eps != 0 and padic_val(Fraction(a1) * eps, 2) != 0:
         raise UnsupportedError("alpha_1 * eps must vanish or be odd")
-    a2, b2 = S2.pairs[1]
+    a2, b2 = pairs[1]
     t = 0
     for i in range(2, r2):
-        ai, bi = S2.pairs[i]
+        ai, bi = pairs[i]
         val = Fraction(a2 * bi + ai * b2, 2**k)
         assert val.denominator == 1
         if val.numerator % 4 == 0:
@@ -633,7 +621,6 @@ def classify(G: GramPairing) -> ClassificationReport:
 
 def classify_seifert(S: SeifertData, primes=None) -> dict[int, ClassificationReport]:
     """Classification of the linking pairing of M(g;S) at each relevant prime."""
-    require_valid(S)
     if primes is None:
         primes = relevant_primes(S)
     return {p: classify(gram_matrix(S, p)) for p in primes}
@@ -703,7 +690,7 @@ def canonical_form(sf: StandardForm) -> StandardForm:
     """
     grouped: dict[tuple[int, int], list[Atom]] = {}
     for a in sf.atoms:
-        grouped.setdefault((_atom_prime(a), _atom_level(a)), []).append(a)
+        grouped.setdefault((_atom_prime(a), a.k), []).append(a)
     out: list[Atom] = []
     for (p, k), group in sorted(grouped.items()):
         if p != 2:
@@ -905,10 +892,7 @@ def d_formula_case(S: SeifertData, p: int) -> str | None:
     valuation exactly k and r_p >= 3; for eps != 0, alpha_2..alpha_{r_p}
     must have valuation k and alpha_1 * eps must be a p-adic unit.
     """
-    if p == 2:
-        return None
-    require_valid(S)
-    if S.r < 2:
+    if p == 2 or S.r < 2:
         return None
     dec = local_orders(S, p)
     if not dec.orders:
@@ -917,20 +901,19 @@ def d_formula_case(S: SeifertData, p: int) -> str | None:
     if len(exps) != 1:
         return None
     k = padic_val(exps.pop(), p)
-    Sp, _ = reorder_at_prime(S, p)
-    rp = sum(1 for a, _ in Sp.pairs if a % p == 0)
-    eps = euler_invariant(Sp)
+    pairs, eps = dec.pairs, dec.eps
+    rp = sum(1 for a, _ in pairs if a % p == 0)
     if eps == 0:
         if rp < 3:
             return None
-        if any(padic_val(Sp.pairs[i][0], p) != k for i in range(rp)):
+        if any(padic_val(pairs[i][0], p) != k for i in range(rp)):
             return None
         return "flat"
     if rp < 2:
         return None
-    if any(padic_val(Sp.pairs[i][0], p) != k for i in range(1, rp)):
+    if any(padic_val(pairs[i][0], p) != k for i in range(1, rp)):
         return None
-    if padic_val(Fraction(Sp.pairs[0][0]) * eps, p) != 0:
+    if padic_val(Fraction(pairs[0][0]) * eps, p) != 0:
         return None
     return "sphere"
 
@@ -945,25 +928,24 @@ def d_class_from_data(S: SeifertData, p: int) -> int:
     case = d_formula_case(S, p)
     if case is None:
         raise UnsupportedError("closed-form determinant class does not apply")
-    Sp, _ = reorder_at_prime(S, p)
-    rp = sum(1 for a, _ in Sp.pairs if a % p == 0)
-    eps = euler_invariant(Sp)
     dec = local_orders(S, p)
+    pairs, eps = dec.pairs, dec.eps
+    rp = sum(1 for a, _ in pairs if a % p == 0)
     k = padic_val(dec.orders[0][1], p)
     pk = p**k
     cls = 1
     for i in range(rp):
-        cls *= legendre(Sp.pairs[i][1], p)
+        cls *= legendre(pairs[i][1], p)
     if case == "flat":
         if (rp - 1) % 2:
             cls *= legendre(-1, p)
-        cls *= square_class(Fraction(Sp.pairs[0][0], Sp.pairs[1][0]), p)
+        cls *= square_class(Fraction(pairs[0][0], pairs[1][0]), p)
         for j in range(2, rp):
-            cls *= square_class(Fraction(Sp.pairs[j][0], pk), p)
+            cls *= square_class(Fraction(pairs[j][0], pk), p)
         return cls
     if rp % 2:
         cls *= legendre(-1, p)
     for j in range(1, rp):
-        cls *= square_class(Fraction(Sp.pairs[j][0], pk), p)
-    cls *= square_class(Fraction(Sp.pairs[0][0]) * eps, p)
+        cls *= square_class(Fraction(pairs[j][0], pk), p)
+    cls *= square_class(Fraction(pairs[0][0]) * eps, p)
     return cls

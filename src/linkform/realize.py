@@ -39,15 +39,7 @@ from .pairing import (
     classify_seifert,
     is_isomorphic,
 )
-from .seifert import (
-    SeifertData,
-    euler_invariant,
-    fibre_sum,
-    relevant_primes,
-    reorder_at_prime,
-    require_valid,
-    validate,
-)
+from .seifert import SeifertData, euler_invariant, fibre_sum, relevant_primes
 from .torsion import local_orders
 
 
@@ -72,8 +64,6 @@ class RealizationResult:
 def verify_realization(S: SeifertData, target: StandardForm, *, oracle_bound=2**10) -> bool:
     """Exact round trip: the pairing of M(0;S) matches the target at every
     prime of the target and is trivial at every other relevant prime."""
-    if validate(S):
-        return False
     reports = classify_seifert(S)
     for p in target.primes():
         got = reports[p].standard_form if p in reports else StandardForm.empty()
@@ -93,9 +83,6 @@ def _negate_betas(S: SeifertData) -> SeifertData:
 def _first_verified(candidates, target: StandardForm) -> RealizationResult:
     tried = []
     for label, S in candidates:
-        if validate(S):
-            tried.append(f"{label} (invalid data)")
-            continue
         if verify_realization(S, target):
             return RealizationResult(S, True, label, euler_invariant(S))
         tried.append(label)
@@ -155,7 +142,7 @@ def realize_odd_flat(target: StandardForm, p: int) -> RealizationResult:
     if p == 2 or target.primes() not in ((), (p,)):
         raise UnsupportedError(f"realize_odd_flat needs a pure {p}-primary target")
     if not target.atoms:
-        return _first_verified([("trivial-flat", seifert_pairs(((2, 1), (2, -1))))], target)
+        return _first_verified([("trivial-flat", SeifertData(0, ((2, 1), (2, -1))))], target)
     blocks = _blocks(target, p)
     k1, units1 = blocks[0]
     rho1 = len(units1)
@@ -190,10 +177,6 @@ def realize_odd_flat(target: StandardForm, p: int) -> RealizationResult:
             if i >= 24:
                 break
     return _first_verified(candidates, target)
-
-
-def seifert_pairs(pairs, genus: int = 0) -> SeifertData:
-    return SeifertData(genus, tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +300,6 @@ def _balanced_sphere_candidates(target: StandardForm, label: str):
             trial = dict(tails)
             trial[p] = variant
             S = assemble(trial)
-            if validate(S):
-                continue
             got = classify(gram_matrix(S, p)).standard_form
             if canonical_form(got) == want:
                 tails[p] = variant
@@ -342,7 +323,7 @@ def realize_odd_sphere(target: StandardForm) -> RealizationResult:
         raise UnsupportedError("realize_odd_sphere needs an odd-order target")
     if not target.atoms:
         return _first_verified(
-            [("trivial-sphere", seifert_pairs(((2, 1), (3, -1))))], target
+            [("trivial-sphere", SeifertData(0, ((2, 1), (3, -1))))], target
         )
     result = _first_verified(
         _balanced_sphere_candidates(target, "odd-sphere/balanced"), target
@@ -492,7 +473,7 @@ def realize_two_homog(target: StandardForm, mode: str = "auto") -> RealizationRe
         if not cycs:
             r = rho + 2 if m == "flat" else rho + 1
             pattern = _even_beta_pattern(rho, e1 > 0, r)
-            base = seifert_pairs(tuple((q, b) for b in pattern))
+            base = SeifertData(0, tuple((q, b) for b in pattern))
             candidates += _with_flips(
                 [(f"two-homog/even-{'e1' if e1 else 'hyperbolic'}-{m}", base)]
             )
@@ -668,7 +649,7 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
     if not target.atoms:
         pairs = ((2, 1), (2, -1)) if mode in ("auto", "flat") else ((2, 1), (3, -1))
         return _first_verified(
-            [(f"trivial-{'flat' if mode != 'sphere' else 'sphere'}", seifert_pairs(pairs))],
+            [(f"trivial-{'flat' if mode != 'sphere' else 'sphere'}", SeifertData(0, pairs))],
             target,
         )
     two = canonical_form(target.restrict(2))
@@ -720,15 +701,14 @@ def even_component_criterion(S: SeifertData) -> bool:
     are even, the top three share their 2-adic valuation, and alpha_1*eps
     is zero or odd.
     """
-    require_valid(S)
-    S2, _ = reorder_at_prime(S, 2)
-    evens = [a for a, _ in S2.pairs if a % 2 == 0]
+    local = local_orders(S, 2)
+    evens = [a for a, _ in local.pairs if a % 2 == 0]
     if len(evens) < 3:
         return False
     v = padic_val(evens[0], 2)
     if padic_val(evens[1], 2) != v or padic_val(evens[2], 2) != v:
         return False
-    x = Fraction(evens[0]) * euler_invariant(S)
+    x = Fraction(evens[0]) * local.eps
     return x == 0 or padic_val(x, 2) == 0
 
 
@@ -780,20 +760,15 @@ def exhaustive_search(
                 if not target.atoms and abs(combo[0][1]) == 1:
                     results.append(S)
                 continue
-            ok = True
-            for p in relevant_primes(S):
-                got = tuple(
-                    sorted((p, padic_val(n, p)) for _, n in local_orders(S, p).orders)
-                )
-                if got != want_structure.get(p, ()):
-                    ok = False
-                    break
-            if not ok:
+            primes = relevant_primes(S)
+            if any(
+                tuple(sorted((p, padic_val(n, p)) for _, n in local_orders(S, p).orders))
+                != want_structure.get(p, ())
+                for p in primes
+            ):
                 continue
-            for p in target.primes():
-                if p not in relevant_primes(S) and want_structure[p]:
-                    ok = False
-                    break
-            if ok and verify_realization(S, target):
+            if any(p not in primes and want_structure[p] for p in target.primes()):
+                continue
+            if verify_realization(S, target):
                 results.append(S)
     return results

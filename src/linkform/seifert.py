@@ -5,6 +5,10 @@ describing the exceptional fibres; g is the genus of the orientable base.
 The generalized Euler number eps = -sum(beta_i/alpha_i) is kept exact;
 beta_i are deliberately not normalized mod alpha_i since eps depends on
 the actual integers.
+
+Data is validated once, at construction: ``SeifertData`` raises
+InvalidDataError on a violated invariant, so every function taking one may
+assume g >= 0, r >= 1, alpha_i >= 2 and gcd(alpha_i, beta_i) = 1.
 """
 
 from __future__ import annotations
@@ -21,6 +25,11 @@ from .errors import InvalidDataError
 class SeifertData:
     genus: int
     pairs: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        problems = validate(self)
+        if problems:
+            raise InvalidDataError("; ".join(problems))
 
     def __str__(self) -> str:
         body = ",".join(f"({a},{b})" for a, b in self.pairs)
@@ -63,15 +72,8 @@ def validate(S: SeifertData) -> list[str]:
     return problems
 
 
-def require_valid(S: SeifertData) -> None:
-    problems = validate(S)
-    if problems:
-        raise InvalidDataError("; ".join(problems))
-
-
 def euler_invariant(S: SeifertData) -> Fraction:
     """Generalized Euler number -sum(beta_i/alpha_i); independent of genus."""
-    require_valid(S)
     return -sum(Fraction(b, a) for a, b in S.pairs)
 
 
@@ -81,21 +83,17 @@ def reorder_at_prime(S: SeifertData, p: int) -> tuple[SeifertData, tuple[int, ..
     After reordering, alpha_{i+1} divides alpha_i in the localization at p.
     The permutation maps new positions to original 0-based indices.
     """
-    require_valid(S)
     perm = tuple(sorted(range(S.r), key=lambda i: -padic_val(S.pairs[i][0], p)))
     return SeifertData(S.genus, tuple(S.pairs[i] for i in perm)), perm
 
 
 def fibre_sum(S: SeifertData, T: SeifertData) -> SeifertData:
     """Concatenate Seifert data (fibre sum of the manifolds); genera add."""
-    require_valid(S)
-    require_valid(T)
     return SeifertData(S.genus + T.genus, S.pairs + T.pairs)
 
 
 def r_p(S: SeifertData, p: int) -> int:
     """Number of cone point orders divisible by p."""
-    require_valid(S)
     return sum(1 for a, _ in S.pairs if a % p == 0)
 
 
@@ -105,7 +103,6 @@ def relevant_primes(S: SeifertData) -> tuple[int, ...]:
     These are the primes dividing some cone point order together with the
     primes dividing the numerator of the Euler number.
     """
-    require_valid(S)
     primes: set[int] = set()
     for a, _ in S.pairs:
         primes.update(factorize(a))

@@ -21,13 +21,7 @@ from math import gcd
 
 from .arith import bareiss, ext_gcd, padic_val
 from .errors import UnsupportedError
-from .seifert import (
-    SeifertData,
-    euler_invariant,
-    relevant_primes,
-    reorder_at_prime,
-    require_valid,
-)
+from .seifert import SeifertData, euler_invariant, relevant_primes, reorder_at_prime
 
 
 @dataclass(frozen=True)
@@ -41,6 +35,8 @@ class LocalDecomposition:
     prime: int
     orders: tuple[tuple[str, int], ...]  # (generator label, p-power order > 1)
     free_rank: int  # contribution on top of the 2g from the base surface
+    pairs: tuple[tuple[int, int], ...]  # the Seifert pairs reordered at prime
+    eps: Fraction  # the Euler number
 
     def order_multiset(self) -> tuple[int, ...]:
         return tuple(sorted((n for _, n in self.orders), reverse=True))
@@ -48,7 +44,6 @@ class LocalDecomposition:
 
 def presentation_matrix(S: SeifertData) -> Presentation:
     """Relation matrix of H = H_1 / Z^{2g} over q_1..q_r, h."""
-    require_valid(S)
     r = S.r
     labels = tuple(f"q{i}" for i in range(1, r + 1)) + ("h",)
     rows = [tuple([1] * r + [0])]
@@ -124,31 +119,34 @@ def smith_normal_form(matrix) -> SmithForm:
 def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
     """Cyclic decomposition of the p-primary torsion, with generator labels.
 
-    Labels refer to positions after reordering at p.  For r = 1 the group
-    is cyclic, generated by the image of the regular fibre h.
+    This is the one per-prime record of M(g;S): besides the orders and the
+    free rank it carries ``pairs``, the Seifert pairs reordered at p (see
+    reorder_at_prime), and ``eps``, the Euler number, which the closed
+    forms at p read instead of re-deriving them.  Labels refer to positions
+    after reordering at p.  For r = 1 the group is cyclic, generated by the
+    image of the regular fibre h.
     """
-    require_valid(S)
+    pairs = reorder_at_prime(S, p)[0].pairs
+    eps = euler_invariant(S)
     if S.r == 1:
         a1, b1 = S.pairs[0]
         e = padic_val(b1, p) if b1 % p == 0 else 0
         orders = ((("h", p**e),) if e > 0 else ())
-        return LocalDecomposition(p, orders, 0)
-    Sp, _ = reorder_at_prime(S, p)
-    eps = euler_invariant(Sp)
+        return LocalDecomposition(p, orders, 0, pairs, eps)
     orders = []
-    for i in range(2, Sp.r):
-        e = padic_val(Sp.pairs[i][0], p)
+    for i in range(2, len(pairs)):
+        e = padic_val(pairs[i][0], p)
         if e > 0:
             orders.append((f"q{i + 1}'", p**e))
     free = 1
     if eps != 0:
         free = 0
-        a1 = Sp.pairs[0][0]
-        a2 = Sp.pairs[1][0]
+        a1 = pairs[0][0]
+        a2 = pairs[1][0]
         vs = padic_val(Fraction(a1) * a2 * eps, p)
         if vs > 0:
             orders.append(("s", p**vs))
-    return LocalDecomposition(p, tuple(orders), free)
+    return LocalDecomposition(p, tuple(orders), free, pairs, eps)
 
 
 def structure_check(S: SeifertData) -> dict:
@@ -158,7 +156,6 @@ def structure_check(S: SeifertData) -> dict:
     the localized presentation must match the p-parts of the SNF diagonal,
     and the free rank of H_1 must be 2g + 1 exactly when eps = 0.
     """
-    require_valid(S)
     pres = presentation_matrix(S)
     snf = smith_normal_form(pres.matrix)
     eps = euler_invariant(S)

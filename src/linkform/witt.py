@@ -25,7 +25,7 @@ from .arith import as_fraction, factorize, legendre
 from .errors import InvalidDataError, SearchBoundExceeded
 from .linking import GramPairing, elements, eval_pair
 from .pairing import Cyc, StandardForm
-from .seifert import SeifertData, euler_invariant, require_valid
+from .seifert import SeifertData, euler_invariant
 
 
 def _zero_local(p: int):
@@ -164,18 +164,12 @@ def witt_pairing(sf: StandardForm) -> WittElement:
     return total
 
 
-def witt_negate(w: WittElement) -> WittElement:
-    """Class of the orientation-reversed pairing."""
-    return -w
-
-
 def witt_seifert(S: SeifertData) -> WittElement:
     """Witt class of the linking pairing of M(g;S) from the Seifert data.
 
     For eps = 0 the class is -sum w(beta_i/alpha_i); for eps = P/Q in
     lowest terms an extra -w(1/(P*Q)) appears.
     """
-    require_valid(S)
     eps = euler_invariant(S)
     total = WittElement.zero()
     if eps != 0:

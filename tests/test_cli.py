@@ -1,4 +1,6 @@
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -127,6 +129,39 @@ def test_verify_subcommand_deterministic(tmp_path, capsys):
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "nonsense")
     assert code == 1
+
+
+@contextmanager
+def time_budget(seconds):
+    """Turn a hang into a failure: raise once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("witt", "--trials", "0"),  # used to run the suite's default count
+        ("structure", "--max-r", "0"),  # used to escape as a ValueError
+        ("structure", "--max-alpha", "1"),  # used to escape as a ValueError
+        ("structure", "--max-beta", "0"),  # used to hang in rand_seifert
+        ("thm7", "--oracle-bound", "0"),
+    ],
+)
+def test_verify_rejects_out_of_range_bounds(capsys, suite, flag, value):
+    with time_budget(10):
+        code, out, err = run_cli(capsys, "verify", suite, flag, value)
+    assert code == 1
+    assert out == "" and "usage error" in err
 
 
 def test_search_subcommand(tmp_path, capsys):

@@ -1,8 +1,14 @@
+import io
+import json
+from contextlib import redirect_stderr
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from linkform.cli import main
 from linkform.errors import InvalidDataError
 from linkform.seifert import (
     SeifertData,
@@ -28,10 +34,60 @@ def valid_seifert(max_r=5, max_alpha=12, max_beta=9):
 
 
 def test_validate_examples():
+    # invalid data cannot be built: construction runs validate and raises
     assert validate(seifert((2, 1), (3, 1))) == []
-    assert any("gcd" in v for v in validate(seifert((4, 2))))
-    assert any("alpha" in v for v in validate(seifert((1, 5))))
-    assert any("empty" in v for v in validate(SeifertData(0, ())))
+    with pytest.raises(InvalidDataError, match="gcd"):
+        seifert((4, 2))
+    with pytest.raises(InvalidDataError, match="alpha"):
+        seifert((1, 5))
+    with pytest.raises(InvalidDataError, match="empty"):
+        SeifertData(0, ())
+
+
+def _violations(genus, pairs):
+    """The invariants of Seifert data that (genus, pairs) breaks, by name."""
+    bad = set()
+    if genus < 0:
+        bad.add("genus")
+    if not pairs:
+        bad.add("empty")
+    for a, b in pairs:
+        if a < 2:
+            bad.add("alpha")
+        elif gcd(a, b) != 1:
+            bad.add("gcd")
+    return bad
+
+
+raw_data = st.tuples(
+    st.integers(-2, 2),
+    st.lists(st.tuples(st.integers(-1, 12), st.integers(-9, 9)), max_size=4),
+)
+
+
+@settings(max_examples=200)
+@given(raw_data)
+def test_construction_validates(data):
+    genus, pairs = data
+    bad = _violations(genus, pairs)
+    if not bad:
+        S = SeifertData(genus, tuple(pairs))
+        assert validate(S) == []
+        return
+    with pytest.raises(InvalidDataError) as info:
+        SeifertData(genus, tuple(pairs))
+    for word in bad:
+        assert word in str(info.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_data.filter(lambda data: _violations(*data)))
+def test_compute_exits_2_on_invalid_data(data):
+    genus, pairs = data
+    stdin = io.StringIO(json.dumps({"genus": genus, "pairs": [list(p) for p in pairs]}))
+    with mock.patch("sys.stdin", stdin), redirect_stderr(io.StringIO()) as err:
+        assert main(["compute", "-"]) == 2
+    assert "invalid data" in err.getvalue()
 
 
 def test_euler_examples():

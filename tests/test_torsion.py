@@ -2,6 +2,7 @@ import json
 import random
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from linkform.cli import main
 from linkform.errors import UnsupportedError
-from linkform.seifert import euler_invariant, seifert
+from linkform.seifert import euler_invariant, reorder_at_prime, seifert
 from linkform.torsion import (
     local_orders,
     presentation_matrix,
@@ -185,9 +186,30 @@ def test_local_orders_sphere_example():
 def test_local_orders_r1():
     dec = local_orders(seifert((5, 3)), 3)
     assert dict(dec.orders) == {"h": 3}
+    assert dec.pairs == ((5, 3),) and dec.eps == Fraction(-3, 5)
     assert local_orders(seifert((5, 3)), 5).orders == ()
     with pytest.raises(UnsupportedError):
         unsupported_r1_pairing(seifert((5, 3)))
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.tuples(st.integers(2, 36), st.integers(-20, 20)).filter(
+            lambda ab: gcd(*ab) == 1
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_local_orders_record_matches_reorder_and_euler(pairs, p):
+    # the per-prime record carries the data reordered at p and eps, for r = 1
+    # (where no reordering happens) as for r >= 2
+    S = seifert(*pairs)
+    dec = local_orders(S, p)
+    assert dec.pairs == reorder_at_prime(S, p)[0].pairs
+    assert dec.eps == euler_invariant(S)
 
 
 def test_structure_examples():
