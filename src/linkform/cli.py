@@ -246,9 +246,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="exhaustive bounded realization search")
     add_common(p)
-    p.add_argument("--max-r", type=int, default=4)
-    p.add_argument("--max-alpha", type=int, default=8)
-    p.add_argument("--max-beta", type=int, default=7)
+    p.add_argument("--max-r", type=_at_least(1), default=4)
+    p.add_argument("--max-alpha", type=_at_least(2), default=8)
+    p.add_argument("--max-beta", type=_at_least(1), default=7)
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -9,9 +9,10 @@ mattering mod min(2^k, 8)) or even, in which case it is an orthogonal sum
 of the rank-2 pairings E0(k) (hyperbolic) and at most one E1(k).
 
 This module provides the block decomposition, the per-component
-invariants, conversion to a standard form built from Cyc/E0/E1 atoms, a
-sound (not necessarily complete) canonical form for isomorphism testing,
-and a brute-force isomorphism oracle used as ground truth on small groups.
+invariants, conversion to a standard form built from Cyc/E0/E1 atoms, an
+exact isomorphism test by Gauss-sum invariants at every order, a sound
+normal form from which realization reads target shapes, and a
+brute-force isomorphism search kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -135,9 +136,6 @@ class StandardForm:
             else:
                 total *= 4**a.k
         return total
-
-    def rank_at(self, p: int) -> int:
-        return sum(1 if isinstance(a, Cyc) else 2 for a in self.restrict(p).atoms)
 
     def negated(self) -> "StandardForm":
         out = []
@@ -266,11 +264,8 @@ class HomogeneousComponent:
     rank: int
     matrix: tuple[tuple[int, ...], ...]  # entries mod p^k
 
-    def exponent(self) -> int:
-        return self.prime**self.k
-
     def gram(self) -> GramPairing:
-        q = self.exponent()
+        q = self.prime**self.k
         rows = tuple(
             tuple(Fraction(x % q, q) for x in row) for row in self.matrix
         )
@@ -685,8 +680,9 @@ def canonical_form(sf: StandardForm) -> StandardForm:
     Odd-primary levels reduce to rank and determinant class.  At p = 2 the
     moves applied are: absorbing E-blocks into a diagonal at the same
     level, E1 + E1 -> E0 + E0, and (for k >= 3) shifting any two diagonal
-    units by 4.  Equal canonical forms imply isomorphism; the converse may
-    fail for 2-groups, where the brute-force oracle is the fallback.
+    units by 4.  Equal canonical forms imply isomorphism, but the converse
+    may fail for 2-groups: decide isomorphism with is_isomorphic.  Realize
+    reads the shapes of its targets from this form.
     """
     grouped: dict[tuple[int, int], list[Atom]] = {}
     for a in sf.atoms:
@@ -716,61 +712,53 @@ def _as_standard(obj) -> StandardForm:
     raise InvalidDataError(f"expected StandardForm or GramPairing, got {obj!r}")
 
 
-def is_isomorphic(
-    f,
-    g,
-    *,
-    allow_negation: bool = False,
-    oracle_bound: int = 2**10,
-    force_brute: bool = False,
-) -> bool:
-    """Isomorphism test between standard forms or Gram pairings.
+def _gauss_arg(atom: Atom, n: int) -> int | None:
+    """Argument in Z/8 of sum_x e(p^n l(x,x)) over one atom; None if the sum is 0."""
+    m = atom.k - n  # closed forms of quadratic Gauss sums modulo p^m
+    if isinstance(atom, E1):
+        return 4 * ((m - 1) % 2) if m > 0 else 0
+    if m <= 0 or isinstance(atom, E0) or (atom.p != 2 and m % 2 == 0):
+        return 0
+    if atom.p != 2:
+        return 4 * (legendre(atom.a, atom.p) == -1) + 2 * (atom.p % 4 == 3)
+    if m == 1:
+        return None
+    return (1 if atom.a % 4 == 1 else 7) if m % 2 == 0 else atom.a % 8
 
-    Equal canonical forms decide positively; otherwise, when both groups
-    have order at most ``oracle_bound``, the brute-force oracle decides
-    (always consulted when ``force_brute`` is set).  Above the bound a
-    negative canonical comparison is returned as-is; isomorphism_report
-    carries the qualifier.  With ``allow_negation`` the negated pairing is
-    accepted as well.
+
+def _gauss_invariant(sf: StandardForm) -> tuple:
+    """Group structure plus, per prime p and 0 <= n < K_p (the top exponent
+    at p), the argument in Z/8 of sum_x e(p^n l(x,x)), or None if it is 0.
+
+    Gauss sums multiply over orthogonal sums, so arguments add atom by atom.
+    The invariant is complete: at odd p it gives rank and determinant class
+    level by level, and at p = 2 ranks and these Gauss sums classify
+    (Kawauchi-Kojima, Math. Ann. 253, 1980).
     """
-    return isomorphism_report(
-        f,
-        g,
-        allow_negation=allow_negation,
-        oracle_bound=oracle_bound,
-        force_brute=force_brute,
-    )["isomorphic"]
+    args = []
+    for p in sf.primes():
+        atoms = sf.restrict(p).atoms
+        for n in range(max(a.k for a in atoms)):
+            parts = [_gauss_arg(a, n) for a in atoms]
+            args.append((p, n, None if None in parts else sum(parts) % 8))
+    return sf.group_structure(), tuple(args)
 
 
-def isomorphism_report(
-    f, g, *, allow_negation=False, oracle_bound=2**10, force_brute=False
-) -> dict:
-    sf = _as_standard(f)
+def is_isomorphic(f, g, *, allow_negation: bool = False) -> bool:
+    """Exact isomorphism test between standard forms or Gram pairings.
+
+    Compares the complete invariants of _gauss_invariant, at every group
+    order.  With ``allow_negation`` the negated pairing is accepted as well.
+    """
+    return isomorphism_report(f, g, allow_negation=allow_negation)["isomorphic"]
+
+
+def isomorphism_report(f, g, *, allow_negation=False) -> dict:
     sg = _as_standard(g)
+    want = _gauss_invariant(_as_standard(f))
     targets = [sg] + ([sg.negated()] if allow_negation else [])
-    report = {"isomorphic": False, "method": "canonical", "negated": False}
-    for i, tgt in enumerate(targets):
-        if sf.group_structure() != tgt.group_structure():
-            continue
-        if not force_brute and canonical_form(sf) == canonical_form(tgt):
-            report.update(isomorphic=True, negated=bool(i))
-            return report
-        if sf.group_order() <= oracle_bound:
-            ok = all(
-                brute_force_isomorphic(
-                    standard_form_gram(sf, p),
-                    standard_form_gram(tgt, p),
-                    bound=oracle_bound,
-                )[0]
-                for p in set(sf.primes()) | set(tgt.primes())
-            )
-            report["method"] = "brute-force"
-            if ok:
-                report.update(isomorphic=True, negated=bool(i))
-                return report
-        else:
-            report["method"] = "canonical-only (order above oracle bound)"
-    return report
+    hit = next((i for i, t in enumerate(targets) if _gauss_invariant(t) == want), None)
+    return {"isomorphic": hit is not None, "method": "invariants", "negated": hit == 1}
 
 
 def brute_force_isomorphic(
@@ -892,6 +880,12 @@ def d_formula_case(S: SeifertData, p: int) -> str | None:
     valuation exactly k and r_p >= 3; for eps != 0, alpha_2..alpha_{r_p}
     must have valuation k and alpha_1 * eps must be a p-adic unit.
     """
+    found = _d_case(S, p)
+    return found[0] if found else None
+
+
+def _d_case(S: SeifertData, p: int):
+    """(branch, local record at p) for d_formula_case, or None."""
     if p == 2 or S.r < 2:
         return None
     dec = local_orders(S, p)
@@ -908,14 +902,14 @@ def d_formula_case(S: SeifertData, p: int) -> str | None:
             return None
         if any(padic_val(pairs[i][0], p) != k for i in range(rp)):
             return None
-        return "flat"
+        return "flat", dec
     if rp < 2:
         return None
     if any(padic_val(pairs[i][0], p) != k for i in range(1, rp)):
         return None
     if padic_val(Fraction(pairs[0][0]) * eps, p) != 0:
         return None
-    return "sphere"
+    return "sphere", dec
 
 
 def d_class_from_data(S: SeifertData, p: int) -> int:
@@ -925,10 +919,10 @@ def d_class_from_data(S: SeifertData, p: int) -> int:
     d_invariant computes from the Gram matrix.  Preconditions as in
     d_formula_case; raises otherwise.
     """
-    case = d_formula_case(S, p)
-    if case is None:
+    found = _d_case(S, p)
+    if found is None:
         raise UnsupportedError("closed-form determinant class does not apply")
-    dec = local_orders(S, p)
+    case, dec = found
     pairs, eps = dec.pairs, dec.eps
     rp = sum(1 for a, _ in pairs if a % p == 0)
     k = padic_val(dec.orders[0][1], p)

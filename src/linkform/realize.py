@@ -36,8 +36,8 @@ from .pairing import (
     StandardForm,
     canonical_form,
     classify,
-    classify_seifert,
     is_isomorphic,
+    standard_form_of,
 )
 from .seifert import SeifertData, euler_invariant, fibre_sum, relevant_primes
 from .torsion import local_orders
@@ -61,18 +61,10 @@ class RealizationResult:
         }
 
 
-def verify_realization(S: SeifertData, target: StandardForm, *, oracle_bound=2**10) -> bool:
+def verify_realization(S: SeifertData, target: StandardForm) -> bool:
     """Exact round trip: the pairing of M(0;S) matches the target at every
     prime of the target and is trivial at every other relevant prime."""
-    reports = classify_seifert(S)
-    for p in target.primes():
-        got = reports[p].standard_form if p in reports else StandardForm.empty()
-        if not is_isomorphic(got, target.restrict(p), oracle_bound=oracle_bound):
-            return False
-    for p, rep in reports.items():
-        if p not in target.primes() and rep.standard_form.atoms:
-            return False
-    return True
+    return is_isomorphic(standard_form_of(S), target)
 
 
 def _negate_betas(S: SeifertData) -> SeifertData:
@@ -290,7 +282,7 @@ def _balanced_sphere_candidates(target: StandardForm, label: str):
 
     tails = {p: default_tail(p) for p in primes}
     for p in primes:
-        want = canonical_form(target.restrict(p))
+        want = target.restrict(p)
         variants = (
             _two_tails_for_sphere(per_prime[2][0][0], per_prime[2][0][1], alpha_big)
             if p == 2
@@ -300,8 +292,7 @@ def _balanced_sphere_candidates(target: StandardForm, label: str):
             trial = dict(tails)
             trial[p] = variant
             S = assemble(trial)
-            got = classify(gram_matrix(S, p)).standard_form
-            if canonical_form(got) == want:
+            if is_isomorphic(gram_matrix(S, p), want):
                 tails[p] = variant
                 break
         else:

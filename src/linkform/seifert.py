@@ -77,13 +77,18 @@ def euler_invariant(S: SeifertData) -> Fraction:
     return -sum(Fraction(b, a) for a, b in S.pairs)
 
 
-def reorder_at_prime(S: SeifertData, p: int) -> tuple[SeifertData, tuple[int, ...]]:
+def valuation_order(pairs, p: int) -> tuple[int, ...]:
     """Stable sort of the pairs by descending p-adic valuation of alpha.
 
     After reordering, alpha_{i+1} divides alpha_i in the localization at p.
     The permutation maps new positions to original 0-based indices.
     """
-    perm = tuple(sorted(range(S.r), key=lambda i: -padic_val(S.pairs[i][0], p)))
+    return tuple(sorted(range(len(pairs)), key=lambda i: -padic_val(pairs[i][0], p)))
+
+
+def reorder_at_prime(S: SeifertData, p: int) -> tuple[SeifertData, tuple[int, ...]]:
+    """S with its pairs in valuation_order at p, and that permutation."""
+    perm = valuation_order(S.pairs, p)
     return SeifertData(S.genus, tuple(S.pairs[i] for i in perm)), perm
 
 

@@ -21,7 +21,7 @@ from math import gcd
 
 from .arith import bareiss, ext_gcd, padic_val
 from .errors import UnsupportedError
-from .seifert import SeifertData, euler_invariant, relevant_primes, reorder_at_prime
+from .seifert import SeifertData, euler_invariant, relevant_primes, valuation_order
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,12 @@ def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
 
     This is the one per-prime record of M(g;S): besides the orders and the
     free rank it carries ``pairs``, the Seifert pairs reordered at p (see
-    reorder_at_prime), and ``eps``, the Euler number, which the closed
+    valuation_order), and ``eps``, the Euler number, which the closed
     forms at p read instead of re-deriving them.  Labels refer to positions
     after reordering at p.  For r = 1 the group is cyclic, generated by the
     image of the regular fibre h.
     """
-    pairs = reorder_at_prime(S, p)[0].pairs
+    pairs = tuple(S.pairs[i] for i in valuation_order(S.pairs, p))
     eps = euler_invariant(S)
     if S.r == 1:
         a1, b1 = S.pairs[0]

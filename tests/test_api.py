@@ -1,10 +1,15 @@
-"""Guard the names the benchmark under perfbench/ calls into.
+"""Guard the names the benchmark under perfbench/ calls into, and keep the
+brute-force searches out of the production paths.
 
 perfbench/layers.py rebinds every function named in its TRACED table, and
 perfbench/ops.py calls a few entry points directly.  Deleting or renaming
 any of them breaks the benchmark without failing any other test, so this
 test reads TRACED from the file (without importing perfbench) and checks
 that each name still exists in its linkform module.
+
+Isomorphism is decided by exact invariants; the brute-force isomorphism
+and metabolizer searches are test oracles, called only by the verify
+suites.  The source is read with ast, so nothing is imported for that.
 """
 
 import ast
@@ -14,6 +19,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "linkform"
 
 # entry points perfbench/ops.py calls directly, as (module, attribute path)
 OPS_ENTRY_POINTS = [
@@ -60,3 +66,38 @@ def test_traced_function_exists(module, name):
 @pytest.mark.parametrize("module, path", OPS_ENTRY_POINTS)
 def test_ops_entry_point_exists(module, path):
     assert callable(_resolve(module, path))
+
+
+def _src_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_search_oracles_are_called_only_by_the_verify_suites():
+    callers = {"brute_force_isomorphic": set(), "metabolic_oracle": set()}
+    for name, tree in _src_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in callers:
+                    callers[called].add(name)
+    assert callers == {"brute_force_isomorphic": {"verify.py"}, "metabolic_oracle": {"verify.py"}}
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [
+        ("pairing.py", "is_isomorphic"),
+        ("pairing.py", "isomorphism_report"),
+        ("realize.py", "verify_realization"),
+    ],
+)
+def test_isomorphism_takes_no_search_knobs(module, function):
+    tree = _src_trees()[module]
+    node = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function
+    )
+    args = node.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    assert not names & {"oracle_bound", "force_brute"}
+    assert args.vararg is None and args.kwarg is None

@@ -181,6 +181,24 @@ def test_search_subcommand(tmp_path, capsys):
     assert report["count"] >= 1
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-r", "0"),  # these used to exit 0 with "count": 0
+        ("--max-r", "-3"),
+        ("--max-alpha", "1"),
+        ("--max-beta", "0"),
+        ("--max-beta", "-2"),
+    ],
+)
+def test_search_rejects_out_of_range_bounds(tmp_path, capsys, flag, value):
+    target = write(tmp_path, "t.json", {"atoms": []})
+    with time_budget(10):
+        code, out, err = run_cli(capsys, "search", target, flag, value)
+    assert code == 1
+    assert out == "" and "usage error" in err
+
+
 def test_seed_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LINKFORM_SEED", "99")
     code, out, _ = run_cli(capsys, "verify", "structure", "--trials", "10")

@@ -493,22 +493,163 @@ def test_canonical_absorbs_mixed_level():
     assert ok
 
 
+def _assert_isometry(f, g, images):
+    """images (coefficient tuples in g, one per generator of f) define an
+    isomorphism: orders are respected and every pairing value is kept.  A
+    map that keeps a nonsingular pairing is injective, and the groups have
+    equal order, so it is bijective."""
+    from linkform.linking import element_order, eval_pair
+
+    G, H = standard_form_gram(f, 2), standard_form_gram(g, 2)
+    assert sorted(G.orders) == sorted(H.orders)
+    for i, y in enumerate(images):
+        assert G.orders[i] % element_order(H.orders, y) == 0
+        for j, z in enumerate(images):
+            assert eval_pair(H, y, z) == G.gram[i][j]
+
+
 def test_isomorphism_report_above_oracle_bound():
+    # orders 2^12 and 2^11, above the brute-force search's former fallback
+    # bound of 2^10; the invariants decide here as at every order
     from linkform.pairing import isomorphism_report
 
-    big1 = sf(*(Cyc.make(2, 3, 1) for _ in range(4)))  # order 2^12 > bound
+    big1 = sf(*(Cyc.make(2, 3, 1) for _ in range(4)))
     big2 = sf(*(Cyc.make(2, 3, 5) for _ in range(4)))
     rep = isomorphism_report(big1, big1 + StandardForm.empty())
-    assert rep["isomorphic"] and rep["method"] == "canonical"
+    assert rep == {"isomorphic": True, "method": "invariants", "negated": False}
     rep = isomorphism_report(big1, big2)
-    # {1,1} ~ {5,5} pairs shift: canonical forms agree here
     assert rep["isomorphic"]
+    # <1,1,1,1>/8 and <3,3,3,3>/8 are isomorphic
     big3 = sf(*(Cyc.make(2, 3, 3) for _ in range(4)))
     rep = isomorphism_report(big1, big3)
-    # distinct canonical forms above the brute-force bound: the negative
-    # answer carries the canonical-only qualifier rather than a proof
-    assert not rep["isomorphic"]
-    assert "canonical-only" in rep["method"]
+    assert rep == {"isomorphic": True, "method": "invariants", "negated": False}
+    _assert_isometry(big1, big3, [(0, 1, 1, 1), (1, 0, 1, 7), (1, 1, 3, 4), (1, 7, 4, 5)])
+    # 4 <1>/4 + <1>/8 and 4 <3>/4 + <1>/8 (the <1>/8 atom comes first)
+    four = sf(*(Cyc.make(2, 2, 1) for _ in range(4)), Cyc.make(2, 3, 1))
+    three = sf(*(Cyc.make(2, 2, 3) for _ in range(4)), Cyc.make(2, 3, 1))
+    assert is_isomorphic(four, three)
+    _assert_isometry(
+        four,
+        three,
+        [(1, 0, 0, 0, 0), (0, 0, 1, 1, 1), (0, 1, 0, 1, 3), (0, 1, 1, 1, 2), (0, 1, 3, 2, 3)],
+    )
+
+
+def _direct_gauss_arg(sf_p, p, n):
+    """Argument in Z/8 of sum_x e(p^n l(x,x)) by summing over the group."""
+    import cmath
+
+    from linkform.linking import elements, eval_pair
+
+    G = standard_form_gram(sf_p, p)
+    z = sum(
+        cmath.exp(2j * cmath.pi * float(p**n * eval_pair(G, x, x)))
+        for x in elements(G.orders)
+    )
+    if abs(z) < 1e-6:
+        return None
+    eighths = cmath.phase(z) / (cmath.pi / 4)
+    assert abs(eighths - round(eighths)) < 1e-6
+    return round(eighths) % 8
+
+
+def test_gauss_arguments_match_direct_sums():
+    from linkform.pairing import _gauss_arg
+
+    for p, kmax in ((2, 5), (3, 4), (5, 3), (7, 2)):
+        for k in range(1, kmax + 1):
+            units = (1, 3, 5, 7) if p == 2 else (1, 2, 3, 6)
+            atoms = [Cyc.make(p, k, a) for a in units if a % p]
+            if p == 2:
+                atoms += [E0(k)] + ([E1(k)] if k >= 2 else [])
+            for atom in atoms:
+                for n in range(k + 2):
+                    assert _gauss_arg(atom, n) == _direct_gauss_arg(sf(atom), p, n), (atom, n)
+
+
+def test_gauss_invariant_adds_over_atoms():
+    from linkform.pairing import _gauss_invariant
+
+    for form in (
+        sf(Cyc.make(2, 3, 3), Cyc.make(2, 2, 1), E1(2)),
+        sf(Cyc.make(2, 3, 5), E0(1), Cyc.make(2, 1, 1)),
+        sf(Cyc.make(3, 2, 2), Cyc.make(3, 1, 1), Cyc.make(3, 1, 2)),
+        sf(Cyc.make(5, 1, 2), Cyc.make(5, 2, 3), Cyc.make(7, 1, 3)),
+    ):
+        structure, args = _gauss_invariant(form)
+        assert structure == form.group_structure()
+        for p, n, arg in args:
+            assert arg == _direct_gauss_arg(form.restrict(p), p, n), (form, p, n)
+
+
+TWO_UNITS = {1: (1,), 2: (1, 3), 3: (1, 3, 5, 7)}
+
+
+def _two_level_forms(k, rank):
+    """Every multiset of atoms of total rank ``rank`` at 2-adic level k."""
+    kinds = [E0(k)] + ([E1(k)] if k >= 2 else [])
+    return [
+        list(blocks) + [Cyc.make(2, k, a) for a in units]
+        for nblocks in range(rank // 2 + 1)
+        for blocks in itertools.combinations_with_replacement(kinds, nblocks)
+        for units in itertools.combinations_with_replacement(TWO_UNITS[k], rank - 2 * nblocks)
+    ]
+
+
+def _two_forms_by_structure(max_log):
+    """Every standard form on every 2-group with exponent <= 8 and order
+    <= 2^max_log, grouped by group structure."""
+    for r3 in range(max_log // 3 + 1):
+        for r2 in range((max_log - 3 * r3) // 2 + 1):
+            for r1 in range(max_log - 3 * r3 - 2 * r2 + 1):
+                if r1 + r2 + r3:
+                    yield [
+                        sf(*a, *b, *c)
+                        for a in _two_level_forms(3, r3)
+                        for b in _two_level_forms(2, r2)
+                        for c in _two_level_forms(1, r1)
+                    ]
+
+
+def is_isomorphic_vs_brute_force(max_log):
+    """(group structures, forms, disagreements) of is_isomorphic against
+    brute_force_isomorphic on every 2-form with k <= 3 and order <= 2^max_log.
+
+    Both relations are equivalences, so it is enough that each form is
+    brute-force isomorphic to the representative of its is_isomorphic class
+    and that the representatives are pairwise not isomorphic.  Brute force
+    answers "not isomorphic" without a search when the self-link profiles
+    differ, so only representatives with equal profiles are searched.
+    """
+    from linkform.linking import self_link_profile
+
+    structures = forms_seen = 0
+    bad = []
+    for forms in _two_forms_by_structure(max_log):
+        structures += 1
+        forms_seen += len(forms)
+        grams = [standard_form_gram(f, 2) for f in forms]
+        reps: dict[int, object] = {}  # representative -> its self-link profile
+        for i, f in enumerate(forms):
+            j = next((j for j in reps if is_isomorphic(forms[j], f)), None)
+            if j is not None:
+                if not brute_force_isomorphic(grams[j], grams[i], bound=2**max_log)[0]:
+                    bad.append((forms[j], f, "brute force finds no isomorphism"))
+                continue
+            profile = self_link_profile(grams[i])
+            for j, other in reps.items():
+                if other == profile and brute_force_isomorphic(
+                    grams[j], grams[i], bound=2**max_log
+                )[0]:
+                    bad.append((forms[j], f, "brute force finds an isomorphism"))
+            reps[i] = profile
+    return structures, forms_seen, bad
+
+
+def test_is_isomorphic_equals_brute_force_on_small_two_forms():
+    structures, forms, bad = is_isomorphic_vs_brute_force(8)
+    assert (structures, bad) == (40, [])
+    assert forms == 355
 
 
 def test_canonical_odd_prime_reduces_to_rank_and_det():
@@ -570,7 +711,7 @@ def test_adjacent_level_two_adic_scramble_round_trip():
         G = standard_form_gram(form, 2)
         H = shuffle_basis(G, rng, steps=16)
         got = classify(H).standard_form
-        assert is_isomorphic(got, form, oracle_bound=2**10), form
+        assert is_isomorphic(got, form), form
 
 
 def test_seifert_standard_form_total():
