@@ -8,10 +8,12 @@ canonical representative in [0, 1).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .errors import InvalidDataError
+from .errors import InvalidDataError, UnsupportedError
 
 
 def as_fraction(q) -> Fraction:
@@ -129,8 +131,26 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, m, n
 
 
+_TRIAL_LIMIT = 1 << 10
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on _MR_BASES is exact below this bound (Sorenson-Webster 2017)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# rho cycle length at which one polynomial gives up: factors up to about
+# 10^13 split well before it, and refusing takes about 2^24 squarings
+_RHO_STEPS = 1 << 22
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization; adequate for cone point orders."""
+    """Prime factorization of |n| as {prime: exponent}, primes ascending.
+
+    Trial division by d < 2^10 finishes every n < 2^20 on its own.  A larger
+    cofactor is split by Pollard-Brent rho, and its parts are proved prime
+    by deterministic Miller-Rabin on the 13 prime bases 2..41, which is
+    exact below 3317044064679887385961981.  A part at or above that bound
+    which passes every base cannot be proved prime here, so it raises
+    UnsupportedError instead of being guessed prime; so does a composite
+    part that rho cannot split within its step budget.
+    """
     n = abs(n)
     if n == 0:
         raise InvalidDataError("cannot factorize 0")
@@ -140,20 +160,92 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 5
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_LIMIT:
         for p in (d, d + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    if n < d * d:  # no prime factor below d, so n is 1 or a prime
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if _is_large_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _brent_factor(m)
+            stack += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def _is_large_prime(n: int) -> bool:
+    """Primality of n > 41 by Miller-Rabin: exact, or refused at the bound."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT_BELOW:
+        raise UnsupportedError(
+            f"cannot prove {n} prime: Miller-Rabin on bases 2..41 is exact "
+            f"only below {_MR_EXACT_BELOW}"
+        )
+    return True
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of an odd composite n, by Pollard-Brent rho.
+
+    Deterministic: the start point is 2 and the polynomial x^2 + c is
+    retried with c = 1, 2, ... until the factor is proper.  Refuses with
+    UnsupportedError once a polynomial's cycle search passes _RHO_STEPS.
+    """
+    for c in itertools.count(1):
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+            if r > _RHO_STEPS:
+                raise UnsupportedError(
+                    f"cannot factor {n}: Pollard rho found no factor "
+                    f"within {_RHO_STEPS} steps"
+                )
+        if g == n:  # the batch overshot: step through it one term at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 @lru_cache(maxsize=256)  # Cyc.make asks about the same few primes many times
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
+    if n < _TRIAL_LIMIT**2:
+        return n >= 2 and factorize(n) == {n: 1}
+    return _is_large_prime(n)
 
 
 def bareiss(M) -> tuple[int, int]:

@@ -729,6 +729,14 @@ def exhaustive_search(
     representative).  r = 1 candidates are only reported for the trivial
     target, since cyclic lens-space pairings are not computed by this
     pipeline.
+
+    Before any exact work, a candidate is rejected by its torsion order.
+    The presentation matrix has determinant +-N with
+    N = sum_i b_i prod_{j != i} a_j = -(prod_i a_i) eps, so when eps != 0
+    the torsion of H_1 has order |N|, and a realization needs |N| to equal
+    the order of the target.  Candidates with N = 0 (eps = 0, free rank 1)
+    always go on to the exact check: local orders per relevant prime, then
+    verify_realization.
     """
     if alphas is None:
         if max_alpha is None:
@@ -743,14 +751,20 @@ def exhaustive_search(
     want_structure = {
         p: target.restrict(p).group_structure() for p in target.primes()
     }
+    want_order = prod(p**k for gs in want_structure.values() for p, k in gs)
     results = []
     for r in range(1, max_r + 1):
         for combo in itertools.combinations_with_replacement(pool, r):
-            S = SeifertData(genus, combo)
             if r == 1:
+                S = SeifertData(genus, combo)
                 if not target.atoms and abs(combo[0][1]) == 1:
                     results.append(S)
                 continue
+            alpha = prod(a for a, _ in combo)
+            det = sum(b * (alpha // a) for a, b in combo)
+            if det and abs(det) != want_order:
+                continue
+            S = SeifertData(genus, combo)
             primes = relevant_primes(S)
             if any(
                 tuple(sorted((p, padic_val(n, p)) for _, n in local_orders(S, p).orders))

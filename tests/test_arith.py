@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
+from linkform import arith
 from linkform.arith import (
     ext_gcd,
     factorize,
     fmt_rational,
+    is_prime,
     least_nonresidue,
     legendre,
     p_part,
@@ -16,7 +20,7 @@ from linkform.arith import (
     square_class,
     unit_part,
 )
-from linkform.errors import InvalidDataError
+from linkform.errors import InvalidDataError, UnsupportedError
 
 
 def test_padic_val_examples():
@@ -138,3 +142,67 @@ def test_rational_serialization():
     assert parse_rational("-5") == Fraction(-5)
     with pytest.raises(InvalidDataError):
         parse_rational("x/y")
+
+
+def test_factorize_large_inputs_finish(time_budget):
+    # trial division used to run for more than 15 s on 2^61 - 1
+    p, q = 1_000_000_007, 3_000_000_019
+    with time_budget(5):
+        assert factorize(2**61 - 1) == {2**61 - 1: 1}
+        assert factorize(p * q) == {p: 1, q: 1}
+        assert factorize(-(2**5) * 3 * p * p * q) == {2: 5, 3: 1, p: 2, q: 1}
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        # Carmichael numbers
+        (561, {3: 1, 11: 1, 17: 1}),
+        (41041, {7: 1, 11: 1, 13: 1, 41: 1}),
+        (3215031751, {151: 1, 751: 1, 28351: 1}),
+        # strong pseudoprimes to the first 9 and 12 prime bases, with no
+        # factor below 2^10, so Miller-Rabin itself must find them composite
+        (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
+        (318665857834031151167461, {399165290221: 1, 798330580441: 1}),
+    ],
+)
+def test_pseudoprimes_are_composite(n, factors, time_budget):
+    with time_budget(10):
+        assert factorize(n) == factors
+        assert not is_prime(n)
+
+
+def test_factorize_agrees_with_sympy():
+    rng = random.Random(61)
+    sample = [rng.randrange(1, 10**18) for _ in range(200)]
+    # two factors above the trial-division limit: rho must split them
+    sample += [
+        sympy.nextprime(rng.randrange(2**20, 10**9)) * rng.randrange(2**20, 10**9)
+        for _ in range(50)
+    ]
+    for n in sample:
+        assert factorize(n) == sympy.factorint(n), n
+
+
+def test_is_prime_agrees_with_sympy():
+    rng = random.Random(62)
+    sample = list(range(-3, 3000)) + list(range(2**20 - 300, 2**20 + 300))
+    sample += [rng.randrange(2**20, 10**18) | 1 for _ in range(300)]
+    for n in sample:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_unprovable_primes_are_refused():
+    # 3317044064679887385961981 is the least composite passing Miller-Rabin on
+    # every base 2..41, so nothing at or above it may be called prime
+    with pytest.raises(UnsupportedError, match="cannot prove"):
+        factorize(2 * 3317044064679887385961981)
+    with pytest.raises(UnsupportedError, match="cannot prove"):
+        is_prime(10**30 + 57)
+    assert not is_prime(3317044064679887385961981 * 3)  # composite is still exact
+
+
+def test_rho_refuses_past_its_step_budget(monkeypatch):
+    monkeypatch.setattr(arith, "_RHO_STEPS", 64)
+    with pytest.raises(UnsupportedError, match="Pollard rho"):
+        factorize(1_000_000_007 * 3_000_000_019)

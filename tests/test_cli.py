@@ -1,6 +1,4 @@
 import json
-import signal
-from contextlib import contextmanager
 
 import pytest
 
@@ -49,6 +47,25 @@ def test_compute_single_prime(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert [e["prime"] for e in report["local"]] == [3]
+
+
+def test_prime_option_accepts_large_primes(tmp_path, capsys, time_budget):
+    # 2^61 - 1: trial division used to take more than 15 s
+    nil = write(tmp_path, "nil.json", NIL)
+    with time_budget(5):
+        code, out, _ = run_cli(capsys, "compute", nil, "--prime", str(2**61 - 1))
+    assert code == 0
+    [local] = json.loads(out)["local"]
+    assert local["prime"] == 2**61 - 1 and local["orders"] == []
+
+
+def test_prime_option_refuses_unprovable_primes(tmp_path, capsys, time_budget):
+    # a 31-digit prime is beyond deterministic Miller-Rabin: a loud refusal
+    nil = write(tmp_path, "nil.json", NIL)
+    with time_budget(5):
+        code, out, err = run_cli(capsys, "compute", nil, "--prime", str(10**30 + 57))
+    assert code == 2
+    assert out == "" and "cannot prove" in err and "Traceback" not in err
 
 
 def test_compute_invalid_data_exits_2(tmp_path, capsys):
@@ -131,22 +148,6 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert code == 1
 
 
-@contextmanager
-def time_budget(seconds):
-    """Turn a hang into a failure: raise once ``seconds`` of wall time pass."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"over the {seconds} s budget")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 @pytest.mark.parametrize(
     "suite, flag, value",
     [
@@ -157,7 +158,7 @@ def time_budget(seconds):
         ("thm7", "--oracle-bound", "0"),
     ],
 )
-def test_verify_rejects_out_of_range_bounds(capsys, suite, flag, value):
+def test_verify_rejects_out_of_range_bounds(capsys, time_budget, suite, flag, value):
     with time_budget(10):
         code, out, err = run_cli(capsys, "verify", suite, flag, value)
     assert code == 1
@@ -191,7 +192,7 @@ def test_search_subcommand(tmp_path, capsys):
         ("--max-beta", "-2"),
     ],
 )
-def test_search_rejects_out_of_range_bounds(tmp_path, capsys, flag, value):
+def test_search_rejects_out_of_range_bounds(tmp_path, capsys, time_budget, flag, value):
     target = write(tmp_path, "t.json", {"atoms": []})
     with time_budget(10):
         code, out, err = run_cli(capsys, "search", target, flag, value)

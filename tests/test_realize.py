@@ -1,8 +1,12 @@
+import importlib
+import itertools
 import random
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
+from linkform.arith import padic_val
 from linkform.errors import UnrealizableError, UnsupportedError
 from linkform.pairing import Cyc, E0, E1, StandardForm, standard_form_of
 from linkform.realize import (
@@ -17,7 +21,13 @@ from linkform.realize import (
     realize_two_homog,
     verify_realization,
 )
-from linkform.seifert import euler_invariant, seifert
+from linkform.seifert import SeifertData, euler_invariant, seifert
+from linkform.torsion import local_orders
+from linkform.verify import RunConfig, run_suite
+
+
+# the package re-exports the function realize under the submodule's name
+realize_module = importlib.import_module("linkform.realize")
 
 
 def sf(*atoms):
@@ -278,3 +288,107 @@ def test_exhaustive_search_small_positive_control():
 def test_verify_realization_rejects_extra_torsion():
     # correct 2-part but stray torsion at 3 must fail
     assert not verify_realization(seifert((4, 1), (2, 1)), sf(Cyc.make(2, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the torsion-order prefilter of exhaustive_search
+
+
+def _unfiltered_search(target, *, max_r, alphas, max_beta):
+    """exhaustive_search without its torsion-order prefilter: every r >= 2
+    candidate goes through the local-order check and verify_realization."""
+    pool = [
+        (a, b)
+        for a in sorted(alphas)
+        for b in range(-max_beta, max_beta + 1)
+        if b != 0 and gcd(a, b) == 1
+    ]
+    want = {p: target.restrict(p).group_structure() for p in target.primes()}
+    results = []
+    for r in range(1, max_r + 1):
+        for combo in itertools.combinations_with_replacement(pool, r):
+            S = SeifertData(0, combo)
+            if r == 1:
+                if not target.atoms and abs(combo[0][1]) == 1:
+                    results.append(S)
+                continue
+            primes = realize_module.relevant_primes(S)
+            if any(
+                tuple(sorted((p, padic_val(n, p)) for _, n in local_orders(S, p).orders))
+                != want.get(p, ())
+                for p in primes
+            ):
+                continue
+            if any(p not in primes and want[p] for p in target.primes()):
+                continue
+            if realize_module.verify_realization(S, target):
+                results.append(S)
+    return results
+
+
+PREFILTER_TARGETS = {
+    "trivial": StandardForm.empty(),
+    "nil-class": sf(Cyc.make(2, 2, 3), E0(1)),
+    "even-even": sf(E0(2), E0(1)),
+    "3-group": standard_form_of(seifert((3, 1), (3, 1), (3, 1))),
+    "rank-4 2-group": standard_form_of(
+        seifert((2, 1), (2, 1), (2, 1), (2, -1), (2, -1))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFILTER_TARGETS))
+def test_exhaustive_search_equals_unfiltered_reference(name):
+    target = PREFILTER_TARGETS[name]
+    bounds = {"max_r": 5, "alphas": (2, 3, 4), "max_beta": 3}
+    hits = exhaustive_search(target, **bounds)
+    assert hits == _unfiltered_search(target, **bounds)
+    if name == "trivial":
+        # an eps = 0 hit: N = 0, so it must pass the prefilter untouched
+        assert SeifertData(0, ((2, -1), (2, 1))) in hits
+    if name == "rank-4 2-group":
+        assert len(target.group_structure()) == 4
+    if name != "even-even":
+        assert hits
+
+
+def _counting(monkeypatch, name):
+    calls = [0]
+    inner = getattr(realize_module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(realize_module, name, counted)
+    return calls
+
+
+def test_exhaustive_search_prefilter_work_guard(monkeypatch):
+    # the benchmark's `wide` bounds; counts, unlike times, do not depend on the host
+    target = sf(Cyc.make(2, 2, 3), E0(1))
+    bounds = {"max_r": 4, "alphas": range(2, 5), "max_beta": 7}
+    betas = range(-bounds["max_beta"], bounds["max_beta"] + 1)
+    pool = sum(1 for a in bounds["alphas"] for b in betas if b and gcd(a, b) == 1)
+    candidates = sum(comb(pool + r - 1, r) for r in range(1, bounds["max_r"] + 1))
+    primes_calls = _counting(monkeypatch, "relevant_primes")
+    verify_calls = _counting(monkeypatch, "verify_realization")
+    reference = _unfiltered_search(target, **bounds)
+    reference_verify = verify_calls[0]
+    primes_calls[0] = verify_calls[0] = 0
+    assert exhaustive_search(target, **bounds) == reference
+    assert primes_calls[0] <= candidates / 10
+    assert verify_calls[0] == reference_verify
+
+
+def test_nonrealizable_search_to_r6():
+    # criterion 9 one cone point further: about 590k candidates, within reach
+    # since exhaustive_search rejects by torsion order before any exact work
+    rep = run_suite(
+        "search-nonrealizable",
+        RunConfig(seed=0, max_r=6, max_alpha=8, max_beta=7),
+    )
+    assert rep["ok"], rep["failures"][:3]
+    assert rep["even_even_hits"] == 0
+    assert rep["nil_data_found"]
+    assert rep["nil_class_hits"] == 23

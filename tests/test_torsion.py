@@ -1,7 +1,5 @@
 import json
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -101,22 +99,6 @@ def test_snf_transforms_random(m, n, data):
     _check_chain(snf.diagonal)
 
 
-@contextmanager
-def time_budget(seconds):
-    """Turn a hang into a failure: raise once ``seconds`` of wall time pass."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"over the {seconds} s budget")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def _coprime_pairs(rng, count, max_alpha):
     pairs = []
     while len(pairs) < count:
@@ -126,7 +108,7 @@ def _coprime_pairs(rng, count, max_alpha):
     return pairs
 
 
-def test_compute_r7_finishes(tmp_path, capsys):
+def test_compute_r7_finishes(tmp_path, capsys, time_budget):
     # the Smith form of this input used to grow past 4300 digits and hang
     path = tmp_path / "r7.json"
     pairs = [[28, 1], [12, 1], [6, 1], [15, 1], [15, 1], [18, 1], [10, 1]]
@@ -137,8 +119,20 @@ def test_compute_r7_finishes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["structure"]["ok"] is True
 
 
+def test_compute_r14_large_euler_numerator_finishes(tmp_path, capsys, time_budget):
+    # the Euler numerator has 25 digits; trial division used to hang on it
+    S = seifert(*_coprime_pairs(random.Random(14), 14, 1000))
+    assert len(str(euler_invariant(S).numerator)) == 25
+    path = tmp_path / "r14.json"
+    path.write_text(json.dumps(S.to_json()))
+    with time_budget(20):
+        code = main(["compute", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["structure"]["ok"] is True
+
+
 @pytest.mark.parametrize("r", [20, 40])
-def test_snf_large_presentations(r):
+def test_snf_large_presentations(r, time_budget):
     rng = random.Random(r)
     for _ in range(3):
         S = seifert(*_coprime_pairs(rng, r, 1000))
@@ -151,7 +145,7 @@ def test_snf_large_presentations(r):
         _check_chain(diag)
 
 
-def test_structure_check_flat_large():
+def test_structure_check_flat_large(time_budget):
     # eps = 0 data from (a, b), (a, -b) pairs: free rank 1 and no Euler-number
     # primes, so every relevant prime divides a cone point order
     rng = random.Random(40)
@@ -271,3 +265,23 @@ def test_torsion_order_matches_snf():
         if d:
             prod *= d
     assert torsion_order(S) == prod
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.tuples(st.integers(2, 60), st.integers(-60, 60)).filter(
+            lambda ab: gcd(*ab) == 1
+        ),
+        min_size=2,
+        max_size=7,
+    ).filter(lambda pairs: euler_invariant(seifert(*pairs)) != 0)
+)
+def test_torsion_order_is_the_euler_numerator(pairs):
+    # the quantity exhaustive_search prefilters by: for eps != 0 the torsion
+    # order is |det P| = |prod(alpha) * eps|
+    S = seifert(*pairs)
+    snf = smith_normal_form(presentation_matrix(S).matrix)
+    from_snf = prod(d for d in snf.diagonal if d)
+    from_euler = abs(prod(a for a, _ in pairs) * euler_invariant(S))
+    assert torsion_order(S) == from_euler == from_snf
