@@ -173,7 +173,7 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if _is_large_prime(m):
+        if _miller_rabin(m):
             out[m] = out.get(m, 0) + 1
         else:
             f = _brent_factor(m)
@@ -181,8 +181,12 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def _is_large_prime(n: int) -> bool:
-    """Primality of n > 41 by Miller-Rabin: exact, or refused at the bound."""
+def _miller_rabin(n: int) -> bool:
+    """Primality of n >= 2, n not a base, by Miller-Rabin on _MR_BASES.
+
+    Exact below _MR_EXACT_BELOW; a number at or above it that passes every
+    base is refused.  A composite n < 41 fails at the base that divides it.
+    """
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -210,7 +214,8 @@ def _brent_factor(n: int) -> int:
 
     Deterministic: the start point is 2 and the polynomial x^2 + c is
     retried with c = 1, 2, ... until the factor is proper.  Refuses with
-    UnsupportedError once a polynomial's cycle search passes _RHO_STEPS.
+    UnsupportedError when a polynomial's rounds of length up to _RHO_STEPS
+    all end without a factor.
     """
     for c in itertools.count(1):
         y, q, g, r = 2, 1, 1, 1
@@ -227,7 +232,7 @@ def _brent_factor(n: int) -> int:
                 g = gcd(q, n)
                 k += 128
             r *= 2
-            if r > _RHO_STEPS:
+            if g == 1 and r > _RHO_STEPS:
                 raise UnsupportedError(
                     f"cannot factor {n}: Pollard rho found no factor "
                     f"within {_RHO_STEPS} steps"
@@ -243,9 +248,7 @@ def _brent_factor(n: int) -> int:
 
 @lru_cache(maxsize=256)  # Cyc.make asks about the same few primes many times
 def is_prime(n: int) -> bool:
-    if n < _TRIAL_LIMIT**2:
-        return n >= 2 and factorize(n) == {n: 1}
-    return _is_large_prime(n)
+    return n >= 2 and (n in _MR_BASES or _miller_rabin(n))
 
 
 def bareiss(M) -> tuple[int, int]:

@@ -203,6 +203,11 @@ def test_unprovable_primes_are_refused():
 
 
 def test_rho_refuses_past_its_step_budget(monkeypatch):
-    monkeypatch.setattr(arith, "_RHO_STEPS", 64)
-    with pytest.raises(UnsupportedError, match="Pollard rho"):
-        factorize(1_000_000_007 * 3_000_000_019)
+    n = 1_000_000_007 * 3_000_000_019  # x^2 + 1 splits it in the round of 2^14
+    for steps in (64, 1 << 13):
+        monkeypatch.setattr(arith, "_RHO_STEPS", steps)
+        with pytest.raises(UnsupportedError, match="Pollard rho"):
+            factorize(n)
+    # a factor found in the last round the budget allows is kept
+    monkeypatch.setattr(arith, "_RHO_STEPS", 1 << 14)
+    assert factorize(n) == {1_000_000_007: 1, 3_000_000_019: 1}
