@@ -1,9 +1,10 @@
 """Command-line front end: JSON in, JSON out.
 
 Subcommands: compute, classify, realize, witt, verify, search.  Exit
-codes: 0 success, 1 usage error, 2 invalid input data, 3 target not
-realizable by the implemented constructions, 4 internal verification
-failure (a failing suite or an unverifiable construction).
+codes: 0 success, 1 usage error, 2 invalid input data or input outside the
+supported range, 3 target not realizable by the implemented constructions,
+4 internal verification failure (a failing suite or an unverifiable
+construction).
 """
 
 from __future__ import annotations
@@ -262,8 +263,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidDataError, UnsupportedError) as exc:
+    except InvalidDataError as exc:
         print(f"invalid data: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except UnsupportedError as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except UnrealizableError as exc:
         print(f"not realizable: {exc}", file=sys.stderr)

@@ -14,14 +14,22 @@ where m alpha_2 + n beta_2 = 1.  The Gram matrix stores the p-primary
 component of each value, reduced to [0, 1).  No rescaling to pure p-power
 denominators of the underlying 1-cycles is performed; only the canonical
 Q/Z reduction happens here.
+
+The element-level oracles (self-linking profiles, brute-force isomorphism,
+metabolizer search) work in integers mod p^K, where p^K is the largest
+generator order: a Gram entry g becomes the integer p^K g, so the pairing
+of two elements is an integer dot product mod p^K and no Fraction is made
+per element.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .arith import ext_gcd, fmt_rational, p_part, parse_rational, qmodz
 from .errors import InvalidDataError
@@ -127,7 +135,29 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
 
 
 # ---------------------------------------------------------------------------
-# element-level evaluation (shared by the brute-force oracles)
+# element-level evaluation (shared by the brute-force oracles), in integers
+# mod N = p^K: l(x, y) = (x^T A y mod N) / N with A = N * gram mod N
+
+
+def integer_gram(G: GramPairing) -> tuple[int, list[list[int]]]:
+    """(N, A) with N the largest generator order and A = N * gram mod N.
+
+    An entry g for which N*g is not an integer raises InvalidDataError; it
+    is never reduced.
+    """
+    N = max(G.orders, default=1)
+    A = []
+    for i, row in enumerate(G.gram):
+        out = []
+        for j, g in enumerate(row):
+            g = Fraction(g)
+            if (N * g.numerator) % g.denominator:
+                raise InvalidDataError(
+                    f"Gram entry ({i},{j}) = {g} is not a multiple of 1/{N}"
+                )
+            out.append(N * g.numerator // g.denominator % N)
+        A.append(out)
+    return N, A
 
 
 def elements(orders):
@@ -135,34 +165,74 @@ def elements(orders):
     return itertools.product(*(range(n) for n in orders))
 
 
+def element_table(N: int, A, orders) -> list[tuple[tuple[int, ...], int, int]]:
+    """(x, order of x, x^T A x mod N) for every element x, in ``elements`` order.
+
+    Built as an odometer, one coordinate at a time.  Fixing x_0..x_{k-1}
+    leaves the prefix value q and the cross terms
+    lin[j] = sum_{i<k} x_i (A_ij + A_ji) for j >= k; setting x_k adds
+    x_k lin[k] + x_k^2 A_kk.  So each element costs O(rank) integer
+    additions, and the last coordinate O(1).
+    """
+    r = len(orders)
+    states = [((), 0, [0] * r, 1)]  # (prefix, q, lin[k:], order)
+    for k, n in enumerate(orders):
+        d = A[k][k]
+        ords = [n // gcd(n, c) for c in range(n)]
+        if k == r - 1:
+            return [
+                (x + (c,), lcm(o, ords[c]), (q + c * (lin[0] + d * c)) % N)
+                for x, q, lin, o in states
+                for c in range(n)
+            ]
+        cross = [(A[k][j] + A[j][k]) % N for j in range(k + 1, r)]
+        states = [
+            (
+                x + (c,),
+                (q + c * (lin[0] + d * c)) % N,
+                [(v + c * a) % N for v, a in zip(lin[1:], cross)],
+                lcm(o, ords[c]),
+            )
+            for x, q, lin, o in states
+            for c in range(n)
+        ]
+    return [((), 1, 0)]
+
+
+def span(gens, orders) -> set[tuple[int, ...]]:
+    """The subgroup of +Z/n_i generated by ``gens``, as coefficient tuples."""
+    seen = {(0,) * len(orders)}
+    for g in gens:
+        for base in list(seen):
+            x = base
+            while True:
+                x = tuple((a + b) % n for a, b, n in zip(x, g, orders))
+                if x in seen:
+                    break
+                seen.add(x)
+    return seen
+
+
+def dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def image(A, y) -> list[int]:
+    """A y: the pairing with y becomes one dot product, l(x, y) = x . Ay."""
+    return [dot(row, y) for row in A]
+
+
 def eval_pair(G: GramPairing, x, y) -> Fraction:
     """Pairing of two elements given by generator coefficients."""
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = G.gram[i]
-        for j, yj in enumerate(y):
-            if yj:
-                total += xi * yj * row[j]
-    return total % 1
+    N, A = integer_gram(G)
+    return Fraction(dot(x, image(A, y)) % N, N)
 
 
-def element_order(orders, x) -> int:
-    o = 1
-    for n, xi in zip(orders, x):
-        if xi:
-            o = lcm(o, n // gcd(n, xi))
-    return o
-
-
-def self_link_profile(G: GramPairing):
+def self_link_profile(G: GramPairing) -> Counter:
     """Multiset of (element order, self-linking value); an isomorphism invariant."""
-    from collections import Counter
-
-    return Counter(
-        (element_order(G.orders, x), eval_pair(G, x, x)) for x in elements(G.orders)
-    )
+    N, A = integer_gram(G)
+    counts = Counter((o, q) for _, o, q in element_table(N, A, G.orders))
+    return Counter({(o, Fraction(q, N)): c for (o, q), c in counts.items()})
 
 
 def welldefined_check(G: GramPairing) -> list[str]:

@@ -18,6 +18,7 @@ brute-force isomorphism search kept as a test oracle.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -35,11 +36,12 @@ from .arith import (
 from .errors import InvalidDataError, SearchBoundExceeded, UnsupportedError
 from .linking import (
     GramPairing,
-    element_order,
-    elements,
-    eval_pair,
+    dot,
+    element_table,
     gram_matrix,
-    self_link_profile,
+    image,
+    integer_gram,
+    span,
 )
 from .seifert import SeifertData, relevant_primes
 from .torsion import local_orders
@@ -770,6 +772,8 @@ def brute_force_isomorphic(
     equal order, preserving all pairing values; a complete assignment that
     generates G2 is an isomorphism.  Returns (found, witness) where the
     witness maps generator labels of G1 to coefficient tuples in G2.
+    Pairing values are compared as integers mod N (``integer_gram``), each
+    check one dot product with the precomputed A2 z of an assigned image z.
     """
     if sorted(G1.orders) != sorted(G2.orders):
         return False, None
@@ -778,49 +782,34 @@ def brute_force_isomorphic(
         raise SearchBoundExceeded(
             f"group order {size} exceeds the brute-force bound {bound}"
         )
-    if self_link_profile(G1) != self_link_profile(G2):
+    N, A1 = integer_gram(G1)
+    _, A2 = integer_gram(G2)
+    table = element_table(N, A2, G2.orders)
+    profile = Counter((o, q) for _, o, q in element_table(N, A1, G1.orders))
+    if Counter((o, q) for _, o, q in table) != profile:
         return False, None
-    pool = list(elements(G2.orders))
-    by_order: dict[int, list] = {}
-    for x in pool:
-        by_order.setdefault(element_order(G2.orders, x), []).append(x)
+    # candidates for generator i: elements of its order and self-linking
+    cands = [
+        [y for y, o, q in table if o == G1.orders[i] and q == A1[i][i]]
+        for i in range(G1.rank)
+    ]
 
-    gens = list(range(G1.rank))
     assignment: list[tuple[int, ...]] = []
-
-    def generates(images) -> bool:
-        seen = {tuple([0] * G2.rank)}
-        frontier = [tuple([0] * G2.rank)]
-        for img in images:
-            new_elems = []
-            for base in list(seen):
-                x = base
-                while True:
-                    x = tuple((a + b) % n for a, b, n in zip(x, img, G2.orders))
-                    if x in seen:
-                        break
-                    seen.add(x)
-                    new_elems.append(x)
-            if len(seen) == size:
-                return True
-        return len(seen) == size
+    paired: list[list[int]] = []  # A2 z for each assigned image z
 
     def extend(i: int):
-        if i == len(gens):
-            return generates(assignment)
-        want_diag = G1.gram[i][i]
-        for y in by_order.get(G1.orders[i], ()):
-            if eval_pair(G2, y, y) != want_diag:
-                continue
-            if any(
-                eval_pair(G2, y, assignment[j]) != G1.gram[i][j]
-                for j in range(i)
-            ):
+        if i == G1.rank:
+            return len(span(assignment, G2.orders)) == size
+        want = A1[i]
+        for y in cands[i]:
+            if any(dot(y, paired[j]) % N != want[j] for j in range(i)):
                 continue
             assignment.append(y)
+            paired.append(image(A2, y))
             if extend(i + 1):
                 return True
             assignment.pop()
+            paired.pop()
         return False
 
     if extend(0):

@@ -23,7 +23,7 @@ from math import isqrt
 
 from .arith import as_fraction, factorize, legendre
 from .errors import InvalidDataError, SearchBoundExceeded
-from .linking import GramPairing, elements, eval_pair
+from .linking import GramPairing, dot, element_table, image, integer_gram, span
 from .pairing import Cyc, StandardForm
 from .seifert import SeifertData, euler_invariant
 
@@ -195,21 +195,11 @@ def metabolic_oracle(G: GramPairing, *, bound: int = 2**16):
         raise SearchBoundExceeded(f"group order {size} exceeds {bound}")
     if size == 1:
         return True, []
-    pool = [x for x in elements(G.orders) if any(x)]
+    N, A = integer_gram(G)
+    pool = [x for x, _, q in element_table(N, A, G.orders) if any(x) and not q]
 
-    def closure(gens):
-        seen = {tuple([0] * G.rank)}
-        for g in gens:
-            for base in list(seen):
-                x = base
-                while True:
-                    x = tuple((a + b) % n for a, b, n in zip(x, g, G.orders))
-                    if x in seen:
-                        break
-                    seen.add(x)
-        return seen
-
-    def extend(gens, sub, start):
+    def extend(gens, paired, sub, start):
+        # paired holds A g for each generator g, so l(x, g) = x . Ag
         if len(sub) == root:
             return list(gens)
         if len(sub) > root:
@@ -218,18 +208,16 @@ def metabolic_oracle(G: GramPairing, *, bound: int = 2**16):
             x = pool[idx]
             if x in sub:
                 continue
-            if eval_pair(G, x, x) != 0:
+            if any(dot(x, ag) % N for ag in paired):
                 continue
-            if any(eval_pair(G, x, g) != 0 for g in gens):
-                continue
-            new_sub = closure(gens + [x])
+            new_sub = span(gens + [x], G.orders)
             if root % len(new_sub) == 0 or len(new_sub) == root:
-                found = extend(gens + [x], new_sub, idx + 1)
+                found = extend(gens + [x], paired + [image(A, x)], new_sub, idx + 1)
                 if found is not None:
                     return found
         return None
 
-    found = extend([], {tuple([0] * G.rank)}, 0)
+    found = extend([], [], {tuple([0] * G.rank)}, 0)
     if found is None:
         return False, None
     return True, [list(g) for g in found]

@@ -68,6 +68,24 @@ def test_prime_option_refuses_unprovable_primes(tmp_path, capsys, time_budget):
     assert out == "" and "cannot prove" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["compute", "{nil}", "--prime", "1000000000000000000000000000057"], "cannot prove"),
+        (["classify", "{r1}"], "needs r >= 2"),
+    ],
+)
+def test_unsupported_input_has_its_own_prefix(tmp_path, capsys, argv, why):
+    files = {
+        "{nil}": write(tmp_path, "nil.json", NIL),
+        "{r1}": write(tmp_path, "lens.json", {"genus": 0, "pairs": [[5, 2]]}),
+    }
+    code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("unsupported: ") and why in err
+    assert "invalid data" not in err
+
+
 def test_compute_invalid_data_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compute", write(tmp_path, "bad.json", {"pairs": [[4, 2]]}))
     assert code == 2

@@ -7,10 +7,11 @@ from linkform.arith import ext_gcd
 from linkform.errors import UnsupportedError
 from linkform.linking import (
     GramPairing,
-    element_order,
+    element_table,
     elements,
     eval_pair,
     gram_matrix,
+    integer_gram,
     self_link_profile,
     welldefined_check,
 )
@@ -163,8 +164,12 @@ def test_torsion_sourced_from_euler_numerator():
 
 def test_element_helpers():
     G = gram_matrix(NIL, 2)
-    assert element_order(G.orders, (1, 0, 0)) == 2
-    assert element_order(G.orders, (0, 0, 1)) == 4
+    table = element_table(*integer_gram(G), G.orders)
+    assert [x for x, _, _ in table] == list(elements(G.orders))
+    order = {x: o for x, o, _ in table}
+    assert order[(1, 0, 0)] == 2
+    assert order[(0, 0, 1)] == 4
+    assert order[(1, 1, 2)] == 2
     assert eval_pair(G, (1, 1, 0), (1, 1, 0)) == 0  # 0 + 0 + 2*(1/2) = 1 = 0
     prof = self_link_profile(G)
     assert sum(prof.values()) == 16

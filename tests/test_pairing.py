@@ -498,12 +498,13 @@ def _assert_isometry(f, g, images):
     isomorphism: orders are respected and every pairing value is kept.  A
     map that keeps a nonsingular pairing is injective, and the groups have
     equal order, so it is bijective."""
-    from linkform.linking import element_order, eval_pair
+    from linkform.linking import element_table, eval_pair, integer_gram
 
     G, H = standard_form_gram(f, 2), standard_form_gram(g, 2)
     assert sorted(G.orders) == sorted(H.orders)
+    order = {x: o for x, o, _ in element_table(*integer_gram(H), H.orders)}
     for i, y in enumerate(images):
-        assert G.orders[i] % element_order(H.orders, y) == 0
+        assert G.orders[i] % order[tuple(y)] == 0
         for j, z in enumerate(images):
             assert eval_pair(H, y, z) == G.gram[i][j]
 
@@ -650,6 +651,20 @@ def test_is_isomorphic_equals_brute_force_on_small_two_forms():
     structures, forms, bad = is_isomorphic_vs_brute_force(8)
     assert (structures, bad) == (40, [])
     assert forms == 355
+
+
+def test_is_isomorphic_equals_brute_force_up_to_order_2_to_the_10():
+    structures, forms, bad = is_isomorphic_vs_brute_force(10)
+    assert (structures, bad) == (66, [])
+    assert forms == 993
+
+
+@pytest.mark.slow
+def test_is_isomorphic_equals_brute_force_up_to_order_2_to_the_12():
+    # about a minute; run with pytest -m slow
+    structures, forms, bad = is_isomorphic_vs_brute_force(12)
+    assert (structures, bad) == (101, [])
+    assert forms == 2515
 
 
 def test_canonical_odd_prime_reduces_to_rank_and_det():
