@@ -32,15 +32,17 @@ def padic_val(q, p: int) -> int:
     >>> padic_val(Fraction(-1, 9), 3)
     -2
     """
-    q = as_fraction(q)
-    if q == 0:
+    if type(q) is int:  # the common case: no Fraction is built
+        n, d = q, 1
+    else:
+        q = as_fraction(q)
+        n, d = q.numerator, q.denominator
+    if n == 0:
         raise InvalidDataError("padic_val is undefined at 0")
     v = 0
-    n = abs(q.numerator)
     while n % p == 0:
         n //= p
         v += 1
-    d = q.denominator
     while d % p == 0:
         d //= p
         v -= 1

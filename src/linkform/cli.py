@@ -10,6 +10,7 @@ construction).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -201,7 +202,13 @@ def cmd_search(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use.
+
+    Reuse is safe: parse_args makes a fresh Namespace per call and no
+    default is mutable.
+    """
     parser = _Parser(
         prog="linkform",
         description="Torsion linking pairings of orientable Seifert fibred "

@@ -15,8 +15,13 @@ Realizable targets, by 2-primary shape:
     forms;
   * inhomogeneous 2-part: flat construction under the gap condition
     (exponent drops >= 2 between consecutive components, lower components
-    odd).  An even component below the top 2-exponent is never realizable
-    by an orientable-base Seifert manifold.
+    odd).
+
+An UnrealizableError says only that no implemented construction applies;
+it proves no obstruction.  Some refused targets are realized by Seifert
+data: <1>/4+<1>/2 (gap violated) by M(0;(2,-5),(4,7),(8,5)), and
+Cyc(2,2,3)+E0(1) (an even component below the top 2-exponent) by
+M(0;(2,1),(2,1),(2,1),(2,-1)).
 """
 
 from __future__ import annotations
@@ -550,9 +555,12 @@ def _gap_blocks(target: StandardForm):
 def realize_gap(target: StandardForm, mode: str = "auto") -> RealizationResult:
     """Realize an inhomogeneous 2-primary pairing under the gap condition.
 
-    Requires exponent drops k_j >= k_{j+1} + 2 and odd components below the
-    top level.  Lower-level numerators are derived from the wanted mod-8
-    residues, with a bounded search via orientation variants.
+    The construction needs exponent drops k_j >= k_{j+1} + 2 and odd
+    components below the top level.  Other inhomogeneous targets raise
+    UnrealizableError as outside the implemented constructions, which is
+    not a proof that no Seifert manifold realizes them.  Lower-level
+    numerators are derived from the wanted mod-8 residues, with a bounded
+    search via orientation variants.
     """
     if target.primes() not in ((), (2,)):
         raise UnsupportedError("realize_gap needs a 2-primary target")
@@ -562,13 +570,14 @@ def realize_gap(target: StandardForm, mode: str = "auto") -> RealizationResult:
     for k, cycs, e0, e1 in blocks[1:]:
         if e0 or e1:
             raise UnrealizableError(
-                "an even component below the top 2-exponent is not realizable "
-                "by an orientable-base Seifert manifold"
+                "an even component below the top 2-exponent is outside the "
+                "implemented constructions"
             )
     for (ka, *_), (kb, *_) in zip(blocks, blocks[1:]):
         if ka < kb + 2:
             raise UnrealizableError(
-                f"gap condition violated: consecutive exponents {ka}, {kb}"
+                f"consecutive 2-exponents {ka}, {kb} drop by less than 2, which "
+                "is outside the implemented (gap condition) constructions"
             )
     k1, cycs1, e0_1, e1_1 = blocks[0]
     rho1 = len(cycs1) + 2 * (e0_1 + e1_1)

@@ -2,9 +2,9 @@
 
 S is an ordered list of coprime pairs (alpha_i, beta_i) with alpha_i >= 2
 describing the exceptional fibres; g is the genus of the orientable base.
-The generalized Euler number eps = -sum(beta_i/alpha_i) is kept exact;
-beta_i are deliberately not normalized mod alpha_i since eps depends on
-the actual integers.
+The generalized Euler number eps = -sum(beta_i/alpha_i) is kept exact and
+computed once per instance (``SeifertData.eps``); beta_i are deliberately
+not normalized mod alpha_i since eps depends on the actual integers.
 
 Data is validated once, at construction: ``SeifertData`` raises
 InvalidDataError on a violated invariant, so every function taking one may
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .arith import factorize, padic_val
@@ -38,6 +39,15 @@ class SeifertData:
     @property
     def r(self) -> int:
         return len(self.pairs)
+
+    @cached_property
+    def eps(self) -> Fraction:
+        """Generalized Euler number -sum(beta_i/alpha_i); independent of genus.
+
+        Computed on first use and kept in the instance ``__dict__``, outside
+        the dataclass fields, so it takes no part in ==, hash, repr or JSON.
+        """
+        return -sum(Fraction(b, a) for a, b in self.pairs)
 
     def to_json(self) -> dict:
         return {"genus": self.genus, "pairs": [list(p) for p in self.pairs]}
@@ -73,8 +83,8 @@ def validate(S: SeifertData) -> list[str]:
 
 
 def euler_invariant(S: SeifertData) -> Fraction:
-    """Generalized Euler number -sum(beta_i/alpha_i); independent of genus."""
-    return -sum(Fraction(b, a) for a, b in S.pairs)
+    """Generalized Euler number of S: the value cached as ``S.eps``."""
+    return S.eps
 
 
 def valuation_order(pairs, p: int) -> tuple[int, ...]:

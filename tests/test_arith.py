@@ -30,8 +30,24 @@ def test_padic_val_examples():
 
 
 def test_padic_val_zero_rejected():
+    # both the integer fast path and the Fraction path refuse 0
     with pytest.raises(InvalidDataError):
         padic_val(0, 3)
+    with pytest.raises(InvalidDataError):
+        padic_val(Fraction(0), 3)
+
+
+@given(
+    st.integers(1, 2**80) | st.integers(2**64, 2**200),
+    st.integers(0, 70),
+    st.sampled_from([-1, 1]),
+    st.sampled_from([2, 3, 5, 7, 2**61 - 1]),
+)
+def test_padic_val_integers_match_fraction_path(u, e, sign, p):
+    # n = sign * u * p^e, negative and beyond 2^64 included
+    n = sign * u * p**e
+    assert type(n) is int
+    assert padic_val(n, p) == padic_val(Fraction(n), p) >= e
 
 
 def test_unit_part_examples():

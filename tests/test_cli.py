@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from linkform import cli
 from linkform.cli import main
 
 NIL = {"genus": 0, "pairs": [[2, 1], [2, 1], [2, 1], [2, -1]]}
@@ -232,3 +233,54 @@ def test_json_out_flag(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["euler"] == "-1"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _reuse_calls(tmp_path):
+    nil = write(tmp_path, "nil.json", NIL)
+    target = write(tmp_path, "t.json", {"atoms": [{"E0": 2}]})
+    empty = write(tmp_path, "empty.json", {"atoms": []})
+    bad = write(tmp_path, "bad.json", {"pairs": [[4, 2]]})
+    commands = [
+        ["compute", nil],
+        ["classify", nil, "--prime", "2"],
+        ["realize", target, "--mode", "flat"],
+        ["witt", nil],
+        ["verify", "structure", "--trials", "5", "--seed", "3"],
+        ["search", empty, "--max-r", "2", "--max-alpha", "3", "--max-beta", "2"],
+    ]
+    calls = []
+    for argv in commands:
+        calls += [(argv, 0), (["compute", nil, "--prime", "4"], 1), (["witt", bad], 2)]
+    return calls
+
+
+def test_main_is_reentrant_across_subcommands(tmp_path, capsys):
+    calls = _reuse_calls(tmp_path)
+    first = [run_cli(capsys, *argv) for argv, _ in calls]
+    again = [run_cli(capsys, *argv) for argv, _ in calls]
+    for (argv, want), (code1, out1, _), (code2, out2, _) in zip(calls, first, again):
+        assert code1 == code2 == want, argv
+        assert out1 == out2, argv
+        assert (out1 != "") == (want == 0), argv
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    nil = write(tmp_path, "nil.json", NIL)
+    assert run_cli(capsys, "witt", nil)[0] == 0
+    assert len(built) == 7  # the root parser and one per subcommand
+    for argv in (["witt", nil], ["compute", nil], ["compute", nil, "--prime", "4"]):
+        run_cli(capsys, *argv)
+    assert len(built) == 7

@@ -8,7 +8,16 @@ import pytest
 
 from linkform.arith import padic_val
 from linkform.errors import UnrealizableError, UnsupportedError
-from linkform.pairing import Cyc, E0, E1, StandardForm, standard_form_of
+from linkform.linking import gram_matrix
+from linkform.pairing import (
+    Cyc,
+    E0,
+    E1,
+    StandardForm,
+    brute_force_isomorphic,
+    standard_form_gram,
+    standard_form_of,
+)
 from linkform.realize import (
     even_component_criterion,
     even_component_report,
@@ -169,15 +178,45 @@ def test_gap_sphere_mode():
 
 
 def test_gap_condition_violated():
-    with pytest.raises(UnrealizableError):
+    # refused as outside the constructions, not as impossible: the target is
+    # realized by M(0;(2,-5),(4,7),(8,5)) (see WITNESSES)
+    with pytest.raises(UnrealizableError, match="outside the implemented"):
         realize_gap(sf(Cyc.make(2, 2, 1), Cyc.make(2, 1, 1)))
 
 
-def test_even_below_top_never_realizable():
-    with pytest.raises(UnrealizableError):
+def test_even_below_top_refused_by_constructions():
+    with pytest.raises(UnrealizableError, match="outside the implemented"):
         realize(sf(E0(2), E0(1)))
-    with pytest.raises(UnrealizableError):
+    with pytest.raises(UnrealizableError, match="outside the implemented"):
         realize(sf(Cyc.make(2, 4, 1), E0(2)))
+
+
+# targets that realize refuses, each with Seifert data realizing it
+WITNESSES = [
+    (sf(Cyc.make(2, 2, 1), Cyc.make(2, 1, 1)), seifert((2, -5), (4, 7), (8, 5))),
+    (sf(Cyc.make(2, 2, 3), E0(1)), seifert((2, 1), (2, 1), (2, 1), (2, -1))),
+    (sf(Cyc.make(2, 3, 1), E0(2)), seifert((4, -7), (4, -5), (4, 3), (4, 7))),
+]
+WITNESS_IDS = ["<1>/4+<1>/2", "Cyc(2,2,3)+E0(1)", "<1>/8+E0(2)"]
+
+
+@pytest.mark.parametrize("target, S", WITNESSES, ids=WITNESS_IDS)
+def test_witness_realizes_refused_target(target, S):
+    assert verify_realization(S, target)
+    found, _ = brute_force_isomorphic(gram_matrix(S, 2), standard_form_gram(target, 2))
+    assert found
+    with pytest.raises(UnrealizableError, match="outside the implemented"):
+        realize(target)
+
+
+@pytest.mark.xfail(
+    raises=UnrealizableError,
+    strict=True,
+    reason="no implemented construction covers these targets yet",
+)
+@pytest.mark.parametrize("target, S", WITNESSES, ids=WITNESS_IDS)
+def test_realize_covers_witness_targets(target, S):
+    assert realize(target).verified
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from contextlib import redirect_stderr
@@ -152,3 +153,32 @@ def test_relevant_primes_sees_euler_numerator():
 def test_json_round_trip():
     S = seifert((2, 1), (2, 1), (2, 1), (2, -1), genus=1)
     assert SeifertData.from_json(S.to_json()) == S
+
+
+def _euler_sum(S):
+    return -sum(Fraction(b, a) for a, b in S.pairs)
+
+
+@given(valid_seifert())
+def test_euler_cached_once_and_outside_the_fields(S):
+    fresh = SeifertData(S.genus, S.pairs)
+    seen = (hash(S), repr(S), S.to_json(), dataclasses.asdict(S))
+    eps = euler_invariant(S)
+    assert eps == _euler_sum(S)
+    assert euler_invariant(S) is eps and S.eps is eps  # computed once
+    assert "eps" in vars(S) and "eps" not in vars(fresh)
+    assert S == fresh and hash(S) == hash(fresh)
+    assert (hash(S), repr(S), S.to_json(), dataclasses.asdict(S)) == seen
+    assert [f.name for f in dataclasses.fields(S)] == ["genus", "pairs"]
+
+
+@given(valid_seifert(), valid_seifert(), st.sampled_from([2, 3, 5]))
+def test_derived_data_carry_their_own_euler(A, B, p):
+    for S in (A, B):  # fill both caches first
+        euler_invariant(S)
+    R, _ = reorder_at_prime(A, p)
+    assert euler_invariant(R) == _euler_sum(R) == euler_invariant(A)
+    C = fibre_sum(A, B)
+    assert euler_invariant(C) == _euler_sum(C)
+    D = dataclasses.replace(A, pairs=B.pairs)
+    assert euler_invariant(D) == euler_invariant(B)
