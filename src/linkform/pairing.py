@@ -148,6 +148,22 @@ class StandardForm:
                 out.append(a)  # E0 and E1 are isomorphic to their negatives
         return StandardForm.of(out)
 
+    def levels(self, p: int) -> list[tuple[int, list[int], int, int]]:
+        """[(k, sorted units, #E0, #E1)] of the atoms at p, by strictly decreasing k."""
+        by_k: dict[int, list[Atom]] = {}
+        for a in self.atoms:
+            if _atom_prime(a) == p:
+                by_k.setdefault(a.k, []).append(a)
+        return [
+            (
+                k,
+                sorted(a.a for a in group if isinstance(a, Cyc)),
+                sum(1 for a in group if isinstance(a, E0)),
+                sum(1 for a in group if isinstance(a, E1)),
+            )
+            for k, group in sorted(by_k.items(), reverse=True)
+        ]
+
     def group_structure(self) -> tuple[tuple[int, int], ...]:
         """Multiset of (p, k) of cyclic summands of the underlying group."""
         out = []
@@ -686,23 +702,17 @@ def canonical_form(sf: StandardForm) -> StandardForm:
     may fail for 2-groups: decide isomorphism with is_isomorphic.  Realize
     reads the shapes of its targets from this form.
     """
-    grouped: dict[tuple[int, int], list[Atom]] = {}
-    for a in sf.atoms:
-        grouped.setdefault((_atom_prime(a), a.k), []).append(a)
     out: list[Atom] = []
-    for (p, k), group in sorted(grouped.items()):
-        if p != 2:
-            cls = 1
-            for a in group:
-                cls *= legendre(a.a, p)
-            rho = len(group)
-            rep = 1 if cls == 1 else least_nonresidue(p)
-            out += [Cyc.make(p, k, 1)] * (rho - 1) + [Cyc.make(p, k, rep)]
-        else:
-            cycs = [a.a for a in group if isinstance(a, Cyc)]
-            e0 = sum(1 for a in group if isinstance(a, E0))
-            e1 = sum(1 for a in group if isinstance(a, E1))
-            out += _canonical_level_2(k, cycs, e0, e1)
+    for p in sf.primes():
+        for k, units, e0, e1 in sf.levels(p):
+            if p != 2:
+                cls = 1
+                for a in units:
+                    cls *= legendre(a, p)
+                rep = 1 if cls == 1 else least_nonresidue(p)
+                out += [Cyc.make(p, k, 1)] * (len(units) - 1) + [Cyc.make(p, k, rep)]
+            else:
+                out += _canonical_level_2(k, units, e0, e1)
     return StandardForm.of(out)
 
 

@@ -1,21 +1,22 @@
 """Constructive realization of linking pairings by Seifert data.
 
-Every construction here is recipe-first, verify-always: a candidate list
-of Seifert data is produced from explicit recipes (plus orientation
-variants and small structured repairs), each candidate is classified
-through the exact pipeline, and the first one whose pairing matches the
-target is returned.  A target that passes the preconditions but exhausts
-its candidates raises VerificationError; targets outside the implemented
-constructions raise UnrealizableError up front.
+Every construction here is recipe-first, verify-always: candidate Seifert
+data is produced lazily from explicit recipes (plus orientation variants
+and small structured repairs), each candidate is classified through the
+exact pipeline, and the first one whose pairing matches the target is
+returned.  A target that passes the preconditions but exhausts its
+candidates raises VerificationError; targets outside the implemented
+constructions raise UnrealizableError up front.  Target shapes are read
+level by level via StandardForm.levels, the 2-primary ones from the
+canonical form.
 
 Realizable targets, by 2-primary shape:
   * trivial or odd order: flat (eps = 0) and rational-homology-sphere
     (eps != 0) constructions;
-  * homogeneous 2-part: both modes, for even (E0/E1) and odd (diagonal)
-    forms;
-  * inhomogeneous 2-part: flat construction under the gap condition
-    (exponent drops >= 2 between consecutive components, lower components
-    odd).
+  * a 2-primary part, by realize_two: a homogeneous one in both modes, for
+    even (E0/E1) and odd (diagonal) forms; an inhomogeneous one with its
+    lower levels stacked under the top level, under the gap condition
+    (exponent drops >= 2 between consecutive levels, lower levels odd).
 
 An UnrealizableError says only that no implemented construction applies;
 it proves no obstruction.  Some refused targets are realized by Seifert
@@ -36,8 +37,6 @@ from .errors import UnrealizableError, UnsupportedError, VerificationError
 from .linking import gram_matrix
 from .pairing import (
     Cyc,
-    E0,
-    E1,
     StandardForm,
     canonical_form,
     classify,
@@ -77,6 +76,16 @@ def _negate_betas(S: SeifertData) -> SeifertData:
     return SeifertData(S.genus, tuple((a, -b) for a, b in S.pairs))
 
 
+def _balanced(alpha: int, c: int, rest) -> SeifertData:
+    """M(0; (alpha, c - sum alpha*b/a), *rest), so that eps = -c/alpha exactly.
+
+    Every cone order a of ``rest`` divides alpha, which makes the balancing
+    numerator an integer.
+    """
+    assert all(alpha % a == 0 for a, _ in rest)
+    return SeifertData(0, ((alpha, c - sum(alpha // a * b for a, b in rest)), *rest))
+
+
 def _first_verified(candidates, target: StandardForm) -> RealizationResult:
     tried = []
     for label, S in candidates:
@@ -91,16 +100,6 @@ def _first_verified(candidates, target: StandardForm) -> RealizationResult:
 
 # ---------------------------------------------------------------------------
 # odd p, eps = 0
-
-
-def _blocks(sf: StandardForm, p: int) -> list[tuple[int, list[int]]]:
-    """[(k, [units])] for the Cyc atoms at p, by strictly decreasing k."""
-    by_k: dict[int, list[int]] = {}
-    for a in sf.restrict(p).atoms:
-        if not isinstance(a, Cyc):
-            raise UnsupportedError(f"expected cyclic atoms at p={p}")
-        by_k.setdefault(a.k, []).append(a.a)
-    return [(k, sorted(by_k[k])) for k in sorted(by_k, reverse=True)]
 
 
 def _sum_zero_unit_tuples(p: int, m: int, want_cls: int):
@@ -140,39 +139,32 @@ def realize_odd_flat(target: StandardForm, p: int) -> RealizationResult:
         raise UnsupportedError(f"realize_odd_flat needs a pure {p}-primary target")
     if not target.atoms:
         return _first_verified([("trivial-flat", SeifertData(0, ((2, 1), (2, -1))))], target)
-    blocks = _blocks(target, p)
-    k1, units1 = blocks[0]
-    rho1 = len(units1)
-    m1 = rho1 + 2
+    blocks = target.levels(p)
+    k1, units1, _, _ = blocks[0]
+    m1 = len(units1) + 2
     d1 = prod(legendre(a, p) for a in units1)
 
     lower: list[tuple[int, int]] = []
-    for kj, unitsj in blocks[1:]:
+    for kj, unitsj, _, _ in blocks[1:]:
         dj = prod(legendre(a, p) for a in unitsj)
         closer_cls = dj * (legendre(-1, p) if len(unitsj) % 2 else 1)
         closer = 1 if closer_cls == 1 else least_nonresidue(p)
         lower += [(p**kj, 1)] * (len(unitsj) - 1) + [(p**kj, closer)]
-    tail_sum = sum(p**k1 * b // a for a, b in lower)  # exact: a | p^k1
-
-    def assemble(top_betas, label):
-        top = [(p**k1, b) for b in top_betas]
-        top[0] = (top[0][0], top[0][1] - tail_sum)
-        return label, SeifertData(0, tuple(top + lower))
 
     want = d1 * (legendre(-1, p) if (m1 - 1) % 2 else 1)
-    candidates = []
     if p == 3 and m1 == 4 and want == -1:
         # with four order-3^k cone points and exact sum 0 only the other
         # class is reachable; bump the first two cone orders instead
-        bump = [(3 ** (k1 + 1), 1), (3 ** (k1 + 1), 5), (3**k1, -1), (3**k1, -1)]
-        tail_bump = sum(3 ** (k1 + 1) * b // a for a, b in lower)
-        bump[0] = (bump[0][0], bump[0][1] - tail_bump)
-        candidates.append(("odd-flat/base-order-bump", SeifertData(0, tuple(bump + lower))))
-    else:
-        for i, betas in enumerate(_sum_zero_unit_tuples(p, m1, want)):
-            candidates.append(assemble(betas, f"odd-flat/sum-zero[{i}]"))
-            if i >= 24:
-                break
+        big = 3 ** (k1 + 1)
+        bump = _balanced(big, 0, [(big, 5), (3**k1, -1), (3**k1, -1), *lower])
+        return _first_verified([("odd-flat/base-order-bump", bump)], target)
+    # the top betas sum to 0, so balancing the first against the rest keeps it
+    q1 = p**k1
+    tuples = itertools.islice(_sum_zero_unit_tuples(p, m1, want), 25)
+    candidates = (
+        (f"odd-flat/sum-zero[{i}]", _balanced(q1, 0, [(q1, b) for b in betas[1:]] + lower))
+        for i, betas in enumerate(tuples)
+    )
     return _first_verified(candidates, target)
 
 
@@ -197,7 +189,7 @@ def _odd_prime_tails(p: int, blocks):
     for rest_sign in (-1, 1):
         for toggles in itertools.product((1, -1), repeat=nblocks):
             tail = []
-            for (k, units), tog in zip(blocks, toggles):
+            for (k, units, _, _), tog in zip(blocks, toggles):
                 pk = p**k
                 for pos, a in enumerate(units):
                     sgn = rest_sign * (tog if pos == 0 else 1)
@@ -262,26 +254,22 @@ def _balanced_sphere_candidates(target: StandardForm, label: str):
     """Rational-homology-sphere realizations via one balancing cone point.
 
     Builds S = ((A, B)) + per-prime tails with B = -1 - A * sum(beta/alpha),
-    so eps = 1/A exactly.  Because the p-primary pairing depends only on A
+    so eps = 1/A exactly (see _balanced).  Because the p-primary pairing depends only on A
     and the p-tail, each prime's tail variant is chosen by a local
     classification check before the full verification.
     """
     primes = target.primes()
-    per_prime = {p: _blocks(target, p) for p in primes}
+    per_prime = {p: target.levels(p) for p in primes}
     exponent = prod(p ** per_prime[p][0][0] for p in primes)
     alpha_big = exponent * prod(primes)
 
     def assemble(tails):
-        flat = [pair for p in primes for pair in tails[p]]
-        total = sum(Fraction(b, a) for a, b in flat)
-        beta_big = -1 - alpha_big * total
-        assert beta_big.denominator == 1
-        return SeifertData(0, ((alpha_big, int(beta_big)),) + tuple(flat))
+        return _balanced(alpha_big, -1, [pair for p in primes for pair in tails[p]])
 
     def default_tail(p):
         return [
             (p**k, _small_unit_rep(a, min(p**k, 8) if p == 2 else p**k))
-            for k, units in per_prime[p]
+            for k, units, _, _ in per_prime[p]
             for a in units
         ]
 
@@ -329,20 +317,7 @@ def realize_odd_sphere(target: StandardForm) -> RealizationResult:
 
 
 # ---------------------------------------------------------------------------
-# homogeneous 2-primary targets
-
-
-def _level2_shape(sf: StandardForm):
-    """(k, cyc residues, e0, e1) of a one-level 2-primary standard form."""
-    cf = canonical_form(sf)
-    ks = {a.k for a in cf.atoms}
-    if len(ks) != 1:
-        raise UnsupportedError("2-part is not homogeneous")
-    k = ks.pop()
-    cycs = [a.a for a in cf.atoms if isinstance(a, Cyc)]
-    e0 = sum(1 for a in cf.atoms if isinstance(a, E0))
-    e1 = sum(1 for a in cf.atoms if isinstance(a, E1))
-    return k, cycs, e0, e1
+# 2-primary targets
 
 
 def _even_beta_pattern(rho: int, has_e1: bool, r: int) -> list[int]:
@@ -353,29 +328,13 @@ def _even_beta_pattern(rho: int, has_e1: bool, r: int) -> list[int]:
     return [-5, 1, 1, 1, 1] + [(-1) ** i for i in range(6, r + 1)]
 
 
-def _with_flips(cands):
-    """Append the orientation-reversed version of every candidate."""
-    out = list(cands)
-    out += [(label + "/flipped", _negate_betas(S)) for label, S in cands]
-    return out
+def _with_flips(label: str, S: SeifertData):
+    """The candidate, then its orientation-reversed twin."""
+    yield label, S
+    yield label + "/flipped", _negate_betas(S)
 
 
-def _z3_data(k: int, others: list[int], lower=()) -> SeifertData:
-    """One big cone point; the remaining generators carry 4 - b_i.
-
-    ``others`` are the mod-8 residues realized by the small cone points
-    (the slot congruent to 3 is carried by the big pair's generator).
-    """
-    q = 2**k
-    pairs: list[tuple[int, int]] = [(4 * q, 0), (q, 1)]
-    pairs += [(q, _small_unit_rep(4 - b, 8)) for b in others]
-    pairs += list(lower)
-    b1 = 1 - sum(4 * q * b // a for a, b in pairs[1:])
-    pairs[0] = (4 * q, b1)
-    return SeifertData(0, tuple(pairs))
-
-
-def _sphere2_candidates(k: int, residues, lower_targets=(), tag="two-homog"):
+def _sphere2_candidates(k: int, residues, lower_targets, tag: str):
     """Sphere-mode candidates for a 2-primary target with odd top level.
 
     ``residues`` are the top-level diagonal classes, ``lower_targets`` the
@@ -389,7 +348,6 @@ def _sphere2_candidates(k: int, residues, lower_targets=(), tag="two-homog"):
     mk = min(2**k, 8)
     q = 2**k
     three = 3 % mk
-    cands = []
 
     def lower_variants(flip: bool):
         # the derived mod-8 numerators come first (the second-largest cone
@@ -410,14 +368,27 @@ def _sphere2_candidates(k: int, residues, lower_targets=(), tag="two-homog"):
             options.append([(2**kj, c) for c in slot])
         return itertools.islice(itertools.product(*options), 256)
 
+    def shapes(top, top_variants, low, j):
+        for i, tv in enumerate(top_variants):
+            if three in tv:
+                # the big pair's generator carries the slot congruent to 3,
+                # the small cone points carry 4 - b for the other slots
+                others = list(tv)
+                others.remove(three)
+                rest = [(q, 1)] + [(q, _small_unit_rep(4 - b, 8)) for b in others]
+                yield f"odd-sphere-z3[{i},{j}]", _balanced(4 * q, 1, rest + low)
+        if mk == 8 and top == [1, 7]:
+            yield f"odd-sphere-pm1[{j}]", _balanced(2 * q, 1, [(q, 1), (q, -1), *low])
+        if len(top) == 1:
+            for extra in (2, 3, 1):
+                for b2 in (1, -1, 3, -3, 5, -5, 7, -7):
+                    for w in (1, -1):
+                        S = _balanced(q * 2**extra, w, [(q, b2), *low])
+                        yield f"lens[{extra},{b2},{w},{j}]", S
+
     for flipped in (False, True):
         top = sorted(((-b) % mk if flipped else b % mk) for b in residues)
         suffix = "/flipped" if flipped else ""
-
-        def emit(S0, name, suffix=suffix):
-            S = _negate_betas(S0) if flipped else S0
-            cands.append((f"{tag}/{name}{suffix}", S))
-
         top_variants = [top]
         if mk == 8:
             for b in sorted(set(top)):
@@ -427,66 +398,76 @@ def _sphere2_candidates(k: int, residues, lower_targets=(), tag="two-homog"):
                     shifted.remove(b)
                     top_variants.append(sorted(shifted + [(b + 4) % 8] * 2))
         for j, low in enumerate(lower_variants(flipped)):
-            low = list(low)
-            for i, tv in enumerate(top_variants):
-                if three in tv:
-                    others = list(tv)
-                    others.remove(three)
-                    emit(_z3_data(k, others, low), f"odd-sphere-z3[{i},{j}]")
-            if len(top) == 2 and mk == 8 and top == [1, 7]:
-                pairs = [(2 * q, 1), (q, 1), (q, -1)] + low
-                b1 = 1 - sum(2 * q * b // a for a, b in pairs[1:])
-                pairs[0] = (2 * q, b1)
-                emit(SeifertData(0, tuple(pairs)), f"odd-sphere-pm1[{j}]")
-            if len(top) == 1:
-                for extra in (2, 3, 1):
-                    for b2 in (1, -1, 3, -3, 5, -5, 7, -7):
-                        for w in (1, -1):
-                            b1 = w - 2**extra * b2 - sum(
-                                q * 2**extra * b // a for a, b in low
-                            )
-                            pairs = ((q * 2**extra, b1), (q, b2), *low)
-                            emit(
-                                SeifertData(0, pairs), f"lens[{extra},{b2},{w},{j}]"
-                            )
-    return cands
+            for name, S in shapes(top, top_variants, list(low), j):
+                yield f"{tag}/{name}{suffix}", _negate_betas(S) if flipped else S
 
 
-def realize_two_homog(target: StandardForm, mode: str = "auto") -> RealizationResult:
-    """Realize a pairing on (Z/2^k)^rho with all cone orders powers of 2."""
+def realize_two(target: StandardForm, mode: str = "auto") -> RealizationResult:
+    """Realize a 2-primary pairing with all cone orders powers of 2.
+
+    The top level gets its homogeneous recipe: diagonal or even (E0/E1),
+    flat or sphere.  A homogeneous target is this case alone (tag
+    two-homog).  An inhomogeneous target stacks its lower levels under the
+    top one (tag gap-stacked), which needs exponent drops k_j >= k_{j+1} + 2
+    and odd components below the top level.  Other inhomogeneous targets
+    raise UnrealizableError as outside the implemented constructions, which
+    is not a proof that no Seifert manifold realizes them.  Lower-level
+    numerators are derived from the wanted mod-8 residues, with a bounded
+    search via orientation variants.
+    """
     if target.primes() not in ((), (2,)):
-        raise UnsupportedError("realize_two_homog needs a 2-primary target")
+        raise UnsupportedError("realize_two needs a 2-primary target")
     if not target.atoms:
         return realize(StandardForm.empty(), mode=mode)
-    k, cycs, e0, e1 = _level2_shape(target)
-    q = 2**k
-    rho = len(cycs) + 2 * (e0 + e1)
-    candidates = []
-    modes = ("flat", "sphere") if mode == "auto" else (mode,)
-    for m in modes:
-        if cycs and (e0 or e1):
-            raise VerificationError("canonical form left a mixed 2-level")
-        if not cycs:
-            r = rho + 2 if m == "flat" else rho + 1
-            pattern = _even_beta_pattern(rho, e1 > 0, r)
-            base = SeifertData(0, tuple((q, b) for b in pattern))
-            candidates += _with_flips(
-                [(f"two-homog/even-{'e1' if e1 else 'hyperbolic'}-{m}", base)]
+    blocks = canonical_form(target).levels(2)
+    if any(e0 or e1 for _, _, e0, e1 in blocks[1:]):
+        raise UnrealizableError(
+            "an even component below the top 2-exponent is outside the "
+            "implemented constructions"
+        )
+    for (ka, *_), (kb, *_) in zip(blocks, blocks[1:]):
+        if ka < kb + 2:
+            raise UnrealizableError(
+                f"consecutive 2-exponents {ka}, {kb} drop by less than 2, which "
+                "is outside the implemented (gap condition) constructions"
             )
-        elif m == "flat":
-            pairs = [(4 * q, 0), (4 * q, 1)]
-            pairs += [(q, _small_unit_rep(3 * b, 8)) for b in cycs]
-            b1 = -1 - sum(4 * b for _, b in pairs[2:])
-            pairs[0] = (4 * q, b1)
-            base = SeifertData(0, tuple(pairs))
-            candidates += _with_flips([("two-homog/odd-flat", base)])
-        else:
-            candidates += _sphere2_candidates(k, cycs)
-    return _first_verified(candidates, target)
+    k1, cycs1, e0_1, e1_1 = blocks[0]
+    q = 2**k1
+    rho1 = len(cycs1) + 2 * (e0_1 + e1_1)
+    tag = "two-homog" if len(blocks) == 1 else "gap-stacked"
+
+    def lower_pairs(top_alpha: int) -> list[tuple[int, int]]:
+        out = []
+        for kj, cycsj, _, _ in blocks[1:]:
+            g = padic_val(top_alpha, 2) - kj
+            for b in cycsj:
+                wanted = (-b - 4) % 8 if g == 2 else (-b) % 8
+                out.append((2**kj, _small_unit_rep(wanted, min(2**kj, 8))))
+        return out
+
+    def candidates():
+        for m in ("flat", "sphere") if mode == "auto" else (mode,):
+            if not cycs1:
+                # the pattern sums to 0 (flat) or -1 (sphere): eps = 0 or 1/2^k1
+                r = rho1 + 2 if m == "flat" else rho1 + 1
+                pattern = _even_beta_pattern(rho1, e1_1 > 0, r)
+                rest = [(q, b) for b in pattern[1:]] + lower_pairs(q)
+                S = _balanced(q, sum(pattern), rest)
+                kind = ("e1-" if e1_1 else "hyperbolic-") if len(blocks) == 1 else ""
+                yield from _with_flips(f"{tag}/even-{kind}{m}", S)
+            elif m == "flat":
+                rest = [(4 * q, 1)] + [(q, _small_unit_rep(3 * b, 8)) for b in cycs1]
+                S = _balanced(4 * q, 0, rest + lower_pairs(4 * q))
+                yield from _with_flips(f"{tag}/odd-flat", S)
+            else:
+                lower = [(kj, b) for kj, cycsj, _, _ in blocks[1:] for b in cycsj]
+                yield from _sphere2_candidates(k1, cycs1, lower, tag)
+
+    return _first_verified(candidates(), target)
 
 
 # ---------------------------------------------------------------------------
-# mixed and inhomogeneous targets
+# mixed targets
 
 
 def realize_mixed(target: StandardForm, mode: str = "auto") -> RealizationResult:
@@ -498,7 +479,7 @@ def realize_mixed(target: StandardForm, mode: str = "auto") -> RealizationResult
     odd-order construction, provided the 2-part is odd or absent.
     """
     two = target.restrict(2)
-    if two.atoms and len({a.k for a in canonical_form(two).atoms}) > 1:
+    if len(two.levels(2)) > 1:  # canonical_form keeps every level
         raise UnrealizableError(
             "2-primary part is inhomogeneous; use the gap construction"
         )
@@ -510,7 +491,7 @@ def realize_mixed(target: StandardForm, mode: str = "auto") -> RealizationResult
         for p in odd_primes:
             pieces.append(realize_odd_flat(target.restrict(p), p))
         if two.atoms:
-            pieces.append(realize_two_homog(two, mode="flat"))
+            pieces.append(realize_two(two, mode="flat"))
         S = pieces[0].seifert
         for piece in pieces[1:]:
             S = fibre_sum(S, piece.seifert)
@@ -536,105 +517,6 @@ def realize_mixed(target: StandardForm, mode: str = "auto") -> RealizationResult
     )
 
 
-def _gap_blocks(target: StandardForm):
-    """[(k_j, cycs_j, e0_j, e1_j)] by decreasing k, from the canonical form."""
-    cf = canonical_form(target.restrict(2))
-    by_k: dict[int, list] = {}
-    for a in cf.atoms:
-        by_k.setdefault(a.k, []).append(a)
-    blocks = []
-    for k in sorted(by_k, reverse=True):
-        group = by_k[k]
-        cycs = [a.a for a in group if isinstance(a, Cyc)]
-        e0 = sum(1 for a in group if isinstance(a, E0))
-        e1 = sum(1 for a in group if isinstance(a, E1))
-        blocks.append((k, cycs, e0, e1))
-    return blocks
-
-
-def realize_gap(target: StandardForm, mode: str = "auto") -> RealizationResult:
-    """Realize an inhomogeneous 2-primary pairing under the gap condition.
-
-    The construction needs exponent drops k_j >= k_{j+1} + 2 and odd
-    components below the top level.  Other inhomogeneous targets raise
-    UnrealizableError as outside the implemented constructions, which is
-    not a proof that no Seifert manifold realizes them.  Lower-level
-    numerators are derived from the wanted mod-8 residues, with a bounded
-    search via orientation variants.
-    """
-    if target.primes() not in ((), (2,)):
-        raise UnsupportedError("realize_gap needs a 2-primary target")
-    blocks = _gap_blocks(target)
-    if len(blocks) < 2:
-        return realize_two_homog(target, mode)
-    for k, cycs, e0, e1 in blocks[1:]:
-        if e0 or e1:
-            raise UnrealizableError(
-                "an even component below the top 2-exponent is outside the "
-                "implemented constructions"
-            )
-    for (ka, *_), (kb, *_) in zip(blocks, blocks[1:]):
-        if ka < kb + 2:
-            raise UnrealizableError(
-                f"consecutive 2-exponents {ka}, {kb} drop by less than 2, which "
-                "is outside the implemented (gap condition) constructions"
-            )
-    k1, cycs1, e0_1, e1_1 = blocks[0]
-    rho1 = len(cycs1) + 2 * (e0_1 + e1_1)
-
-    def lower_pairs(top_alpha: int) -> list[tuple[int, int]]:
-        out = []
-        for kj, cycsj, _, _ in blocks[1:]:
-            g = padic_val(top_alpha, 2) - kj
-            for b in cycsj:
-                wanted = (-b - 4) % 8 if g == 2 else (-b) % 8
-                out.append((2**kj, _small_unit_rep(wanted, min(2**kj, 8))))
-        return out
-
-    candidates = []
-    modes = ("flat", "sphere") if mode == "auto" else (mode,)
-    for m in modes:
-        if cycs1:
-            top_alpha = 4 * 2**k1
-            if m == "flat":
-                pairs = [(top_alpha, 0), (top_alpha, 1)]
-                pairs += [(2**k1, _small_unit_rep(3 * b, 8)) for b in cycs1]
-                pairs += lower_pairs(top_alpha)
-                b1 = -sum(top_alpha * b // a for a, b in pairs[1:])
-                pairs[0] = (top_alpha, b1)
-                base = SeifertData(0, tuple(pairs))
-                candidates += _with_flips([("gap-stacked/odd-flat", base)])
-            else:
-                lower_targets = [
-                    (kj, b) for kj, cycsj, _, _ in blocks[1:] for b in cycsj
-                ]
-                candidates += _sphere2_candidates(
-                    k1, cycs1, lower_targets, tag="gap-stacked"
-                )
-        else:
-            if m == "flat":
-                r_top = rho1 + 2
-                pattern = _even_beta_pattern(rho1, e1_1 > 0, r_top)
-                pairs = [(2**k1, b) for b in pattern]
-                pairs += lower_pairs(2**k1)
-                b1 = -sum(2**k1 * b // a for a, b in pairs[1:])
-                pairs[0] = (2**k1, b1)
-                base = SeifertData(0, tuple(pairs))
-                candidates += _with_flips([("gap-stacked/even-flat", base)])
-            else:
-                r_top = rho1 + 1
-                pattern = _even_beta_pattern(rho1, e1_1 > 0, r_top)
-                pairs = [(2**k1, b) for b in pattern]
-                pairs += lower_pairs(2**k1)
-                # rebalance the first numerator so eps = 1/2^k1 exactly;
-                # lower-level terms are even, so its parity is preserved
-                b1 = pattern[0] - sum(2**k1 * b // a for a, b in pairs[r_top:])
-                pairs[0] = (2**k1, b1)
-                base = SeifertData(0, tuple(pairs))
-                candidates += _with_flips([("gap-stacked/even-sphere", base)])
-    return _first_verified(candidates, target)
-
-
 # ---------------------------------------------------------------------------
 # dispatcher
 
@@ -652,17 +534,16 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
             [(f"trivial-{'flat' if mode != 'sphere' else 'sphere'}", SeifertData(0, pairs))],
             target,
         )
-    two = canonical_form(target.restrict(2))
+    two = target.restrict(2)
     odd_primes = tuple(p for p in target.primes() if p != 2)
-    levels2 = sorted({a.k for a in two.atoms}, reverse=True)
-    if len(levels2) > 1:
+    if len(two.levels(2)) > 1:
         if odd_primes:
             if mode == "sphere":
                 raise UnrealizableError(
                     "sphere mode with an inhomogeneous 2-part is outside the "
                     "implemented constructions"
                 )
-            gap_piece = realize_gap(target.restrict(2), "flat")
+            gap_piece = realize_two(two, "flat")
             odd_piece = realize_mixed(
                 StandardForm.of(
                     a for a in target.atoms if isinstance(a, Cyc) and a.p != 2
@@ -678,11 +559,11 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
                     euler_invariant(S),
                 )
             raise VerificationError("gap + odd fibre sum failed to verify")
-        return realize_gap(target, mode)
+        return realize_two(target, mode)
     if two.atoms and odd_primes:
         return realize_mixed(target, mode)
     if two.atoms:
-        return realize_two_homog(target, mode)
+        return realize_two(target, mode)
     if mode == "sphere":
         return realize_odd_sphere(target)
     if len(odd_primes) == 1:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  All randomized criteria are seeded and deterministic.
 """
 
+import itertools
 import time
 
 from linkform.linking import gram_matrix
@@ -12,6 +13,7 @@ from linkform.pairing import (
     E0,
     E1,
     StandardForm,
+    _gauss_invariant,
     brute_force_isomorphic,
     classify,
     standard_form_gram,
@@ -89,8 +91,34 @@ def test_criterion_04_two_homogeneous_round_trip():
             assert (eps == 0) == (mode == "flat")
             checked += 1
     _announce(
-        4, f"all {len(forms)} 2-homogeneous classes (k<=3, rank<=4), both modes", t0, 120
+        4,
+        f"{len(forms)} forms covering all 2-homogeneous classes (k<=3, rank<=4), "
+        "both modes",
+        t0,
+        120,
     )
+
+
+def _every_two_homogeneous_atom_list(kmax, rhomax):
+    """Every atom list on (Z/2^k)^rho: diagonal units, E0/E1 blocks and mixes."""
+    for k in range(1, kmax + 1):
+        units = range(1, min(2**k, 8), 2)
+        evens = [E0(k)] + ([E1(k)] if k >= 2 else [])
+        for rho in range(1, rhomax + 1):
+            for blocks in range(rho // 2 + 1):
+                for es in itertools.combinations_with_replacement(evens, blocks):
+                    for us in itertools.combinations_with_replacement(units, rho - 2 * blocks):
+                        yield StandardForm.of([Cyc.make(2, k, a) for a in us] + list(es))
+
+
+def test_two_homogeneous_forms_cover_every_class():
+    # _gauss_invariant is complete, so equal sets of invariants mean the
+    # listed forms hit every class; three classes are listed twice
+    forms = all_two_homogeneous_forms(kmax=3, rhomax=4)
+    listed = [_gauss_invariant(f) for f in forms]
+    every = {_gauss_invariant(f) for f in _every_two_homogeneous_atom_list(3, 4)}
+    assert set(listed) == every
+    assert len(every) == 53 and len(listed) == 56
 
 
 def test_criterion_05_structure_oracle():

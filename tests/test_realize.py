@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb, gcd
 
@@ -23,11 +24,10 @@ from linkform.realize import (
     even_component_report,
     exhaustive_search,
     realize,
-    realize_gap,
     realize_mixed,
     realize_odd_flat,
     realize_odd_sphere,
-    realize_two_homog,
+    realize_two,
     verify_realization,
 )
 from linkform.seifert import SeifertData, euler_invariant, seifert
@@ -125,22 +125,22 @@ def test_odd_sphere_multi_block_classes():
 
 
 def test_two_homog_e0_squared():
-    r = realize_two_homog(sf(E0(2)), "flat")
+    r = realize_two(sf(E0(2)), "flat")
     assert r.seifert.pairs == ((4, -1), (4, 1), (4, -1), (4, 1))
     assert r.verified
 
 
 def test_two_homog_cyc233_sphere():
-    r = realize_two_homog(sf(Cyc.make(2, 3, 3)), "sphere")
+    r = realize_two(sf(Cyc.make(2, 3, 3)), "sphere")
     assert r.seifert.pairs == ((32, -3), (8, 1))
     assert r.verified
 
 
 def test_two_homog_cyc211():
-    r = realize_two_homog(sf(Cyc.make(2, 1, 1)), "sphere")
+    r = realize_two(sf(Cyc.make(2, 1, 1)), "sphere")
     assert r.verified
     assert euler_invariant(r.seifert) != 0
-    r = realize_two_homog(sf(Cyc.make(2, 1, 1)), "flat")
+    r = realize_two(sf(Cyc.make(2, 1, 1)), "flat")
     assert r.verified and euler_invariant(r.seifert) == 0
 
 
@@ -148,31 +148,31 @@ def test_two_homog_all_lens_classes():
     for k in (1, 2, 3):
         units = [1] if k == 1 else ([1, 3] if k == 2 else [1, 3, 5, 7])
         for a in units:
-            r = realize_two_homog(sf(Cyc.make(2, k, a)), "sphere")
+            r = realize_two(sf(Cyc.make(2, k, a)), "sphere")
             assert r.verified, (k, a)
             assert euler_invariant(r.seifert) != 0
 
 
 def test_two_homog_e1_both_modes():
     for mode in ("flat", "sphere"):
-        r = realize_two_homog(sf(E1(2)), mode)
+        r = realize_two(sf(E1(2)), mode)
         assert r.verified, mode
 
 
 def test_gap_realization():
-    r = realize_gap(sf(Cyc.make(2, 3, 3), Cyc.make(2, 1, 1)))
+    r = realize_two(sf(Cyc.make(2, 3, 3), Cyc.make(2, 1, 1)))
     assert r.verified
     alphas = sorted(a for a, _ in r.seifert.pairs)
     assert alphas[0] == 2 and alphas[-1] == 32
 
 
 def test_gap_even_top():
-    r = realize_gap(sf(E0(3), Cyc.make(2, 1, 1)))
+    r = realize_two(sf(E0(3), Cyc.make(2, 1, 1)))
     assert r.verified
 
 
 def test_gap_sphere_mode():
-    r = realize_gap(sf(Cyc.make(2, 4, 3), Cyc.make(2, 2, 1)), "sphere")
+    r = realize_two(sf(Cyc.make(2, 4, 3), Cyc.make(2, 2, 1)), "sphere")
     assert r.verified
     assert euler_invariant(r.seifert) != 0
 
@@ -181,7 +181,7 @@ def test_gap_condition_violated():
     # refused as outside the constructions, not as impossible: the target is
     # realized by M(0;(2,-5),(4,7),(8,5)) (see WITNESSES)
     with pytest.raises(UnrealizableError, match="outside the implemented"):
-        realize_gap(sf(Cyc.make(2, 2, 1), Cyc.make(2, 1, 1)))
+        realize_two(sf(Cyc.make(2, 2, 1), Cyc.make(2, 1, 1)))
 
 
 def test_even_below_top_refused_by_constructions():
@@ -217,6 +217,94 @@ def test_witness_realizes_refused_target(target, S):
 @pytest.mark.parametrize("target, S", WITNESSES, ids=WITNESS_IDS)
 def test_realize_covers_witness_targets(target, S):
     assert realize(target).verified
+
+
+# ---------------------------------------------------------------------------
+# construction table: one target per construction family that wins on the
+# benchmark's realize catalogue, plus the bumped-order odd-flat recipe; each
+# row is (atoms, mode, construction, pairs) as recorded before the 2-primary
+# constructions were merged into realize_two
+
+C = Cyc.make
+CONSTRUCTIONS = [
+    ((E1(3), C(2, 1, 1), C(2, 1, 1)), 'flat', 'gap-stacked/even-flat', ((8, -11), (8, 1), (8, 1), (8, 1), (2, 1), (2, 1))),
+    ((E1(3), C(2, 1, 1), C(2, 1, 1)), 'sphere', 'gap-stacked/even-sphere', ((8, -11), (8, 1), (8, 1), (2, 1), (2, 1))),
+    ((C(2, 3, 1), C(2, 1, 1)), 'sphere', 'gap-stacked/lens[2,-1,1,0]', ((32, -11), (8, -1), (2, 1))),
+    ((C(2, 3, 1), C(2, 1, 1)), 'flat', 'gap-stacked/odd-flat', ((32, -29), (32, 1), (8, 3), (2, 1))),
+    ((C(2, 3, 7), C(2, 3, 1), C(2, 1, 1), C(2, 1, 1)), 'sphere', 'gap-stacked/odd-sphere-pm1[0]', ((16, -15), (8, 1), (8, -1), (2, 1), (2, 1))),
+    ((C(2, 5, 3), C(2, 2, 1), C(2, 2, 1)), 'sphere', 'gap-stacked/odd-sphere-z3[0,0]', ((128, 61), (32, 1), (4, -1), (4, -1))),
+    ((C(2, 4, 5), C(2, 4, 5), C(2, 2, 1), C(2, 2, 1)), 'sphere', 'gap-stacked/odd-sphere-z3[1,0]/flipped', ((64, 39), (16, -1), (16, -1), (4, -1), (4, -1))),
+    ((E1(3), C(2, 1, 1), C(2, 1, 1), C(3, 3, 10), C(3, 3, 13), C(3, 1, 1)), 'flat', 'mixed-flat[gap-stacked/even-flat+mixed-flat[odd-flat/base-order-bump]]', ((8, -11), (8, 1), (8, 1), (8, 1), (2, 1), (2, 1), (81, -53), (81, 5), (27, -1), (27, -1), (3, 2))),
+    ((E1(6), C(2, 4, 7), C(11, 1, 7), C(7, 2, 4)), 'flat', 'mixed-flat[gap-stacked/even-flat+mixed-flat[odd-flat/sum-zero[0]+odd-flat/sum-zero[0]]]', ((64, 9), (64, 1), (64, 1), (64, 1), (16, -3), (49, -3), (49, 2), (49, 1), (11, -4), (11, 3), (11, 1))),
+    ((E0(5), C(2, 2, 1), C(7, 2, 22), C(7, 2, 12), C(7, 2, 44)), 'flat', 'mixed-flat[gap-stacked/even-flat+mixed-flat[odd-flat/sum-zero[0]]]', ((32, 7), (32, 1), (32, -1), (32, 1), (4, -1), (49, -3), (49, 2), (49, 1), (49, -1), (49, 1))),
+    ((C(2, 4, 3), C(2, 1, 1), C(13, 2, 89), C(11, 1, 8), C(13, 2, 148)), 'flat', 'mixed-flat[gap-stacked/odd-flat+mixed-flat[odd-flat/sum-zero[0]+odd-flat/sum-zero[0]]]', ((64, -37), (64, 1), (16, 1), (2, 1), (11, -4), (11, 3), (11, 1), (169, -1), (169, 1), (169, 1), (169, -1))),
+    ((C(2, 3, 1), C(2, 3, 5), C(2, 1, 1), C(11, 2, 49), C(11, 2, 120), C(11, 2, 64)), 'flat', 'mixed-flat[gap-stacked/odd-flat+mixed-flat[odd-flat/sum-zero[0]]]', ((32, -25), (32, 1), (8, 3), (8, -1), (2, 1), (121, -2), (121, 1), (121, 1), (121, -1), (121, 1))),
+    ((C(3, 2, 2), C(5, 1, 1), C(13, 1, 8), C(5, 3, 67), C(3, 2, 5)), 'flat', 'mixed-flat[odd-flat/base-order-bump+odd-flat/sum-zero[0]+odd-flat/sum-zero[0]]', ((27, 1), (27, 5), (9, -1), (9, -1), (125, -27), (125, 1), (125, 1), (5, 1), (13, -2), (13, 1), (13, 1))),
+    ((C(11, 2, 19), C(3, 2, 5), C(3, 2, 2)), 'flat', 'mixed-flat[odd-flat/base-order-bump+odd-flat/sum-zero[0]]', ((27, 1), (27, 5), (9, -1), (9, -1), (121, -4), (121, 3), (121, 1))),
+    ((E0(2), C(3, 3, 25), C(3, 3, 25)), 'flat', 'mixed-flat[odd-flat/base-order-bump+two-homog/even-hyperbolic-flat]', ((81, 1), (81, 5), (27, -1), (27, -1), (4, -1), (4, 1), (4, -1), (4, 1))),
+    ((C(2, 3, 7), C(2, 3, 7), C(2, 3, 3), C(2, 3, 5), C(3, 3, 1), C(3, 3, 4)), 'flat', 'mixed-flat[odd-flat/base-order-bump+two-homog/odd-flat]', ((81, 1), (81, 5), (27, -1), (27, -1), (32, -9), (32, 1), (8, 3), (8, 1), (8, 1), (8, -3))),
+    ((C(11, 1, 8), C(3, 2, 8), C(5, 2, 4)), 'flat', 'mixed-flat[odd-flat/sum-zero[0]+odd-flat/sum-zero[0]+odd-flat/sum-zero[0]]', ((9, -1), (9, -1), (9, 2), (25, -3), (25, 2), (25, 1), (11, -4), (11, 3), (11, 1))),
+    ((E0(3), E1(3), C(13, 2, 96), C(7, 1, 3), C(7, 2, 36)), 'flat', 'mixed-flat[odd-flat/sum-zero[0]+odd-flat/sum-zero[0]+two-homog/even-e1-flat]', ((49, -10), (49, 2), (49, 1), (7, 1), (169, -2), (169, 1), (169, 1), (8, -5), (8, 1), (8, 1), (8, 1), (8, 1), (8, 1))),
+    ((E0(3), C(7, 3, 293), C(5, 3, 78)), 'flat', 'mixed-flat[odd-flat/sum-zero[0]+odd-flat/sum-zero[0]+two-homog/even-hyperbolic-flat]', ((125, -2), (125, 1), (125, 1), (343, -2), (343, 1), (343, 1), (8, -1), (8, 1), (8, -1), (8, 1))),
+    ((C(2, 1, 1), C(3, 2, 1), C(11, 1, 9)), 'flat', 'mixed-flat[odd-flat/sum-zero[0]+odd-flat/sum-zero[0]+two-homog/odd-flat]', ((9, -2), (9, 1), (9, 1), (11, -2), (11, 1), (11, 1), (8, -13), (8, 1), (2, 3))),
+    ((C(3, 1, 1), C(11, 2, 58)), 'flat', 'mixed-flat[odd-flat/sum-zero[0]+odd-flat/sum-zero[0]]', ((3, -2), (3, 1), (3, 1), (121, -2), (121, 1), (121, 1))),
+    ((E1(3), C(11, 1, 2)), 'flat', 'mixed-flat[odd-flat/sum-zero[0]+two-homog/even-e1-flat]', ((11, -4), (11, 3), (11, 1), (8, -3), (8, 1), (8, 1), (8, 1))),
+    ((E0(1), C(13, 1, 5), C(13, 2, 120), C(13, 1, 6)), 'flat', 'mixed-flat[odd-flat/sum-zero[0]+two-homog/even-hyperbolic-flat]', ((169, -30), (169, 3), (169, 1), (13, 1), (13, 1), (2, -1), (2, 1), (2, -1), (2, 1))),
+    ((C(2, 3, 3), C(2, 3, 1), C(7, 1, 2)), 'flat', 'mixed-flat[odd-flat/sum-zero[0]+two-homog/odd-flat]', ((7, -3), (7, 2), (7, 1), (32, -17), (32, 1), (8, 3), (8, 1))),
+    ((C(2, 3, 3), C(2, 3, 1), C(7, 1, 2)), 'sphere', 'mixed-sphere/balanced', ((784, 615), (8, -3), (8, -1), (7, -2))),
+    ((C(3, 2, 1), C(3, 2, 1)), 'flat', 'odd-flat/base-order-bump', ((27, 1), (27, 5), (9, -1), (9, -1))),
+    ((C(3, 1, 1), C(11, 2, 58)), 'sphere', 'odd-sphere/balanced', ((11979, 9734), (3, -1), (121, -58))),
+    ((E1(3),), 'flat', 'two-homog/even-e1-flat', ((8, -3), (8, 1), (8, 1), (8, 1))),
+    ((E1(3),), 'sphere', 'two-homog/even-e1-sphere', ((8, -3), (8, 1), (8, 1))),
+    ((E0(1),), 'flat', 'two-homog/even-hyperbolic-flat', ((2, -1), (2, 1), (2, -1), (2, 1))),
+    ((E0(1),), 'sphere', 'two-homog/even-hyperbolic-sphere', ((2, -1), (2, 1), (2, -1))),
+    ((C(2, 3, 5),), 'sphere', 'two-homog/lens[2,-1,1,0]', ((32, 5), (8, -1))),
+    ((C(2, 2, 3), C(2, 2, 3), C(2, 2, 1)), 'flat', 'two-homog/odd-flat', ((16, -21), (16, 1), (4, 3), (4, 1), (4, 1))),
+    ((C(2, 3, 3), C(2, 3, 5)), 'sphere', 'two-homog/odd-sphere-pm1[0]', ((16, 1), (8, 1), (8, -1))),
+    ((C(2, 2, 3), C(2, 2, 3), C(2, 2, 1)), 'sphere', 'two-homog/odd-sphere-z3[0,0]', ((16, -19), (4, 1), (4, 3), (4, 1))),
+    ((C(2, 3, 1), C(2, 3, 1)), 'sphere', 'two-homog/odd-sphere-z3[1,0]/flipped', ((32, 7), (8, -1), (8, -1))),
+]
+
+
+def _family(construction):
+    return re.sub(r"\[[-\d,]+\]", "", construction)
+
+
+@pytest.mark.parametrize(
+    "atoms, mode, construction, pairs",
+    CONSTRUCTIONS,
+    ids=[f"{_family(row[2])}@{row[1]}" for row in CONSTRUCTIONS],
+)
+def test_construction_table(atoms, mode, construction, pairs):
+    r = realize(sf(*atoms), mode)
+    assert (r.construction, r.seifert.pairs) == (construction, pairs)
+    assert r.verified
+
+
+# candidates are built lazily: a target whose first candidate verifies builds
+# about one SeifertData, not the whole candidate list (25 to 435 of them)
+LAZY_TARGETS = {
+    "<1>/5 flat": ((C(5, 1, 1),), "flat"),
+    "<3>/8 sphere": ((C(2, 3, 3),), "sphere"),
+    "<3>/16+<1>/4 sphere": ((C(2, 4, 3), C(2, 2, 1)), "sphere"),
+    "<1>/8+<1>/2+<1>/2 sphere": ((C(2, 3, 1), C(2, 1, 1), C(2, 1, 1)), "sphere"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_TARGETS))
+def test_lazy_candidates_work_guard(monkeypatch, name):
+    atoms, mode = LAZY_TARGETS[name]
+    builds = [0]
+    inner = SeifertData.__post_init__
+
+    def counted(self):
+        builds[0] += 1
+        inner(self)
+
+    monkeypatch.setattr(SeifertData, "__post_init__", counted)
+    r = realize(sf(*atoms), mode)
+    assert r.verified
+    assert builds[0] <= 5
 
 
 # ---------------------------------------------------------------------------
