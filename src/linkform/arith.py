@@ -2,8 +2,9 @@
 
 All integers are arbitrary precision and all rationals are
 ``fractions.Fraction`` (always stored reduced, positive denominator).
-Values of linking pairings live in Q/Z and are represented by their
-canonical representative in [0, 1).
+Values of linking pairings live in Q/Z.  A p-primary value whose order
+divides N = p^K is stored as the integer N * value mod N, the form
+``p_part`` returns; ``fmt_rational`` serializes a value as "num/den".
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ def padic_val(q, p: int) -> int:
         d //= p
         v -= 1
     return v
-
-
-def unit_part(q, p: int) -> Fraction:
-    """q / p^v with v = padic_val(q, p); numerator and denominator coprime to p."""
-    q = as_fraction(q)
-    return q / Fraction(p) ** padic_val(q, p)
 
 
 def is_p_unit(q, p: int) -> bool:
@@ -286,34 +281,28 @@ def bareiss(M) -> tuple[int, int]:
     return min(m, n), sign * prev
 
 
-def qmodz(x) -> Fraction:
-    """Canonical representative of x in Q/Z, i.e. x mod 1 in [0, 1)."""
-    return as_fraction(x) % 1
+def p_part(x, p: int, N: int) -> int:
+    """N times the p-primary component of x in Q/Z, reduced mod N.
 
+    Q/Z splits as the direct sum over primes of its p-power-order subgroups.
+    For x = n/d with d = p^e m and p not dividing m, the p-component is
+    (n m^-1 mod p^e) / p^e, so the result is (n m^-1 mod p^e) * N / p^e.
+    When p^e does not divide N the component is not a multiple of 1/N, and
+    InvalidDataError is raised: it is never truncated.
 
-def p_part(x, p: int) -> Fraction:
-    """Component of x in the p-primary summand of Q/Z, reduced to [0, 1).
-
-    Q/Z splits as the direct sum over primes of the subgroups of elements
-    with p-power order; this extracts the p-power-denominator part.
-
-    >>> p_part(Fraction(1, 6), 2)
-    Fraction(1, 2)
-    >>> p_part(Fraction(1, 6), 3)
-    Fraction(2, 3)
+    >>> p_part(Fraction(1, 6), 2, 4)
+    2
+    >>> p_part(Fraction(1, 6), 3, 3)
+    2
     """
-    x = qmodz(x)
-    den = x.denominator
-    e = 0
-    d = den
-    while d % p == 0:
-        d //= p
-        e += 1
-    if e == 0:
-        return Fraction(0)
-    pe = p**e
-    m = den // pe
-    return Fraction((x.numerator * pow(m, -1, pe)) % pe, pe)
+    x = as_fraction(x)
+    m, pe = x.denominator, 1
+    while m % p == 0:
+        m //= p
+        pe *= p
+    if N % pe:
+        raise InvalidDataError(f"the {p}-part of {x} is not a multiple of 1/{N}")
+    return x.numerator * pow(m, -1, pe) % pe * (N // pe)
 
 
 def fmt_rational(q) -> str:
@@ -323,9 +312,3 @@ def fmt_rational(q) -> str:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
-
-def parse_rational(s: str) -> Fraction:
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidDataError(f"bad rational {s!r}") from exc

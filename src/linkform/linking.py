@@ -10,16 +10,17 @@ rational values
     l(s,    q_i') = beta_i / alpha_i
     l(s,    s)    = -(alpha_1 + n alpha_1 alpha_2 eps) / (alpha_1 alpha_2^2 eps)
 
-where m alpha_2 + n beta_2 = 1.  The Gram matrix stores the p-primary
-component of each value, reduced to [0, 1).  No rescaling to pure p-power
-denominators of the underlying 1-cycles is performed; only the canonical
-Q/Z reduction happens here.
+where m alpha_2 + n beta_2 = 1.  Every p-primary value lies in (1/N)Z/Z,
+where N = p^K is the largest generator order, so a pairing is stored as
+the integer matrix N l(e_i, e_j) mod N: each closed-form value is
+converted once, by ``arith.p_part``, and a value off the 1/N grid is
+refused, never truncated.  No rescaling to pure p-power denominators of
+the underlying 1-cycles is performed.  ``GramPairing.gram`` is a Fraction
+view in [0, 1), used for JSON output.
 
-The element-level oracles (self-linking profiles, brute-force isomorphism,
-metabolizer search) work in integers mod p^K, where p^K is the largest
-generator order: a Gram entry g becomes the integer p^K g, so the pairing
-of two elements is an integer dot product mod p^K and no Fraction is made
-per element.
+The pairing of two elements is then an integer dot product mod N, so the
+element-level oracles (self-linking profiles, brute-force isomorphism,
+metabolizer search) make no Fraction per element.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .arith import ext_gcd, fmt_rational, p_part, parse_rational, qmodz
+from .arith import ext_gcd, fmt_rational, p_part
 from .errors import InvalidDataError
 from .seifert import SeifertData
 from .torsion import local_orders, unsupported_r1_pairing
@@ -41,18 +42,29 @@ from .torsion import local_orders, unsupported_r1_pairing
 class GramPairing:
     """A finite symmetric pairing: p-power generator orders plus Gram matrix.
 
-    Entries are Fractions in [0, 1) with p-power denominators; row/column
-    order follows ``labels``.
+    ``matrix[i][j]`` is N l(e_i, e_j) mod N, an integer in [0, N), where
+    N = ``modulus`` is the largest generator order; row/column order
+    follows ``labels``.
     """
 
     prime: int
     labels: tuple[str, ...]
     orders: tuple[int, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
         return len(self.orders)
+
+    @property
+    def modulus(self) -> int:
+        return max(self.orders, default=1)
+
+    @property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The pairing values l(e_i, e_j) as Fractions, a read-only view of ``matrix``."""
+        N = self.modulus
+        return tuple(tuple(Fraction(x, N) for x in row) for row in self.matrix)
 
     def group_order(self) -> int:
         return prod(self.orders) if self.orders else 1
@@ -67,20 +79,6 @@ class GramPairing:
             "orders": list(self.orders),
             "gram": [[fmt_rational(x) for x in row] for row in self.gram],
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "GramPairing":
-        try:
-            return cls(
-                prime=int(obj["prime"]),
-                labels=tuple(str(x) for x in obj["labels"]),
-                orders=tuple(int(x) for x in obj["orders"]),
-                gram=tuple(
-                    tuple(qmodz(parse_rational(x)) for x in row) for row in obj["gram"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidDataError(f"bad Gram pairing: {obj!r}") from exc
 
 
 def gram_matrix(S: SeifertData, p: int) -> GramPairing:
@@ -123,41 +121,18 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
         ak, bk = pairs[k]
         return Fraction(bk, ak)
 
-    gram = tuple(
-        tuple(p_part(raw_value(gi, gj), p) for gj in gens) for gi in gens
-    )
+    N = max((g[1] for g in gens), default=1)
     return GramPairing(
         p,
         tuple(g[0] for g in gens),
         tuple(g[1] for g in gens),
-        gram,
+        tuple(tuple(p_part(raw_value(gi, gj), p, N) for gj in gens) for gi in gens),
     )
 
 
 # ---------------------------------------------------------------------------
 # element-level evaluation (shared by the brute-force oracles), in integers
-# mod N = p^K: l(x, y) = (x^T A y mod N) / N with A = N * gram mod N
-
-
-def integer_gram(G: GramPairing) -> tuple[int, list[list[int]]]:
-    """(N, A) with N the largest generator order and A = N * gram mod N.
-
-    An entry g for which N*g is not an integer raises InvalidDataError; it
-    is never reduced.
-    """
-    N = max(G.orders, default=1)
-    A = []
-    for i, row in enumerate(G.gram):
-        out = []
-        for j, g in enumerate(row):
-            g = Fraction(g)
-            if (N * g.numerator) % g.denominator:
-                raise InvalidDataError(
-                    f"Gram entry ({i},{j}) = {g} is not a multiple of 1/{N}"
-                )
-            out.append(N * g.numerator // g.denominator % N)
-        A.append(out)
-    return N, A
+# mod N = G.modulus: l(x, y) = (x^T A y mod N) / N with A = G.matrix
 
 
 def elements(orders):
@@ -224,14 +199,14 @@ def image(A, y) -> list[int]:
 
 def eval_pair(G: GramPairing, x, y) -> Fraction:
     """Pairing of two elements given by generator coefficients."""
-    N, A = integer_gram(G)
-    return Fraction(dot(x, image(A, y)) % N, N)
+    N = G.modulus
+    return Fraction(dot(x, image(G.matrix, y)) % N, N)
 
 
 def self_link_profile(G: GramPairing) -> Counter:
     """Multiset of (element order, self-linking value); an isomorphism invariant."""
-    N, A = integer_gram(G)
-    counts = Counter((o, q) for _, o, q in element_table(N, A, G.orders))
+    N = G.modulus
+    counts = Counter((o, q) for _, o, q in element_table(N, G.matrix, G.orders))
     return Counter({(o, Fraction(q, N)): c for (o, q), c in counts.items()})
 
 
@@ -243,17 +218,18 @@ def welldefined_check(G: GramPairing) -> list[str]:
     by p.
     """
     problems = []
+    N, A = G.modulus, G.matrix
     r = G.rank
     for i in range(r):
         for j in range(r):
-            if G.gram[i][j] != G.gram[j][i]:
+            if A[i][j] != A[j][i]:
                 problems.append(f"gram not symmetric at ({i},{j})")
-            v = G.orders[i] * G.gram[i][j]
-            if v.denominator != 1:
+            if G.orders[i] * A[i][j] % N:
+                v = Fraction(G.orders[i] * A[i][j], N)
                 problems.append(
                     f"order {G.orders[i]} * entry ({i},{j}) = {v} is not an integer"
                 )
-            if not (0 <= G.gram[i][j] < 1):
+            if not (0 <= A[i][j] < N):
                 problems.append(f"entry ({i},{j}) not reduced to [0,1)")
     if problems:
         return problems

@@ -29,7 +29,6 @@ from .arith import (
     least_nonresidue,
     legendre,
     padic_val,
-    qmodz,
     square_class,
     square_class_name,
 )
@@ -40,7 +39,6 @@ from .linking import (
     element_table,
     gram_matrix,
     image,
-    integer_gram,
     span,
 )
 from .seifert import SeifertData, relevant_primes
@@ -206,27 +204,24 @@ class StandardForm:
 
 def standard_form_gram(sf: StandardForm, p: int) -> GramPairing:
     """Gram pairing of the p-part of a standard form."""
-    orders: list[int] = []
-    rows: list[list[Fraction]] = []
-
-    def extend(block_orders, block):
-        base = len(orders)
-        for row in rows:
-            row.extend([Fraction(0)] * len(block_orders))
-        for i, o in enumerate(block_orders):
-            row = [Fraction(0)] * base + [qmodz(x) for x in block[i]]
-            rows.append(row)
-            orders.append(o)
-
+    blocks = []  # (order q, block of q * pairing values)
     for a in sf.restrict(p).atoms:
         if isinstance(a, Cyc):
-            extend([a.p**a.k], [[Fraction(a.a, a.p**a.k)]])
+            blocks.append((a.p**a.k, [[a.a]]))
+        elif isinstance(a, E0):
+            blocks.append((2**a.k, [[0, 1], [1, 0]]))
         else:
-            q = 2**a.k
-            if isinstance(a, E0):
-                extend([q, q], [[Fraction(0), Fraction(1, q)], [Fraction(1, q), Fraction(0)]])
-            else:
-                extend([q, q], [[Fraction(2, q), Fraction(1, q)], [Fraction(1, q), Fraction(2, q)]])
+            blocks.append((2**a.k, [[2, 1], [1, 2]]))
+    N = max((q for q, _ in blocks), default=1)
+    orders: list[int] = []
+    rows: list[list[int]] = []
+    for q, block in blocks:
+        base = len(orders)
+        for row in rows:
+            row.extend([0] * len(block))
+        for brow in block:
+            rows.append([0] * base + [x * (N // q) % N for x in brow])
+            orders.append(q)
     labels = tuple(f"e{i + 1}" for i in range(len(orders)))
     return GramPairing(p, labels, tuple(orders), tuple(tuple(r) for r in rows))
 
@@ -284,11 +279,8 @@ class HomogeneousComponent:
 
     def gram(self) -> GramPairing:
         q = self.prime**self.k
-        rows = tuple(
-            tuple(Fraction(x % q, q) for x in row) for row in self.matrix
-        )
         labels = tuple(f"e{i + 1}" for i in range(self.rank))
-        return GramPairing(self.prime, labels, (q,) * self.rank, rows)
+        return GramPairing(self.prime, labels, (q,) * self.rank, self.matrix)
 
 
 def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
@@ -299,57 +291,45 @@ def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
     unit determinant mod p (else the pairing is singular and we raise), and
     the lower-order generators are corrected to be orthogonal to them.
     """
-    p = G.prime
+    p, N = G.prime, G.modulus
     idx = sorted(range(G.rank), key=lambda i: -G.orders[i])
     orders = [G.orders[i] for i in idx]
-    gram = [[G.gram[i][j] for j in idx] for i in idx]
+    W = [[G.matrix[i][j] % N for j in idx] for i in idx]  # N * values
     components: list[HomogeneousComponent] = []
     while orders:
         q = orders[0]
-        K = padic_val(q, p)
+        s = N // q  # a value is a multiple of 1/q iff its entry is one of s
         top = [i for i, o in enumerate(orders) if o == q]
         rest = [i for i, o in enumerate(orders) if o != q]
-        A = []
-        for i in top:
-            row = []
-            for j in top:
-                v = gram[i][j] * q
-                if v.denominator != 1:
-                    raise InvalidDataError("pairing value incompatible with orders")
-                row.append(v.numerator % q)
-            A.append(row)
+        if any(W[i][j] % s for i in top for j in top):
+            raise InvalidDataError("pairing value incompatible with orders")
+        A = [[W[i][j] // s for j in top] for i in top]
         if _int_det(A) % p == 0:
             raise InvalidDataError(
                 f"singular pairing: top block at exponent {q} has determinant "
                 f"divisible by {p}"
             )
         components.append(
-            HomogeneousComponent(p, K, len(top), tuple(tuple(r) for r in A))
+            HomogeneousComponent(p, padic_val(q, p), len(top), tuple(map(tuple, A)))
         )
         if not rest:
             break
-        B = []
-        for l in rest:
-            col = []
-            for i in top:
-                v = gram[l][i] * q
-                assert v.denominator == 1
-                col.append(v.numerator % q)
-            B.append(col)
+        assert not any(W[l][i] % s for l in rest for i in top)
+        B = [[W[l][i] // s for i in top] for l in rest]
         coeffs = _solve_mod(A, B, q, p)
-        new_gram = []
+        new_W = []
         for a, l in enumerate(rest):
             row = []
             for b, m in enumerate(rest):
-                v = gram[l][m]
+                v = W[l][m]
                 for t_pos, t in enumerate(top):
-                    v -= coeffs[b][t_pos] * gram[l][t]
-                    v -= coeffs[a][t_pos] * gram[t][m]
+                    v -= coeffs[b][t_pos] * W[l][t]
+                    v -= coeffs[a][t_pos] * W[t][m]
                 for t_pos, t in enumerate(top):
-                    for s_pos, s in enumerate(top):
-                        v += coeffs[a][t_pos] * coeffs[b][s_pos] * gram[t][s]
-                row.append(qmodz(v))
-            new_gram.append(row)
+                    for s_pos, u in enumerate(top):
+                        v += coeffs[a][t_pos] * coeffs[b][s_pos] * W[t][u]
+                row.append(v % N)
+            new_W.append(row)
         # corrected generators keep their order: coefficients are divisible
         # by q / order_l, so this is a genuine basis change
         for a, l in enumerate(rest):
@@ -357,7 +337,7 @@ def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
                 if coeffs[a][t_pos] % (q // orders[l]) != 0:
                     raise InvalidDataError("orthogonalization broke generator orders")
         orders = [orders[l] for l in rest]
-        gram = new_gram
+        W = new_W
     return components
 
 
@@ -782,8 +762,9 @@ def brute_force_isomorphic(
     equal order, preserving all pairing values; a complete assignment that
     generates G2 is an isomorphism.  Returns (found, witness) where the
     witness maps generator labels of G1 to coefficient tuples in G2.
-    Pairing values are compared as integers mod N (``integer_gram``), each
-    check one dot product with the precomputed A2 z of an assigned image z.
+    Pairing values are compared as integers mod N (``GramPairing.matrix``),
+    each check one dot product with the precomputed A2 z of an assigned
+    image z.
     """
     if sorted(G1.orders) != sorted(G2.orders):
         return False, None
@@ -792,8 +773,7 @@ def brute_force_isomorphic(
         raise SearchBoundExceeded(
             f"group order {size} exceeds the brute-force bound {bound}"
         )
-    N, A1 = integer_gram(G1)
-    _, A2 = integer_gram(G2)
+    N, A1, A2 = G1.modulus, G1.matrix, G2.matrix
     table = element_table(N, A2, G2.orders)
     profile = Counter((o, q) for _, o, q in element_table(N, A1, G1.orders))
     if Counter((o, q) for _, o, q in table) != profile:
@@ -851,20 +831,10 @@ def shuffle_basis(G: GramPairing, rng: random.Random, steps: int = 12) -> GramPa
         if G.orders[j] > G.orders[i]:
             c *= G.orders[j] // G.orders[i]
         T[i] = [x + c * y for x, y in zip(T[i], T[j])]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = Fraction(0)
-            for a in range(n):
-                if not T[i][a]:
-                    continue
-                for b in range(n):
-                    if T[j][b]:
-                        v += T[i][a] * T[j][b] * G.gram[a][b]
-            row.append(qmodz(v))
-        rows.append(tuple(row))
-    return GramPairing(G.prime, G.labels, G.orders, tuple(rows))
+    # new entry (i, j) = T_i . A T_j mod N
+    images = [image(G.matrix, t) for t in T]
+    rows = tuple(tuple(dot(t, y) % G.modulus for y in images) for t in T)
+    return GramPairing(G.prime, G.labels, G.orders, rows)
 
 
 # ---------------------------------------------------------------------------

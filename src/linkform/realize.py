@@ -39,7 +39,6 @@ from .pairing import (
     Cyc,
     StandardForm,
     canonical_form,
-    classify,
     is_isomorphic,
     standard_form_of,
 )
@@ -591,16 +590,6 @@ def even_component_criterion(S: SeifertData) -> bool:
         return False
     x = Fraction(evens[0]) * local.eps
     return x == 0 or padic_val(x, 2) == 0
-
-
-def even_component_report(S: SeifertData) -> dict:
-    """Criterion vs. actual classification; flags disagreements."""
-    crit = even_component_criterion(S)
-    has_even = False
-    if S.r >= 2:
-        rep = classify(gram_matrix(S, 2))
-        has_even = any(c.parity == "even" for c in rep.components)
-    return {"criterion": crit, "classified_even": has_even, "agree": crit == has_even}
 
 
 def exhaustive_search(

@@ -107,11 +107,6 @@ def fibre_sum(S: SeifertData, T: SeifertData) -> SeifertData:
     return SeifertData(S.genus + T.genus, S.pairs + T.pairs)
 
 
-def r_p(S: SeifertData, p: int) -> int:
-    """Number of cone point orders divisible by p."""
-    return sum(1 for a, _ in S.pairs if a % p == 0)
-
-
 def relevant_primes(S: SeifertData) -> tuple[int, ...]:
     """Primes at which the torsion of H_1(M(g;S)) can be nontrivial.
 

@@ -15,8 +15,9 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
+from .arith import factorize
 from .errors import LinkformError
 from .linking import gram_matrix
 from .pairing import (
@@ -74,12 +75,6 @@ def _rand_unit(rng: random.Random, p: int, bound: int) -> int:
             return b
 
 
-def _prime_support(n: int) -> tuple[int, ...]:
-    from .arith import factorize
-
-    return tuple(factorize(n))
-
-
 def _coprime_padding(rng: random.Random, avoid: set[int]) -> tuple[tuple[int, int], ...]:
     """A pair of cone points with eps-contribution 0 and trivial torsion."""
     choices = [m for m in (3, 5, 7, 11) if m not in avoid]
@@ -127,15 +122,11 @@ def rand_sphere_homogeneous(
             # a larger first cone order; homogeneity is then automatic since
             # the leading numerator stays a p-unit
             alphas[0] = p ** (k + 1)
-        if euler_invariant_ok(alphas, betas) and all(
+        if sum(Fraction(b, a) for a, b in zip(alphas, betas)) != 0 and all(
             gcd(a, b) == 1 for a, b in zip(alphas, betas)
         ):
             pairs = tuple(zip(alphas, betas))
             return SeifertData(0, pairs + _coprime_padding(rng, {p}))
-
-
-def euler_invariant_ok(alphas, betas) -> bool:
-    return sum(Fraction(b, a) for a, b in zip(alphas, betas)) != 0
 
 
 def rand_seifert(rng: random.Random, cfg: RunConfig) -> SeifertData:
@@ -264,7 +255,7 @@ def suite_lemma1(cfg: RunConfig) -> dict:
         p, q = rng.sample([2, 3, 5, 7], 2)
         A = rand_flat_homogeneous(rng, p, kmax=2, rpmax=5, avoid={q})
         B = rand_flat_homogeneous(rng, q, kmax=2, rpmax=5, avoid=set(
-            pr for a, _ in A.pairs for pr in _prime_support(a)
+            pr for a, _ in A.pairs for pr in factorize(a)
         ))
         C = fibre_sum(A, B)
         if euler_invariant(C) != 0:

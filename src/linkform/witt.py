@@ -23,7 +23,7 @@ from math import isqrt
 
 from .arith import as_fraction, factorize, legendre
 from .errors import InvalidDataError, SearchBoundExceeded
-from .linking import GramPairing, dot, element_table, image, integer_gram, span
+from .linking import GramPairing, dot, element_table, image, span
 from .pairing import Cyc, StandardForm
 from .seifert import SeifertData, euler_invariant
 
@@ -195,7 +195,7 @@ def metabolic_oracle(G: GramPairing, *, bound: int = 2**16):
         raise SearchBoundExceeded(f"group order {size} exceeds {bound}")
     if size == 1:
         return True, []
-    N, A = integer_gram(G)
+    N, A = G.modulus, G.matrix
     pool = [x for x, _, q in element_table(N, A, G.orders) if any(x) and not q]
 
     def extend(gens, paired, sub, start):

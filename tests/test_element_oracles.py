@@ -13,13 +13,12 @@ from math import gcd, isqrt, lcm
 import pytest
 
 from linkform import verify
+from linkform.arith import p_part
 from linkform.errors import InvalidDataError
 from linkform.linking import (
-    GramPairing,
     elements,
     eval_pair,
     gram_matrix,
-    integer_gram,
     self_link_profile,
 )
 from linkform.pairing import brute_force_isomorphic, shuffle_basis
@@ -215,24 +214,14 @@ def test_metabolizers_match_the_fraction_reference_on_witt_forms(monkeypatch):
 
 
 def test_entry_off_the_one_over_n_grid_is_refused():
-    # N = 2, but the entry 1/4 is not a multiple of 1/2: never reduced
-    G = GramPairing(
-        2,
-        ("e1", "e2"),
-        (2, 2),
-        ((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(0))),
-    )
-    for check in (
-        integer_gram,
-        self_link_profile,
-        lambda G: eval_pair(G, (1, 0), (1, 0)),
-        lambda G: brute_force_isomorphic(G, G),
-        metabolic_oracle,
-    ):
-        with pytest.raises(InvalidDataError, match="not a multiple of 1/2"):
-            check(G)
+    # a value whose p-part has order above N is refused, never reduced
+    for x, p, N in ((Fraction(1, 4), 2, 2), (Fraction(5, 18), 3, 3), (Fraction(7, 24), 2, 4)):
+        with pytest.raises(InvalidDataError, match=f"not a multiple of 1/{N}"):
+            p_part(x, p, N)
+    assert p_part(Fraction(7, 24), 2, 8) == 5  # 7/24 = 5/8 + 2/3 mod 1
 
 
-def test_integer_gram_scales_by_the_largest_order():
+def test_gram_matrix_scales_by_the_largest_order():
     G = gram_matrix(seifert((2, 1), (2, 1), (2, 1), (2, -1)), 2)  # Nil
-    assert integer_gram(G) == (4, [[0, 2, 2], [2, 0, 2], [2, 2, 3]])
+    assert G.modulus == 4
+    assert G.matrix == ((0, 2, 2), (2, 0, 2), (2, 2, 3))

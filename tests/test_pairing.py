@@ -66,11 +66,9 @@ def test_block_diagonalize_already_orthogonal():
 
 
 def test_block_diagonalize_rejects_singular():
-    from fractions import Fraction
-
     from linkform.linking import GramPairing
 
-    bad = GramPairing(2, ("x",), (2,), ((Fraction(0),),))
+    bad = GramPairing(2, ("x",), (2,), ((0,),))
     with pytest.raises(InvalidDataError):
         block_diagonalize(bad)
 
@@ -90,6 +88,116 @@ def test_block_diagonalize_preserves_class_under_scramble():
                 H = shuffle_basis(G, rng)
                 got = classify(H).standard_form
                 assert is_isomorphic(got, form.restrict(p)), (form, p)
+
+
+def ref_block_diagonalize(p, orders, gram):
+    """block_diagonalize on Fraction Gram entries, as it was before the
+    pairing values were stored as integers; returns [(k, rank, matrix)]."""
+    from linkform.arith import padic_val
+    from linkform.pairing import _int_det, _solve_mod
+
+    idx = sorted(range(len(orders)), key=lambda i: -orders[i])
+    orders = [orders[i] for i in idx]
+    gram = [[gram[i][j] for j in idx] for i in idx]
+    components = []
+    while orders:
+        q = orders[0]
+        top = [i for i, o in enumerate(orders) if o == q]
+        rest = [i for i, o in enumerate(orders) if o != q]
+        A = []
+        for i in top:
+            row = []
+            for j in top:
+                v = gram[i][j] * q
+                if v.denominator != 1:
+                    raise InvalidDataError("pairing value incompatible with orders")
+                row.append(v.numerator % q)
+            A.append(row)
+        if _int_det(A) % p == 0:
+            raise InvalidDataError("singular pairing")
+        components.append((padic_val(q, p), len(top), tuple(map(tuple, A))))
+        if not rest:
+            break
+        B = []
+        for l in rest:
+            col = []
+            for i in top:
+                v = gram[l][i] * q
+                assert v.denominator == 1
+                col.append(v.numerator % q)
+            B.append(col)
+        coeffs = _solve_mod(A, B, q, p)
+        new_gram = []
+        for a, l in enumerate(rest):
+            row = []
+            for b, m in enumerate(rest):
+                v = gram[l][m]
+                for t_pos, t in enumerate(top):
+                    v -= coeffs[b][t_pos] * gram[l][t]
+                    v -= coeffs[a][t_pos] * gram[t][m]
+                for t_pos, t in enumerate(top):
+                    for s_pos, s in enumerate(top):
+                        v += coeffs[a][t_pos] * coeffs[b][s_pos] * gram[t][s]
+                row.append(v % 1)
+            new_gram.append(row)
+        for a, l in enumerate(rest):
+            for t_pos in range(len(top)):
+                if coeffs[a][t_pos] % (q // orders[l]) != 0:
+                    raise InvalidDataError("orthogonalization broke generator orders")
+        orders = [orders[l] for l in rest]
+        gram = new_gram
+    return components
+
+
+def _random_atom(rng, p):
+    k = rng.randint(1, 3)
+    kind = rng.choice(["cyc", "cyc", "E0", "E1"]) if p == 2 else "cyc"
+    if kind == "E0":
+        return E0(k)
+    if kind == "E1":
+        return E1(max(k, 2))
+    return Cyc.make(p, k, rng.choice([a for a in range(1, p**k) if a % p]))
+
+
+def test_block_diagonalize_matches_the_fraction_reference():
+    # random symmetric pairings (mostly singular) and basis-shuffled
+    # standard forms (nonsingular, with mixed orders to orthogonalize)
+    from fractions import Fraction
+
+    from linkform.linking import GramPairing
+
+    rng = random.Random(4242)
+    seen = {"singular": 0, "nonsingular": 0, "mixed": 0}
+    for n in range(240):
+        p = rng.choice([2, 3, 5])
+        if n % 2:
+            form = sf(*(_random_atom(rng, p) for _ in range(rng.randint(1, 3))))
+            G = shuffle_basis(standard_form_gram(form, p), rng)
+            gram = G.gram
+        else:
+            ks = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+            r, N = len(ks), p ** max(ks)
+            gram = [[Fraction(0)] * r for _ in range(r)]
+            for i in range(r):
+                for j in range(i, r):
+                    q = p ** min(ks[i], ks[j])
+                    gram[i][j] = gram[j][i] = Fraction(rng.randrange(q), q)
+            matrix = tuple(tuple(int(v * N) for v in row) for row in gram)
+            labels = tuple(f"e{i + 1}" for i in range(r))
+            G = GramPairing(p, labels, tuple(p**k for k in ks), matrix)
+            assert G.gram == tuple(map(tuple, gram))
+        try:
+            want = ref_block_diagonalize(p, G.orders, gram)
+        except InvalidDataError:
+            want = None
+        try:
+            got = [(C.k, C.rank, C.matrix) for C in block_diagonalize(G)]
+        except InvalidDataError:
+            got = None
+        assert got == want, G
+        seen["singular" if want is None else "nonsingular"] += 1
+        seen["mixed"] += want is not None and len(want) > 1
+    assert min(seen.values()) >= 30, seen
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +606,11 @@ def _assert_isometry(f, g, images):
     isomorphism: orders are respected and every pairing value is kept.  A
     map that keeps a nonsingular pairing is injective, and the groups have
     equal order, so it is bijective."""
-    from linkform.linking import element_table, eval_pair, integer_gram
+    from linkform.linking import element_table, eval_pair
 
     G, H = standard_form_gram(f, 2), standard_form_gram(g, 2)
     assert sorted(G.orders) == sorted(H.orders)
-    order = {x: o for x, o, _ in element_table(*integer_gram(H), H.orders)}
+    order = {x: o for x, o, _ in element_table(H.modulus, H.matrix, H.orders)}
     for i, y in enumerate(images):
         assert G.orders[i] % order[tuple(y)] == 0
         for j, z in enumerate(images):

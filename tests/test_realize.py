@@ -16,12 +16,12 @@ from linkform.pairing import (
     E1,
     StandardForm,
     brute_force_isomorphic,
+    classify,
     standard_form_gram,
     standard_form_of,
 )
 from linkform.realize import (
     even_component_criterion,
-    even_component_report,
     exhaustive_search,
     realize,
     realize_mixed,
@@ -391,10 +391,10 @@ def test_even_component_criterion_examples():
     )
     assert not even_component_criterion(seifert((4, 1), (4, 1), (4, 1), (4, 1)))
     # the quarter-turn Nil space: criterion false yet an even component exists
-    rep = even_component_report(seifert((2, 1), (2, 1), (2, 1), (2, -1)))
-    assert rep["criterion"] is False
-    assert rep["classified_even"] is True
-    assert rep["agree"] is False
+    nil = seifert((2, 1), (2, 1), (2, 1), (2, -1))
+    assert not even_component_criterion(nil)
+    parities = [c.parity for c in classify(gram_matrix(nil, 2)).components]
+    assert parities == ["odd", "even"]
 
 
 def test_exhaustive_search_trivial_target():

@@ -15,7 +15,6 @@ from linkform.seifert import (
     SeifertData,
     euler_invariant,
     fibre_sum,
-    r_p,
     relevant_primes,
     reorder_at_prime,
     seifert,
@@ -129,18 +128,6 @@ def test_reorder_idempotent_and_multiset(S, p):
     assert S1 == S2
     assert perm == tuple(range(S.r))
     assert sorted(S1.pairs) == sorted(S.pairs)
-
-
-def test_r_p_examples():
-    S = seifert((2, 1), (2, 1), (2, 1), (2, -1))
-    assert r_p(S, 2) == 4
-    assert r_p(S, 3) == 0
-    assert r_p(seifert((9, 7), (3, -1), (3, -1)), 3) == 3
-
-
-@given(valid_seifert(), valid_seifert(), st.sampled_from([2, 3, 5]))
-def test_r_p_additive(A, B, p):
-    assert r_p(fibre_sum(A, B), p) == r_p(A, p) + r_p(B, p)
 
 
 def test_relevant_primes_sees_euler_numerator():
