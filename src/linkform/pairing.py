@@ -39,7 +39,6 @@ from .linking import (
     element_table,
     gram_matrix,
     image,
-    span,
 )
 from .seifert import SeifertData, relevant_primes
 from .torsion import local_orders
@@ -760,8 +759,11 @@ def brute_force_isomorphic(
 
     Backtracks over images of the generators of G1 among elements of G2 of
     equal order, preserving all pairing values; a complete assignment that
-    generates G2 is an isomorphism.  Returns (found, witness) where the
-    witness maps generator labels of G1 to coefficient tuples in G2.
+    generates G2 is an isomorphism.  By Burnside's basis theorem the images
+    generate the p-group G2 iff they span G2/pG2: iff their nonzero rows, on
+    the coordinates of order > 1, have a determinant prime to p.  Returns
+    (found, witness), the witness mapping generator labels of G1 to
+    coefficient tuples in G2.
     Pairing values are compared as integers mod N (``GramPairing.matrix``),
     each check one dot product with the precomputed A2 z of an assigned
     image z.
@@ -784,12 +786,14 @@ def brute_force_isomorphic(
         for i in range(G1.rank)
     ]
 
+    keep = [j for j, n in enumerate(G2.orders) if n > 1]
     assignment: list[tuple[int, ...]] = []
     paired: list[list[int]] = []  # A2 z for each assigned image z
 
     def extend(i: int):
         if i == G1.rank:
-            return len(span(assignment, G2.orders)) == size
+            rows = [[y[j] for j in keep] for y in assignment if any(y)]
+            return _int_det(rows) % G2.prime != 0
         want = A1[i]
         for y in cands[i]:
             if any(dot(y, paired[j]) % N != want[j] for j in range(i)):

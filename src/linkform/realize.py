@@ -28,12 +28,13 @@ M(0;(2,1),(2,1),(2,1),(2,-1)).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .arith import least_nonresidue, legendre, padic_val
-from .errors import UnrealizableError, UnsupportedError, VerificationError
+from .arith import factorize, least_nonresidue, legendre, padic_val
+from .errors import InvalidDataError, UnrealizableError, UnsupportedError, VerificationError
 from .linking import gram_matrix
 from .pairing import (
     Cyc,
@@ -42,7 +43,7 @@ from .pairing import (
     is_isomorphic,
     standard_form_of,
 )
-from .seifert import SeifertData, euler_invariant, fibre_sum, relevant_primes
+from .seifert import SeifertData, euler_invariant, fibre_sum
 from .torsion import local_orders
 
 
@@ -603,56 +604,95 @@ def exhaustive_search(
 ) -> list[SeifertData]:
     """All Seifert data within bounds whose pairing is isomorphic to target.
 
-    Candidates are multisets of pairs (deterministic enumeration, so the
-    result is closed under pair permutation up to the sorted
-    representative).  r = 1 candidates are only reported for the trivial
-    target, since cyclic lens-space pairings are not computed by this
-    pipeline.
+    Candidates are multisets of pairs from the pool of admissible (a, b),
+    listed by r, then lexicographically by pool position (a repeated alpha
+    repeats its pairs), so the result is closed under pair permutation up to
+    the sorted representative.  r = 1 candidates are only reported for the
+    trivial target: lens-space pairings are not computed by this pipeline.
 
-    Before any exact work, a candidate is rejected by its torsion order.
-    The presentation matrix has determinant +-N with
-    N = sum_i b_i prod_{j != i} a_j = -(prod_i a_i) eps, so when eps != 0
-    the torsion of H_1 has order |N|, and a realization needs |N| to equal
-    the order of the target.  Candidates with N = 0 (eps = 0, free rank 1)
-    always go on to the exact check: local orders per relevant prime, then
-    verify_realization.
+    The enumeration is depth-first; a node carries A = prod a_i and
+    D = sum_i b_i prod_{j != i} a_j = -A eps, and appending (a, b) gives
+    (A a, D a + b A).  Three integer prunes run before any exact work:
+
+      * torsion order: for D != 0 the torsion of H_1 has order |D|, which
+        must be the target's order |T|; D = 0 (eps = 0) passes.
+      * per prime p (of an alpha or of the target): local_orders makes
+        each nonzero v_p(a_i) outside the two largest a summand Z/p^v, plus
+        Z/p^s with s = v_p(D) - (their sum) when D != 0.  Appending a pair
+        only adds to that rest, so a node whose rest is not a sub-multiset
+        of the target's p-exponents is cut with its subtree.  A leaf passes
+        iff its rest lacks none of them (D = 0) or at most one, which
+        v_p(D) = v_p(|T|) then supplies (D = +-|T|).
+      * the last beta is solved, not scanned: D a + b A in {0, +-|T|}
+        leaves at most three b per alpha.
+
+    Only survivors become SeifertData, and verify_realization decides each.
     """
     if alphas is None:
         if max_alpha is None:
             raise UnsupportedError("need alphas or max_alpha")
         alphas = range(2, max_alpha + 1)
-    pool = [
-        (a, b)
-        for a in sorted(alphas)
-        for b in range(-max_beta, max_beta + 1)
-        if b != 0 and gcd(a, b) == 1
-    ]
-    want_structure = {
-        p: target.restrict(p).group_structure() for p in target.primes()
-    }
-    want_order = prod(p**k for gs in want_structure.values() for p, k in gs)
-    results = []
-    for r in range(1, max_r + 1):
-        for combo in itertools.combinations_with_replacement(pool, r):
-            if r == 1:
-                S = SeifertData(genus, combo)
-                if not target.atoms and abs(combo[0][1]) == 1:
-                    results.append(S)
+    alphas = sorted(alphas)
+    if max_r < 1 or max_beta < 1 or not alphas or alphas[0] < 2:
+        raise InvalidDataError(
+            "search bounds need max_r >= 1, max_beta >= 1 and alphas, all >= 2 "
+            f"(got max_r={max_r}, max_beta={max_beta}, alphas={alphas})"
+        )
+    want = {p: [k for _, k in target.restrict(p).group_structure()] for p in target.primes()}
+    order = prod(p**k for p, ks in want.items() for k in ks)
+    primes = sorted(set(want).union(*map(factorize, alphas)))
+    wants = [Counter(want.get(p, ())) for p in primes]
+    pool, blocks = [], []
+    for a in alphas:
+        betas = [b for b in range(-max_beta, max_beta + 1) if b and gcd(a, b) == 1]
+        where = {b: len(pool) + i for i, b in enumerate(betas)}
+        vals = [(i, padic_val(a, p)) for i, p in enumerate(primes) if a % p == 0]
+        blocks.append((a, len(pool), len(pool) + len(betas), where, vals))
+        pool += [(a, b) for b in betas]
+    results = [[] for _ in range(max_r + 1)]
+    path, memo = [], {}
+
+    def extend(levels, vals):
+        # levels[i]: the sorted nonzero v_p(a_j) at primes[i]
+        child = list(levels)
+        for i, v in vals:
+            child[i] = tuple(sorted(child[i] + (v,)))
+            if not Counter(child[i][:-2]) <= wants[i]:
+                return None
+        gaps = [w.total() - len(vs[:-2]) for w, vs in zip(wants, child)]
+        # sums: the values of D at which a leaf passes
+        sums = (-order, 0, order) if not any(gaps) else (-order, order)
+        return tuple(child), sums if max(gaps) < 2 else ()
+
+    def grow(depth, first, A, D, levels):
+        for k, (a, lo, hi, where, vals) in enumerate(blocks):
+            if hi <= first:
                 continue
-            alpha = prod(a for a, _ in combo)
-            det = sum(b * (alpha // a) for a, b in combo)
-            if det and abs(det) != want_order:
+            if (levels, k) not in memo:
+                memo[levels, k] = extend(levels, vals)
+            if memo[levels, k] is None:
                 continue
-            S = SeifertData(genus, combo)
-            primes = relevant_primes(S)
-            if any(
-                tuple(sorted((p, padic_val(n, p)) for _, n in local_orders(S, p).orders))
-                != want_structure.get(p, ())
-                for p in primes
-            ):
-                continue
-            if any(p not in primes and want_structure[p] for p in target.primes()):
-                continue
-            if verify_realization(S, target):
-                results.append(S)
-    return results
+            child, sums = memo[levels, k]
+            n = D * a
+            if depth + 1 == max_r > 1:  # solve D a + b A in sums for b
+                js = [where.get(q) for t in sums for q, m in [divmod(t - n, A)] if not m]
+                js = [j for j in js if j is not None and j >= first]
+            else:
+                js = range(max(lo, first), hi)
+            for j in js:
+                b = pool[j][1]
+                d = n + b * A
+                path.append(pool[j])
+                if depth == 0:
+                    if not target.atoms and abs(b) == 1:
+                        results[1].append(SeifertData(genus, tuple(path)))
+                elif d in sums:
+                    S = SeifertData(genus, tuple(path))
+                    if verify_realization(S, target):
+                        results[depth + 1].append(S)
+                if depth + 1 < max_r:
+                    grow(depth + 1, j, A * a, d, child)
+                path.pop()
+
+    grow(0, 0, 1, 0, ((),) * len(primes))
+    return [S for hits in results for S in hits]

@@ -16,6 +16,7 @@ from linkform import verify
 from linkform.arith import p_part
 from linkform.errors import InvalidDataError
 from linkform.linking import (
+    GramPairing,
     elements,
     eval_pair,
     gram_matrix,
@@ -180,6 +181,36 @@ def test_brute_force_matches_the_fraction_reference_on_random_pairings():
     for (G, H), (G2, _) in zip(pairs, pairs[1:] + pairs[:1]):
         assert brute_force_isomorphic(G, H) == ref_brute_force_isomorphic(G, H)
         assert brute_force_isomorphic(G, G2) == ref_brute_force_isomorphic(G, G2)
+
+
+def _random_degenerate_pairing(rng):
+    """A random symmetric pairing on a 2-group of order <= 2^6 or a 3-group
+    of order <= 3^4, mostly singular (the only inputs on which a complete
+    value-preserving assignment can fail to generate), some generators of
+    order 1."""
+    p = rng.choice([2, 3])
+    ks = [rng.randint(0, 2) for _ in range(rng.randint(1, 3 if p == 2 else 2))]
+    N = p ** max(ks)
+    matrix = [[0] * len(ks) for _ in ks]
+    for i, ki in enumerate(ks):
+        for j in range(i, len(ks)):
+            q = p ** min(ki, ks[j])
+            matrix[i][j] = matrix[j][i] = rng.randrange(q) * (N // q)
+    labels = tuple(f"e{i + 1}" for i in range(len(ks)))
+    return GramPairing(p, labels, tuple(p**k for k in ks), tuple(map(tuple, matrix)))
+
+
+def test_brute_force_generation_test_matches_the_closure_on_degenerate_pairings():
+    # the determinant test mod p (Burnside) decides generation like the closure
+    rng = random.Random(64)
+    verdicts = Counter()
+    for _ in range(200):
+        G = _random_degenerate_pairing(rng)
+        for H in (shuffle_basis(G, rng), _random_degenerate_pairing(rng)):
+            got = brute_force_isomorphic(G, H)
+            assert got == ref_brute_force_isomorphic(G, H), (G, H)
+            verdicts[got[0], 1 in G.orders] += 1
+    assert min(verdicts.values()) >= 10, verdicts
 
 
 @pytest.mark.parametrize("suite", ["thm7", "lemma1"])

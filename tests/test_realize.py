@@ -8,7 +8,7 @@ from math import comb, gcd
 import pytest
 
 from linkform.arith import padic_val
-from linkform.errors import UnrealizableError, UnsupportedError
+from linkform.errors import InvalidDataError, UnrealizableError, UnsupportedError
 from linkform.linking import gram_matrix
 from linkform.pairing import (
     Cyc,
@@ -30,7 +30,7 @@ from linkform.realize import (
     realize_two,
     verify_realization,
 )
-from linkform.seifert import SeifertData, euler_invariant, seifert
+from linkform.seifert import SeifertData, euler_invariant, relevant_primes, seifert
 from linkform.torsion import local_orders
 from linkform.verify import RunConfig, run_suite
 
@@ -418,12 +418,13 @@ def test_verify_realization_rejects_extra_torsion():
 
 
 # ---------------------------------------------------------------------------
-# the torsion-order prefilter of exhaustive_search
+# the integer prunes of exhaustive_search
 
 
-def _unfiltered_search(target, *, max_r, alphas, max_beta):
-    """exhaustive_search without its torsion-order prefilter: every r >= 2
-    candidate goes through the local-order check and verify_realization."""
+def _unfiltered_search(target, *, max_r, alphas, max_beta, genus=0):
+    """exhaustive_search without its integer prunes: every r >= 2 candidate
+    of combinations_with_replacement goes through the local-order check and
+    verify_realization."""
     pool = [
         (a, b)
         for a in sorted(alphas)
@@ -434,12 +435,12 @@ def _unfiltered_search(target, *, max_r, alphas, max_beta):
     results = []
     for r in range(1, max_r + 1):
         for combo in itertools.combinations_with_replacement(pool, r):
-            S = SeifertData(0, combo)
+            S = SeifertData(genus, combo)
             if r == 1:
                 if not target.atoms and abs(combo[0][1]) == 1:
                     results.append(S)
                 continue
-            primes = realize_module.relevant_primes(S)
+            primes = relevant_primes(S)
             if any(
                 tuple(sorted((p, padic_val(n, p)) for _, n in local_orders(S, p).orders))
                 != want.get(p, ())
@@ -471,12 +472,71 @@ def test_exhaustive_search_equals_unfiltered_reference(name):
     hits = exhaustive_search(target, **bounds)
     assert hits == _unfiltered_search(target, **bounds)
     if name == "trivial":
-        # an eps = 0 hit: N = 0, so it must pass the prefilter untouched
+        # an eps = 0 hit: D = 0, so it must pass the torsion-order prune
         assert SeifertData(0, ((2, -1), (2, 1))) in hits
     if name == "rank-4 2-group":
         assert len(target.group_structure()) == 4
     if name != "even-even":
         assert hits
+
+
+def test_exhaustive_search_matches_reference_on_random_bounds(monkeypatch):
+    # unsorted and repeated alphas, both genera, r = 1..4; targets are the
+    # trivial form or the pairing of data drawn inside the bounds, a third
+    # of it flat (pairs and their negations), so eps = 0 hits occur.  Equal
+    # verify_realization counts mean the integer leaf test passes exactly
+    # the candidates whose local orders match the target's.
+    verify_calls = _counting(monkeypatch, "verify_realization")
+    rng = random.Random(10)
+    flat_hits = seen = 0
+    for case in range(320):
+        alphas = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(rng.randint(1, 4))]
+        max_r = 1 + case % 4
+        bounds = {
+            "max_r": max_r,
+            "alphas": tuple(alphas),
+            "max_beta": rng.randint(1, 3 if max_r < 4 else 2),
+            "genus": rng.randint(0, 1),
+        }
+        pool = [
+            (a, b)
+            for a in alphas
+            for b in range(-bounds["max_beta"], bounds["max_beta"] + 1)
+            if b and gcd(a, b) == 1
+        ]
+        if case % 10 == 0:
+            target = StandardForm.empty()
+        elif case % 3 == 0:
+            half = [rng.choice(pool) for _ in range(max(1, max_r // 2))]
+            target = standard_form_of(seifert(*half, *((a, -b) for a, b in half)))
+        else:
+            target = standard_form_of(seifert(*rng.choices(pool, k=max(2, max_r))))
+        verify_calls[0] = 0
+        hits = exhaustive_search(target, **bounds)
+        checked = verify_calls[0]
+        verify_calls[0] = 0
+        assert hits == _unfiltered_search(target, **bounds), (target.to_json(), bounds)
+        assert checked == verify_calls[0], (target.to_json(), bounds)
+        seen += len(hits)
+        flat_hits += sum(S.eps == 0 for S in hits if S.r > 1)
+    assert flat_hits > 100 and seen > flat_hits
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"max_r": 0, "alphas": (2,), "max_beta": 1},
+        {"max_r": 2, "alphas": (2,), "max_beta": 0},
+        {"max_r": 2, "alphas": (0, 2), "max_beta": 1},
+        {"max_r": 2, "alphas": (1, 2), "max_beta": 1},
+        {"max_r": 2, "alphas": (-2, 2), "max_beta": 1},
+        {"max_r": 2, "max_alpha": 1, "max_beta": 1},
+    ],
+)
+def test_exhaustive_search_rejects_bad_bounds(bounds):
+    # refused up front, not answered by an empty list or a late failure
+    with pytest.raises(InvalidDataError, match="search bounds"):
+        exhaustive_search(StandardForm.empty(), **bounds)
 
 
 def _counting(monkeypatch, name):
@@ -491,26 +551,26 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_exhaustive_search_prefilter_work_guard(monkeypatch):
+def test_exhaustive_search_work_guard(monkeypatch):
     # the benchmark's `wide` bounds; counts, unlike times, do not depend on the host
     target = sf(Cyc.make(2, 2, 3), E0(1))
     bounds = {"max_r": 4, "alphas": range(2, 5), "max_beta": 7}
     betas = range(-bounds["max_beta"], bounds["max_beta"] + 1)
     pool = sum(1 for a in bounds["alphas"] for b in betas if b and gcd(a, b) == 1)
     candidates = sum(comb(pool + r - 1, r) for r in range(1, bounds["max_r"] + 1))
-    primes_calls = _counting(monkeypatch, "relevant_primes")
     verify_calls = _counting(monkeypatch, "verify_realization")
     reference = _unfiltered_search(target, **bounds)
     reference_verify = verify_calls[0]
-    primes_calls[0] = verify_calls[0] = 0
+    verify_calls[0] = 0
+    builds = _counting(monkeypatch, "SeifertData")
     assert exhaustive_search(target, **bounds) == reference
-    assert primes_calls[0] <= candidates / 10
-    assert verify_calls[0] == reference_verify
+    assert builds[0] == verify_calls[0] == reference_verify
+    assert builds[0] <= candidates / 100
 
 
 def test_nonrealizable_search_to_r6():
     # criterion 9 one cone point further: about 590k candidates, within reach
-    # since exhaustive_search rejects by torsion order before any exact work
+    # since exhaustive_search prunes by integer invariants before any exact work
     rep = run_suite(
         "search-nonrealizable",
         RunConfig(seed=0, max_r=6, max_alpha=8, max_beta=7),
@@ -519,3 +579,10 @@ def test_nonrealizable_search_to_r6():
     assert rep["even_even_hits"] == 0
     assert rep["nil_data_found"]
     assert rep["nil_class_hits"] == 23
+
+
+@pytest.mark.slow
+def test_nonrealizable_search_to_r7():
+    # criterion 9 two cone points further: about 2.6M candidates
+    hits = exhaustive_search(sf(E0(2), E0(1)), max_r=7, alphas=(2, 4, 8), max_beta=7)
+    assert hits == []
