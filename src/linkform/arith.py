@@ -281,28 +281,31 @@ def bareiss(M) -> tuple[int, int]:
     return min(m, n), sign * prev
 
 
-def p_part(x, p: int, N: int) -> int:
-    """N times the p-primary component of x in Q/Z, reduced mod N.
+def p_part(n: int, d: int, p: int, N: int) -> int:
+    """N times the p-primary component of n/d in Q/Z, reduced mod N.
 
     Q/Z splits as the direct sum over primes of its p-power-order subgroups.
-    For x = n/d with d = p^e m and p not dividing m, the p-component is
-    (n m^-1 mod p^e) / p^e, so the result is (n m^-1 mod p^e) * N / p^e.
-    When p^e does not divide N the component is not a multiple of 1/N, and
-    InvalidDataError is raised: it is never truncated.
+    For d = p^e m with p not dividing m, the p-component of n/d is
+    (n m^-1 mod p^e) / p^e, whether or not n/d is reduced, so the result is
+    (n m^-1 mod p^e) * N / p^e.  When that is not an integer the component
+    is not a multiple of 1/N, and InvalidDataError is raised: it is never
+    truncated.
 
-    >>> p_part(Fraction(1, 6), 2, 4)
+    >>> p_part(1, 6, 2, 4)
     2
-    >>> p_part(Fraction(1, 6), 3, 3)
+    >>> p_part(1, 6, 3, 3)
     2
     """
-    x = as_fraction(x)
-    m, pe = x.denominator, 1
+    if d == 0:
+        raise InvalidDataError(f"p_part of {n}/0")
+    m, pe = d, 1
     while m % p == 0:
         m //= p
         pe *= p
-    if N % pe:
-        raise InvalidDataError(f"the {p}-part of {x} is not a multiple of 1/{N}")
-    return x.numerator * pow(m, -1, pe) % pe * (N // pe)
+    x = n * pow(m, -1, pe) % pe * N
+    if x % pe:
+        raise InvalidDataError(f"the {p}-part of {Fraction(n, d)} is not a multiple of 1/{N}")
+    return x // pe
 
 
 def fmt_rational(q) -> str:

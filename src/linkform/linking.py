@@ -13,8 +13,9 @@ rational values
 where m alpha_2 + n beta_2 = 1.  Every p-primary value lies in (1/N)Z/Z,
 where N = p^K is the largest generator order, so a pairing is stored as
 the integer matrix N l(e_i, e_j) mod N: each closed-form value is
-converted once, by ``arith.p_part``, and a value off the 1/N grid is
-refused, never truncated.  No rescaling to pure p-power denominators of
+converted once, from its integer numerator and denominator, by
+``arith.p_part``, and a value off the 1/N grid is refused, never
+truncated.  No rescaling to pure p-power denominators of
 the underlying 1-cycles is performed.  ``GramPairing.gram`` is a Fraction
 view in [0, 1), used for JSON output.
 
@@ -104,29 +105,28 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
     if "s" in wanted:
         gens.append(("s", wanted["s"], None))
 
-    def raw_value(gi, gj) -> Fraction:
+    def raw_value(gi, gj) -> tuple[int, int]:
+        # (numerator, denominator) of the closed form, not necessarily reduced
         _, _, i = gi
         _, _, j = gj
         if i is not None and j is not None:
             ai, bi = pairs[i]
             aj, bj = pairs[j]
             if i == j:
-                return Fraction(-b2 * bi * (ai * b2 + a2 * bi), ai * ai)
-            return Fraction(-b2 * bi * bj * a2, ai * aj)
-        if i is None and j is None:
-            num = -(a1 + n * a1 * a2 * eps)
-            den = Fraction(a1) * a2 * a2 * eps
-            return num / den
+                return -b2 * bi * (ai * b2 + a2 * bi), ai * ai
+            return -b2 * bi * bj * a2, ai * aj
+        if i is None and j is None:  # both terms times the denominator of eps
+            en, ed = eps.numerator, eps.denominator
+            return -(a1 * ed + n * a1 * a2 * en), a1 * a2 * a2 * en
         k = i if i is not None else j
-        ak, bk = pairs[k]
-        return Fraction(bk, ak)
+        return pairs[k][1], pairs[k][0]
 
     N = max((g[1] for g in gens), default=1)
     return GramPairing(
         p,
         tuple(g[0] for g in gens),
         tuple(g[1] for g in gens),
-        tuple(tuple(p_part(raw_value(gi, gj), p, N) for gj in gens) for gi in gens),
+        tuple(tuple(p_part(*raw_value(gi, gj), p, N) for gj in gens) for gi in gens),
     )
 
 

@@ -492,7 +492,9 @@ def even_predicate_from_data(S: SeifertData) -> bool:
     v1 = padic_val(pairs[0][0], 2)
     if any(padic_val(pairs[i][0], 2) != v1 for i in range(r2)):
         return False
-    return eps == 0 or padic_val(Fraction(pairs[0][0]) * eps, 2) == 0
+    if eps == 0:
+        return True
+    return padic_val(pairs[0][0] * eps.numerator, 2) == padic_val(eps.denominator, 2)
 
 
 def div4_diagonal_count(S: SeifertData) -> int:
@@ -514,7 +516,7 @@ def div4_diagonal_count(S: SeifertData) -> int:
         if padic_val(a, 2) != k:
             raise UnsupportedError("even cone point orders must share their valuation")
     a1 = pairs[0][0]
-    if eps != 0 and padic_val(Fraction(a1) * eps, 2) != 0:
+    if eps != 0 and padic_val(a1 * eps.numerator, 2) != padic_val(eps.denominator, 2):
         raise UnsupportedError("alpha_1 * eps must vanish or be odd")
     a2, b2 = pairs[1]
     t = 0
@@ -880,7 +882,7 @@ def _d_case(S: SeifertData, p: int):
         return None
     if any(padic_val(pairs[i][0], p) != k for i in range(1, rp)):
         return None
-    if padic_val(Fraction(pairs[0][0]) * eps, p) != 0:
+    if padic_val(pairs[0][0] * eps.numerator, p) != padic_val(eps.denominator, p):
         return None
     return "sphere", dec
 

@@ -589,8 +589,8 @@ def even_component_criterion(S: SeifertData) -> bool:
     v = padic_val(evens[0], 2)
     if padic_val(evens[1], 2) != v or padic_val(evens[2], 2) != v:
         return False
-    x = Fraction(evens[0]) * local.eps
-    return x == 0 or padic_val(x, 2) == 0
+    eps = local.eps
+    return eps == 0 or padic_val(evens[0] * eps.numerator, 2) == padic_val(eps.denominator, 2)
 
 
 def exhaustive_search(
@@ -626,7 +626,14 @@ def exhaustive_search(
       * the last beta is solved, not scanned: D a + b A in {0, +-|T|}
         leaves at most three b per alpha.
 
-    Only survivors become SeifertData, and verify_realization decides each.
+    A survivor is then decided once per manifold.  M(g; S) depends only on
+    g, on the multiset of pairs (a_i, b_i mod a_i) and on eps (Seifert's
+    classification; Orlik, Seifert Manifolds, LNM 291, 1972).  The genus is
+    fixed within a call, and the alphas fix A, so the key
+    (sorted (a_i, b_i mod a_i), D) names the manifold, and candidates with
+    equal keys have isomorphic pairings.  verify_realization runs on the
+    first SeifertData of each key; a later candidate reuses the verdict and
+    is built only when it is reported.
     """
     if alphas is None:
         if max_alpha is None:
@@ -650,7 +657,7 @@ def exhaustive_search(
         blocks.append((a, len(pool), len(pool) + len(betas), where, vals))
         pool += [(a, b) for b in betas]
     results = [[] for _ in range(max_r + 1)]
-    path, memo = [], {}
+    path, memo, verdicts = [], {}, {}
 
     def extend(levels, vals):
         # levels[i]: the sorted nonzero v_p(a_j) at primes[i]
@@ -687,9 +694,13 @@ def exhaustive_search(
                     if not target.atoms and abs(b) == 1:
                         results[1].append(SeifertData(genus, tuple(path)))
                 elif d in sums:
-                    S = SeifertData(genus, tuple(path))
-                    if verify_realization(S, target):
-                        results[depth + 1].append(S)
+                    key = (tuple(sorted((x, y % x) for x, y in path)), d)
+                    S = None
+                    if key not in verdicts:
+                        S = SeifertData(genus, tuple(path))
+                        verdicts[key] = verify_realization(S, target)
+                    if verdicts[key]:
+                        results[depth + 1].append(S or SeifertData(genus, tuple(path)))
                 if depth + 1 < max_r:
                     grow(depth + 1, j, A * a, d, child)
                 path.pop()

@@ -3,8 +3,9 @@
 S is an ordered list of coprime pairs (alpha_i, beta_i) with alpha_i >= 2
 describing the exceptional fibres; g is the genus of the orientable base.
 The generalized Euler number eps = -sum(beta_i/alpha_i) is kept exact and
-computed once per instance (``SeifertData.eps``); beta_i are deliberately
-not normalized mod alpha_i since eps depends on the actual integers.
+computed once per instance (``SeifertData.eps``), as does each per-prime
+record of ``torsion.local_orders``; beta_i are deliberately not normalized
+mod alpha_i since eps depends on the actual integers.
 
 Data is validated once, at construction: ``SeifertData`` raises
 InvalidDataError on a violated invariant, so every function taking one may
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .arith import factorize, padic_val
 from .errors import InvalidDataError
@@ -44,10 +45,21 @@ class SeifertData:
     def eps(self) -> Fraction:
         """Generalized Euler number -sum(beta_i/alpha_i); independent of genus.
 
-        Computed on first use and kept in the instance ``__dict__``, outside
-        the dataclass fields, so it takes no part in ==, hash, repr or JSON.
+        Computed on first use as -D/A in integers, with A = prod alpha_i and
+        D = sum beta_i A/alpha_i, and kept in the instance ``__dict__``,
+        outside the dataclass fields, so it takes no part in ==, hash, repr
+        or JSON.
         """
-        return -sum(Fraction(b, a) for a, b in self.pairs)
+        A = prod(a for a, _ in self.pairs)
+        return Fraction(-sum(b * (A // a) for a, b in self.pairs), A)
+
+    @cached_property
+    def local(self) -> dict:
+        """prime -> the record of ``torsion.local_orders`` at that prime.
+
+        Filled by local_orders and kept in ``__dict__`` like ``eps``.
+        """
+        return {}
 
     def to_json(self) -> dict:
         return {"genus": self.genus, "pairs": [list(p) for p in self.pairs]}

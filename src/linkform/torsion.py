@@ -119,13 +119,21 @@ def smith_normal_form(matrix) -> SmithForm:
 def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
     """Cyclic decomposition of the p-primary torsion, with generator labels.
 
-    This is the one per-prime record of M(g;S): besides the orders and the
-    free rank it carries ``pairs``, the Seifert pairs reordered at p (see
+    This is the one per-prime record of M(g;S), computed once per (S, p)
+    and kept in ``S.local``: besides the orders and the free rank it
+    carries ``pairs``, the Seifert pairs reordered at p (see
     valuation_order), and ``eps``, the Euler number, which the closed
     forms at p read instead of re-deriving them.  Labels refer to positions
     after reordering at p.  For r = 1 the group is cyclic, generated by the
     image of the regular fibre h.
     """
+    found = S.local.get(p)
+    if found is None:
+        found = S.local[p] = _local_record(S, p)
+    return found
+
+
+def _local_record(S: SeifertData, p: int) -> LocalDecomposition:
     pairs = tuple(S.pairs[i] for i in valuation_order(S.pairs, p))
     eps = euler_invariant(S)
     if S.r == 1:
@@ -143,7 +151,7 @@ def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
         free = 0
         a1 = pairs[0][0]
         a2 = pairs[1][0]
-        vs = padic_val(Fraction(a1) * a2 * eps, p)
+        vs = padic_val(a1 * a2 * eps.numerator, p) - padic_val(eps.denominator, p)
         if vs > 0:
             orders.append(("s", p**vs))
     return LocalDecomposition(p, tuple(orders), free, pairs, eps)

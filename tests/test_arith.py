@@ -128,18 +128,37 @@ def test_least_nonresidue():
 
 def test_p_part_splits_qmodz():
     x = Fraction(5, 12)
-    assert p_part(x, 2, 4) == 3 and p_part(x, 2, 8) == 6  # 3/4
-    assert p_part(x, 3, 3) == 2  # 2/3
+    assert p_part(5, 12, 2, 4) == 3 and p_part(5, 12, 2, 8) == 6  # 3/4
+    assert p_part(5, 12, 3, 3) == 2  # 2/3
     assert (Fraction(3, 4) + Fraction(2, 3)) % 1 == x
-    assert p_part(x, 5, 5) == p_part(x, 5, 1) == 0
-    assert p_part(-3, 2, 4) == 0
+    assert p_part(5, 12, 5, 5) == p_part(5, 12, 5, 1) == 0
+    assert p_part(-3, 1, 2, 4) == 0
+
+
+@given(
+    st.fractions(max_denominator=500),
+    st.integers(-30, 30).filter(bool),
+    st.sampled_from([2, 3, 5]),
+)
+def test_p_part_reads_unreduced_quotients(x, k, p):
+    # n/d need not be reduced: k n / k d has the same p-part, or the same refusal
+    with pytest.raises(InvalidDataError, match="/0"):
+        p_part(x.numerator, 0, p, p)
+    for N in (1, p, p**3):
+        try:
+            want = p_part(x.numerator, x.denominator, p, N)
+        except InvalidDataError:
+            with pytest.raises(InvalidDataError, match=f"not a multiple of 1/{N}"):
+                p_part(k * x.numerator, k * x.denominator, p, N)
+        else:
+            assert p_part(k * x.numerator, k * x.denominator, p, N) == want
 
 
 @given(st.fractions(max_denominator=500))
 def test_p_part_reassembles(x):
     # N = the p-power of the denominator: the smallest modulus p_part accepts
     powers = {p: p**e for p, e in factorize(x.denominator).items()}
-    parts = [Fraction(p_part(x, p, N), N) for p, N in powers.items()]
+    parts = [Fraction(p_part(x.numerator, x.denominator, p, N), N) for p, N in powers.items()]
     assert sum(parts, Fraction(0)) % 1 == x % 1
     assert all(0 <= v < 1 for v in parts)
 

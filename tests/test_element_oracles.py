@@ -248,8 +248,8 @@ def test_entry_off_the_one_over_n_grid_is_refused():
     # a value whose p-part has order above N is refused, never reduced
     for x, p, N in ((Fraction(1, 4), 2, 2), (Fraction(5, 18), 3, 3), (Fraction(7, 24), 2, 4)):
         with pytest.raises(InvalidDataError, match=f"not a multiple of 1/{N}"):
-            p_part(x, p, N)
-    assert p_part(Fraction(7, 24), 2, 8) == 5  # 7/24 = 5/8 + 2/3 mod 1
+            p_part(x.numerator, x.denominator, p, N)
+    assert p_part(7, 24, 2, 8) == 5  # 7/24 = 5/8 + 2/3 mod 1
 
 
 def test_gram_matrix_scales_by_the_largest_order():

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkform.arith import padic_val
 from linkform.errors import InvalidDataError, UnrealizableError, UnsupportedError
@@ -17,6 +18,7 @@ from linkform.pairing import (
     StandardForm,
     brute_force_isomorphic,
     classify,
+    is_isomorphic,
     standard_form_gram,
     standard_form_of,
 )
@@ -480,12 +482,20 @@ def test_exhaustive_search_equals_unfiltered_reference(name):
         assert hits
 
 
+def _manifold_key(S):
+    # M(g; S) up to homeomorphism, for a fixed genus: the multiset of
+    # (a_i, b_i mod a_i) and eps
+    return tuple(sorted((a, b % a) for a, b in S.pairs)), S.eps
+
+
 def test_exhaustive_search_matches_reference_on_random_bounds(monkeypatch):
     # unsorted and repeated alphas, both genera, r = 1..4; targets are the
     # trivial form or the pairing of data drawn inside the bounds, a third
-    # of it flat (pairs and their negations), so eps = 0 hits occur.  Equal
-    # verify_realization counts mean the integer leaf test passes exactly
-    # the candidates whose local orders match the target's.
+    # of it flat (pairs and their negations), so eps = 0 hits occur.  The
+    # search checks each manifold once: its verify_realization count is the
+    # number of distinct manifolds among the reference's checked candidates,
+    # so the integer leaf test passes exactly the candidates whose local
+    # orders match the target's.
     verify_calls = _counting(monkeypatch, "verify_realization")
     rng = random.Random(10)
     flat_hits = seen = 0
@@ -511,15 +521,46 @@ def test_exhaustive_search_matches_reference_on_random_bounds(monkeypatch):
             target = standard_form_of(seifert(*half, *((a, -b) for a, b in half)))
         else:
             target = standard_form_of(seifert(*rng.choices(pool, k=max(2, max_r))))
-        verify_calls[0] = 0
+        verify_calls.clear()
         hits = exhaustive_search(target, **bounds)
-        checked = verify_calls[0]
-        verify_calls[0] = 0
+        checked = len(verify_calls)
+        verify_calls.clear()
         assert hits == _unfiltered_search(target, **bounds), (target.to_json(), bounds)
-        assert checked == verify_calls[0], (target.to_json(), bounds)
+        manifolds = {_manifold_key(S) for S, _ in verify_calls}
+        assert checked == len(manifolds), (target.to_json(), bounds)
         seen += len(hits)
         flat_hits += sum(S.eps == 0 for S in hits if S.r > 1)
     assert flat_hits > 100 and seen > flat_hits
+
+
+@st.composite
+def same_manifold(draw):
+    """Valid S with r <= 8 and alpha <= 60, and S' naming the same manifold:
+    b_i += k_i a_i with sum k_i = 0, pairs permuted, genus changed."""
+    pair = st.tuples(st.integers(2, 60), st.integers(-60, 60)).filter(
+        lambda ab: gcd(*ab) == 1
+    )
+    pairs = draw(st.lists(pair, min_size=2, max_size=8))
+    ks = draw(st.lists(st.integers(-3, 3), min_size=len(pairs) - 1, max_size=len(pairs) - 1))
+    ks.append(-sum(ks))
+    moved = draw(st.permutations([(a, b + k * a) for (a, b), k in zip(pairs, ks)]))
+    genera = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    return SeifertData(genera[0], tuple(pairs)), SeifertData(genera[1], tuple(moved))
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_manifold())
+def test_search_memo_key_names_one_pairing(data):
+    # exhaustive_search decides one candidate per key (sorted (a, b mod a), D);
+    # candidates sharing a key are the same manifold, so share the verdict
+    S, T = data
+    assert _manifold_key(S) == _manifold_key(T)  # eps included
+    assert is_isomorphic(standard_form_of(S), standard_form_of(T))
+    # the per-prime record is kept once per (S, p) and equals a fresh one
+    for p in relevant_primes(S):
+        dec = local_orders(S, p)
+        assert local_orders(S, p) is dec and S.local[p] is dec
+        assert dec == local_orders(SeifertData(S.genus, S.pairs), p)
 
 
 @pytest.mark.parametrize(
@@ -540,11 +581,12 @@ def test_exhaustive_search_rejects_bad_bounds(bounds):
 
 
 def _counting(monkeypatch, name):
-    calls = [0]
+    """Rebind realize.<name> to record the positional arguments of each call."""
+    calls = []
     inner = getattr(realize_module, name)
 
     def counted(*args, **kwargs):
-        calls[0] += 1
+        calls.append(args)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(realize_module, name, counted)
@@ -560,17 +602,23 @@ def test_exhaustive_search_work_guard(monkeypatch):
     candidates = sum(comb(pool + r - 1, r) for r in range(1, bounds["max_r"] + 1))
     verify_calls = _counting(monkeypatch, "verify_realization")
     reference = _unfiltered_search(target, **bounds)
-    reference_verify = verify_calls[0]
-    verify_calls[0] = 0
+    assert len(verify_calls) == 46
+    verify_calls.clear()
     builds = _counting(monkeypatch, "SeifertData")
     assert exhaustive_search(target, **bounds) == reference
-    assert builds[0] == verify_calls[0] == reference_verify
-    assert builds[0] <= candidates / 100
+    # the 46 reference checks reach 2 manifolds, each checked once; besides
+    # the reported candidates only the rejected manifolds are built
+    assert len(verify_calls) == 2
+    rejected = {_manifold_key(S) for S, _ in verify_calls} - {_manifold_key(S) for S in reference}
+    assert len(builds) == len(reference) + len(rejected)
+    assert len(builds) <= candidates / 100
 
 
-def test_nonrealizable_search_to_r6():
+def test_nonrealizable_search_to_r6(monkeypatch):
     # criterion 9 one cone point further: about 590k candidates, within reach
-    # since exhaustive_search prunes by integer invariants before any exact work
+    # since exhaustive_search prunes by integer invariants before any exact
+    # work; the 2626 candidates that pass the prunes are 25 manifolds
+    verify_calls = _counting(monkeypatch, "verify_realization")
     rep = run_suite(
         "search-nonrealizable",
         RunConfig(seed=0, max_r=6, max_alpha=8, max_beta=7),
@@ -579,9 +627,9 @@ def test_nonrealizable_search_to_r6():
     assert rep["even_even_hits"] == 0
     assert rep["nil_data_found"]
     assert rep["nil_class_hits"] == 23
+    assert len(verify_calls) <= 25
 
 
-@pytest.mark.slow
 def test_nonrealizable_search_to_r7():
     # criterion 9 two cone points further: about 2.6M candidates
     hits = exhaustive_search(sf(E0(2), E0(1)), max_r=7, alphas=(2, 4, 8), max_beta=7)

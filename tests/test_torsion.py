@@ -201,9 +201,13 @@ def test_local_orders_record_matches_reorder_and_euler(pairs, p):
     # the per-prime record carries the data reordered at p and eps, for r = 1
     # (where no reordering happens) as for r >= 2
     S = seifert(*pairs)
+    seen = (hash(S), repr(S), S.to_json())
     dec = local_orders(S, p)
     assert dec.pairs == reorder_at_prime(S, p)[0].pairs
     assert dec.eps == euler_invariant(S)
+    # kept once per (S, p) in the instance __dict__, outside the fields
+    assert local_orders(S, p) is dec and vars(S)["local"] == {p: dec}
+    assert (hash(S), repr(S), S.to_json()) == seen
 
 
 def test_structure_examples():
