@@ -74,8 +74,67 @@ def _read_json(path: str):
         raise InvalidDataError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, written in one pass.
+
+    With ``indent`` set, the stdlib drops its C encoder for a pure-Python
+    generator; this writer appends its pieces to one list and joins
+    once.  It dispatches on the exact type, so a bool never reads as an
+    int, and it takes only what reports hold: str, int, bool, None, lists,
+    tuples and dicts with str keys.  Anything else raises TypeError.
+    """
+    parts = []
+    _write(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write(o, nl, append) -> None:
+    # module level, not a closure: a recursive closure is a reference cycle
+    # that would keep every piece alive until the cyclic collector runs
+    t = type(o)
+    if t is str:
+        append(_encode_str(o))
+    elif t is int:
+        append(int.__repr__(o))
+    elif t is list or t is tuple:
+        if not o:
+            append("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in o:
+            append(sep)
+            sep = comma
+            _write(item, inner, append)
+        append(nl + "]")
+    elif t is dict:
+        if not o:
+            append("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(sep + _encode_str(key) + ": ")
+            sep = comma
+            _write(o[key], inner, append)
+        append(nl + "}")
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(obj, args) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _dumps(obj) + "\n"
     if getattr(args, "json_out", None):
         with open(args.json_out, "w") as fh:
             fh.write(text)

@@ -197,12 +197,6 @@ def image(A, y) -> list[int]:
     return [dot(row, y) for row in A]
 
 
-def eval_pair(G: GramPairing, x, y) -> Fraction:
-    """Pairing of two elements given by generator coefficients."""
-    N = G.modulus
-    return Fraction(dot(x, image(G.matrix, y)) % N, N)
-
-
 def self_link_profile(G: GramPairing) -> Counter:
     """Multiset of (element order, self-linking value); an isomorphism invariant."""
     N = G.modulus

@@ -17,11 +17,9 @@ brute-force isomorphism search kept as a test oracle.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .arith import (
     bareiss,
@@ -476,27 +474,6 @@ def even_decompose(C: HomogeneousComponent) -> tuple[int, int]:
     return (pairs - (e1 % 2), e1 % 2)
 
 
-def even_predicate_from_data(S: SeifertData) -> bool:
-    """Data-level evenness of the 2-primary pairing.
-
-    With the pairs ordered by descending 2-adic valuation, the pairing is
-    even exactly when alpha_1/alpha_i is odd for every even cone point
-    order and eps is zero or alpha_1 * eps is odd.  Meaningful when the
-    2-torsion is homogeneous; see parity() for the matrix-level notion.
-    """
-    local = local_orders(S, 2)
-    pairs, eps = local.pairs, local.eps
-    r2 = sum(1 for a, _ in pairs if a % 2 == 0)
-    if r2 == 0:
-        return True
-    v1 = padic_val(pairs[0][0], 2)
-    if any(padic_val(pairs[i][0], 2) != v1 for i in range(r2)):
-        return False
-    if eps == 0:
-        return True
-    return padic_val(pairs[0][0] * eps.numerator, 2) == padic_val(eps.denominator, 2)
-
-
 def div4_diagonal_count(S: SeifertData) -> int:
     """Count of scaled diagonal entries divisible by 4 for the 2-component.
 
@@ -812,35 +789,6 @@ def brute_force_isomorphic(
         witness = {G1.labels[i]: list(assignment[i]) for i in range(G1.rank)}
         return True, witness
     return False, None
-
-
-def shuffle_basis(G: GramPairing, rng: random.Random, steps: int = 12) -> GramPairing:
-    """Random order-respecting change of basis; the pairing class is unchanged.
-
-    Useful as a test oracle: classification must be invariant under this.
-    """
-    n = G.rank
-    if n == 0:
-        return G
-    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i = rng.randrange(n)
-        if rng.random() < 0.34:
-            u = 1 + 2 * rng.randrange(max(1, G.orders[i] // 2))
-            if gcd(u, G.orders[i]) == 1:
-                T[i] = [x * u for x in T[i]]
-            continue
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randrange(1, 4)
-        if G.orders[j] > G.orders[i]:
-            c *= G.orders[j] // G.orders[i]
-        T[i] = [x + c * y for x, y in zip(T[i], T[j])]
-    # new entry (i, j) = T_i . A T_j mod N
-    images = [image(G.matrix, t) for t in T]
-    rows = tuple(tuple(dot(t, y) % G.modulus for y in images) for t in T)
-    return GramPairing(G.prime, G.labels, G.orders, rows)
 
 
 # ---------------------------------------------------------------------------

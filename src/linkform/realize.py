@@ -44,7 +44,6 @@ from .pairing import (
     standard_form_of,
 )
 from .seifert import SeifertData, euler_invariant, fibre_sum
-from .torsion import local_orders
 
 
 @dataclass(frozen=True)
@@ -572,25 +571,7 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
 
 
 # ---------------------------------------------------------------------------
-# obstruction and exhaustive search
-
-
-def even_component_criterion(S: SeifertData) -> bool:
-    """Data-level test for a nontrivial even 2-primary component.
-
-    True when (after 2-adic reordering) at least three cone point orders
-    are even, the top three share their 2-adic valuation, and alpha_1*eps
-    is zero or odd.
-    """
-    local = local_orders(S, 2)
-    evens = [a for a, _ in local.pairs if a % 2 == 0]
-    if len(evens) < 3:
-        return False
-    v = padic_val(evens[0], 2)
-    if padic_val(evens[1], 2) != v or padic_val(evens[2], 2) != v:
-        return False
-    eps = local.eps
-    return eps == 0 or padic_val(evens[0] * eps.numerator, 2) == padic_val(eps.denominator, 2)
+# exhaustive search
 
 
 def exhaustive_search(

@@ -18,7 +18,6 @@ which witt_seifert evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .arith import as_fraction, factorize, legendre
@@ -111,17 +110,20 @@ class WittElement:
             raise InvalidDataError(f"bad Witt element: {obj!r}") from exc
 
 
-def unit_class_witt(p: int, b: int) -> WittElement:
-    """Witt class of the rank-1 pairing <b> over F_p."""
+def _unit_local(p: int, b: int):
+    """Local class in W(F_p) of the rank-1 pairing <b>."""
     if b % p == 0:
         raise InvalidDataError(f"{b} is not a unit mod {p}")
     if p == 2:
-        return WittElement.of({2: 1})
+        return 1
     if p % 4 == 3:
-        return WittElement.of({p: 1 if legendre(b, p) == 1 else 3})
-    if legendre(b, p) == 1:
-        return WittElement.of({p: (1, 0)})
-    return WittElement.of({p: (0, 1)})
+        return 1 if legendre(b, p) == 1 else 3
+    return (1, 0) if legendre(b, p) == 1 else (0, 1)
+
+
+def unit_class_witt(p: int, b: int) -> WittElement:
+    """Witt class of the rank-1 pairing <b> over F_p."""
+    return WittElement.of({p: _unit_local(p, b)})
 
 
 def witt_cyclic(p: int, k: int, b: int) -> WittElement:
@@ -137,22 +139,27 @@ def witt_cyclic(p: int, k: int, b: int) -> WittElement:
     return unit_class_witt(p, b)
 
 
-def witt_rational(w) -> WittElement:
-    """Witt class of the pairing (n, n') -> [n n' w] on Z/denominator(w).
+def _add_rational(locals_: dict, b: int, a: int) -> None:
+    """Add the class of (n, n') -> [n n' b/a] into ``locals_`` ({p: local}).
 
-    The pairing splits over the primes dividing the denominator; the
-    p-component is cyclic of order p^{v_p} with unit b * (a / p^{v_p}).
+    b/a is in lowest terms with a > 0.  The pairing splits over the primes
+    dividing a; the p-component is cyclic of order p^v with unit
+    b * (a / p^v), and it is metabolic for even v.
     """
+    for p, v in factorize(a).items():
+        if v % 2:
+            unit = _unit_local(p, b * (a // p**v))
+            locals_[p] = _local_add(p, locals_[p], unit) if p in locals_ else unit
+
+
+def witt_rational(w) -> WittElement:
+    """Witt class of the pairing (n, n') -> [n n' w] on Z/denominator(w)."""
     w = as_fraction(w)
     if w == 0:
         raise InvalidDataError("witt_rational needs a nonzero rational")
-    a = w.denominator
-    b = w.numerator
-    total = WittElement.zero()
-    for p, v in factorize(a).items():
-        cof = a // p**v
-        total = total + witt_cyclic(p, v, (b * cof) % p**v)
-    return total
+    locals_ = {}
+    _add_rational(locals_, w.numerator, w.denominator)
+    return WittElement.of(locals_)
 
 
 def witt_pairing(sf: StandardForm) -> WittElement:
@@ -168,15 +175,17 @@ def witt_seifert(S: SeifertData) -> WittElement:
     """Witt class of the linking pairing of M(g;S) from the Seifert data.
 
     For eps = 0 the class is -sum w(beta_i/alpha_i); for eps = P/Q in
-    lowest terms an extra -w(1/(P*Q)) appears.
+    lowest terms an extra -w(1/(P*Q)) appears.  The local classes of all
+    terms are summed per prime and negated once.
     """
     eps = euler_invariant(S)
-    total = WittElement.zero()
+    locals_ = {}
     if eps != 0:
-        total = total + witt_rational(Fraction(1, eps.numerator * eps.denominator))
+        PQ = eps.numerator * eps.denominator
+        _add_rational(locals_, 1 if PQ > 0 else -1, abs(PQ))
     for a, b in S.pairs:
-        total = total + witt_rational(Fraction(b, a))
-    return -total
+        _add_rational(locals_, b, a)
+    return WittElement.of({p: _local_neg(p, v) for p, v in locals_.items()})
 
 
 def metabolic_oracle(G: GramPairing, *, bound: int = 2**16):

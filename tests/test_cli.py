@@ -1,6 +1,8 @@
+import argparse
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkform import cli
 from linkform.cli import main
@@ -284,3 +286,72 @@ def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
     for argv in (["witt", nil], ["compute", nil], ["compute", nil, "--prime", "4"]):
         run_cli(capsys, *argv)
     assert len(built) == 7
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+
+def _stdlib(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u00e9\u2028\ud800\udfff\U0001f600'),
+        st.characters(exclude_categories=()),  # every code point, lone surrogates too
+    ),
+    max_size=8,
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),  # well beyond +-2^64
+    _TEXT,
+)
+_JSONISH = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSONISH)
+def test_dumps_matches_the_stdlib_writer(obj):
+    assert cli._dumps(obj) == _stdlib(obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [1.5, {"a": [0.0]}, {1, 2}, [{"a": {1, 2}}], {1: "a"}, {"a": {2: 3}}]
+)
+def test_emit_refuses_what_no_report_holds(tmp_path, capsys, obj):
+    # a float, a set, a non-str key: TypeError before anything is written
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
+    with pytest.raises(TypeError):
+        cli._emit(obj, argparse.Namespace(json_out=None))
+    assert capsys.readouterr().out == ""
+    out_path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        cli._emit(obj, argparse.Namespace(json_out=str(out_path)))
+    assert not out_path.exists()
+
+
+def test_every_command_writes_the_stdlib_bytes(tmp_path, capsys):
+    calls = [argv for argv, want in _reuse_calls(tmp_path) if want == 0]
+    assert [argv[0] for argv in calls] == [
+        "compute", "classify", "realize", "witt", "verify", "search"
+    ]
+    for argv in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == _stdlib(json.loads(out)) + "\n", argv
+        out_path = tmp_path / f"{argv[0]}.json"
+        code, out, _ = run_cli(capsys, *argv, "--json-out", str(out_path))
+        text = out_path.read_text()
+        assert code == 0 and out == "" and text == _stdlib(json.loads(text)) + "\n", argv

@@ -18,14 +18,14 @@ from linkform.errors import InvalidDataError
 from linkform.linking import (
     GramPairing,
     elements,
-    eval_pair,
     gram_matrix,
     self_link_profile,
 )
-from linkform.pairing import brute_force_isomorphic, shuffle_basis
+from linkform.pairing import brute_force_isomorphic
 from linkform.seifert import SeifertData, seifert
 from linkform.verify import RunConfig, run_suite
 from linkform.witt import metabolic_oracle
+from support import eval_pair, shuffle_basis
 
 # ---------------------------------------------------------------------------
 # Fraction reference

@@ -9,13 +9,13 @@ from linkform.linking import (
     GramPairing,
     element_table,
     elements,
-    eval_pair,
     gram_matrix,
     self_link_profile,
     welldefined_check,
 )
 from linkform.seifert import euler_invariant, reorder_at_prime, seifert
 from linkform.verify import RunConfig, rand_seifert
+from support import eval_pair
 
 NIL = seifert((2, 1), (2, 1), (2, 1), (2, -1))
 

@@ -26,11 +26,11 @@ from linkform.pairing import (
     hyperbolic_test,
     is_isomorphic,
     parity,
-    shuffle_basis,
     standard_form_gram,
     standard_form_of,
 )
 from linkform.seifert import seifert
+from support import eval_pair, even_predicate_from_data, shuffle_basis
 
 NIL = seifert((2, 1), (2, 1), (2, 1), (2, -1))
 
@@ -368,7 +368,6 @@ def test_even_predicate_matches_matrix_parity():
     # diagonal-entry test on the (single) component
     import random as _random
 
-    from linkform.pairing import even_predicate_from_data
     from linkform.verify import rand_flat_homogeneous, rand_sphere_homogeneous
 
     rng = _random.Random(23)
@@ -606,7 +605,7 @@ def _assert_isometry(f, g, images):
     isomorphism: orders are respected and every pairing value is kept.  A
     map that keeps a nonsingular pairing is injective, and the groups have
     equal order, so it is bijective."""
-    from linkform.linking import element_table, eval_pair
+    from linkform.linking import element_table
 
     G, H = standard_form_gram(f, 2), standard_form_gram(g, 2)
     assert sorted(G.orders) == sorted(H.orders)
@@ -648,7 +647,7 @@ def _direct_gauss_arg(sf_p, p, n):
     """Argument in Z/8 of sum_x e(p^n l(x,x)) by summing over the group."""
     import cmath
 
-    from linkform.linking import elements, eval_pair
+    from linkform.linking import elements
 
     G = standard_form_gram(sf_p, p)
     z = sum(

@@ -17,13 +17,11 @@ from linkform.pairing import (
     E1,
     StandardForm,
     brute_force_isomorphic,
-    classify,
     is_isomorphic,
     standard_form_gram,
     standard_form_of,
 )
 from linkform.realize import (
-    even_component_criterion,
     exhaustive_search,
     realize,
     realize_mixed,
@@ -385,18 +383,6 @@ def test_negated_target_realized_by_negated_betas():
 
 # ---------------------------------------------------------------------------
 # obstruction and search
-
-
-def test_even_component_criterion_examples():
-    assert even_component_criterion(
-        seifert((2, 1), (2, 1), (2, 1), (2, 1), (2, -1), (2, -1), (2, -1), (2, -1))
-    )
-    assert not even_component_criterion(seifert((4, 1), (4, 1), (4, 1), (4, 1)))
-    # the quarter-turn Nil space: criterion false yet an even component exists
-    nil = seifert((2, 1), (2, 1), (2, 1), (2, -1))
-    assert not even_component_criterion(nil)
-    parities = [c.parity for c in classify(gram_matrix(nil, 2)).components]
-    assert parities == ["odd", "even"]
 
 
 def test_exhaustive_search_trivial_target():

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from linkform.errors import InvalidDataError, SearchBoundExceeded
+from linkform.arith import factorize
+from linkform.errors import InvalidDataError, SearchBoundExceeded, UnsupportedError
 from linkform.pairing import Cyc, E0, E1, StandardForm, standard_form_gram, standard_form_of
-from linkform.seifert import seifert
+from linkform.seifert import SeifertData, euler_invariant, seifert
 from linkform.witt import (
     WittElement,
     metabolic_oracle,
@@ -120,6 +123,66 @@ def test_witt_additive_over_flat_fibre_sums():
     A = seifert((3, 1), (3, 1), (3, -2))
     B = seifert((5, 1), (5, 1), (5, 2), (5, -4))  # eps = 0: 1+1+2-4
     assert witt_seifert(fibre_sum(A, B)) == witt_seifert(A) + witt_seifert(B)
+
+
+def _witt_seifert_reference(S):
+    """The term-by-term fold: -(w(1/(P*Q)) + sum_i w(beta_i/alpha_i)) with
+    one WittElement sum per term, eps = P/Q in lowest terms."""
+    eps = euler_invariant(S)
+    total = WittElement.zero()
+    if eps != 0:
+        total = total + witt_rational(Fraction(1, eps.numerator * eps.denominator))
+    for a, b in S.pairs:
+        total = total + witt_rational(Fraction(b, a))
+    return -total
+
+
+def _random_pair(rng, max_alpha):
+    while True:
+        a = rng.randint(2, max_alpha)
+        b = rng.randint(-3 * a, 3 * a)
+        if gcd(a, b) == 1:
+            return a, b
+
+
+def _random_flat(rng, max_r, max_alpha):
+    """Random valid data with eps = 0: the last pair cancels the others."""
+    while True:
+        pairs = [_random_pair(rng, max_alpha) for _ in range(rng.randint(1, max_r - 1))]
+        rest = sum(Fraction(b, a) for a, b in pairs)
+        if 2 <= rest.denominator <= max_alpha:
+            return SeifertData(rng.randint(0, 2), (*pairs, (rest.denominator, -rest.numerator)))
+
+
+def test_witt_seifert_matches_the_term_by_term_fold():
+    rng = random.Random(12)
+    seen = {True: 0, False: 0}
+    for trial in range(600):
+        if trial % 2:
+            S = _random_flat(rng, 10, 1000)
+        else:
+            r = rng.randint(1, 10)
+            S = SeifertData(rng.randint(0, 2), tuple(_random_pair(rng, 1000) for _ in range(r)))
+        try:
+            got = witt_seifert(S)
+        except UnsupportedError:  # an Euler numerator with an unprovable prime
+            with pytest.raises(UnsupportedError):
+                _witt_seifert_reference(S)
+            continue
+        seen[euler_invariant(S) == 0] += 1
+        assert got == _witt_seifert_reference(S), S
+    assert seen[True] == 300 and seen[False] >= 270
+
+
+def test_witt_rational_is_the_sum_of_its_cyclic_parts():
+    rng = random.Random(13)
+    for _ in range(1500):
+        w = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+        a, b = w.denominator, w.numerator
+        want = WittElement.zero()
+        for p, v in factorize(a).items():
+            want = want + witt_cyclic(p, v, (b * (a // p**v)) % p**v)
+        assert witt_rational(w) == want, w
 
 
 def test_local_group_shapes():
