@@ -243,7 +243,10 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     target = StandardForm.from_json(_read_json(args.input))
     hits = exhaustive_search(
-        target, max_r=args.max_r, max_alpha=args.max_alpha, max_beta=args.max_beta
+        target,
+        max_r=args.max_r,
+        max_beta=args.max_beta,
+        alphas=range(2, args.max_alpha + 1),
     )
     _emit(
         {

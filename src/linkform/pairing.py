@@ -427,10 +427,10 @@ def diagonalize_odd(C: HomogeneousComponent) -> list[Cyc]:
 def even_decompose(C: HomogeneousComponent) -> tuple[int, int]:
     """Counts (E0, E1) for an even 2-primary component.
 
-    The result is (rho/2, 0) or (rho/2 - 1, 1); at level k = 1 every even
-    pairing is hyperbolic.  For k >= 2 the component is cut into rank-2
-    even blocks whose type is read off the diagonal mod 4, and pairs of
-    E1 blocks are traded for pairs of E0 blocks.
+    The result is (rho/2, 0) or (rho/2 - 1, 1), as E1 + E1 = E0 + E0; at
+    level k = 1 every even pairing is hyperbolic.  For k >= 2 the entries
+    are known mod 4 and the diagonal is even, so det mod 8 is an isometry
+    invariant.  It is (-1)^#E0 3^#E1, so an E1 is left iff det = +-3 mod 8.
     """
     if C.prime != 2:
         raise UnsupportedError("even_decompose is for p = 2")
@@ -440,38 +440,11 @@ def even_decompose(C: HomogeneousComponent) -> tuple[int, int]:
         raise InvalidDataError("even components have even rank")
     if C.k == 1:
         return (C.rank // 2, 0)
-    q = 2**C.k
-    M = [list(row) for row in C.matrix]
-    e1 = 0
-    while M:
-        j = next((j for j in range(1, len(M)) if M[0][j] % 2 != 0), None)
-        if j is None:
-            raise InvalidDataError("singular even component")
-        if M[0][0] % 4 == 2 and M[j][j] % 4 == 2:
-            e1 += 1
-        bii, bij, bjj = M[0][0], M[0][j], M[j][j]
-        det = (bii * bjj - bij * bij) % q
-        dinv = pow(det, -1, q)
-        # inverse of the 2x2 block
-        binv = (
-            (bjj * dinv) % q,
-            (-bij * dinv) % q,
-            (bii * dinv) % q,
-        )
-        idx = [l for l in range(len(M)) if l not in (0, j)]
-        out = []
-        for l in idx:
-            row = []
-            u1, u2 = M[l][0], M[l][j]
-            c1 = (binv[0] * u1 + binv[1] * u2) % q
-            c2 = (binv[1] * u1 + binv[2] * u2) % q
-            for m in idx:
-                v1, v2 = M[m][0], M[m][j]
-                row.append((M[l][m] - c1 * v1 - c2 * v2) % q)
-            out.append(row)
-        M = out
-    pairs = C.rank // 2
-    return (pairs - (e1 % 2), e1 % 2)
+    det = _int_det(C.matrix)
+    if det % 2 == 0:
+        raise InvalidDataError("singular even component")
+    e1 = int(det % 8 in (3, 5))
+    return (C.rank // 2 - e1, e1)
 
 
 def div4_diagonal_count(S: SeifertData) -> int:

@@ -10,13 +10,24 @@ constructions raise UnrealizableError up front.  Target shapes are read
 level by level via StandardForm.levels, the 2-primary ones from the
 canonical form.
 
-Realizable targets, by 2-primary shape:
-  * trivial or odd order: flat (eps = 0) and rational-homology-sphere
-    (eps != 0) constructions;
-  * a 2-primary part, by realize_two: a homogeneous one in both modes, for
-    even (E0/E1) and odd (diagonal) forms; an inhomogeneous one with its
-    lower levels stacked under the top level, under the gap condition
-    (exponent drops >= 2 between consecutive levels, lower levels odd).
+realize is the one dispatcher.  It reads three facts of the target: whether
+it has a 2-part, whether that 2-part is homogeneous ("gapped" if not), and
+which odd primes appear.
+
+  * trivial: one fixed candidate, trivial-flat or trivial-sphere;
+  * 2-primary: realize_two, in every mode.  It realizes a homogeneous
+    target in both modes, for even (E0/E1) and odd (diagonal) forms, and a
+    gapped one with its lower levels stacked under the top level, under
+    the gap condition (exponent drops >= 2 between consecutive levels,
+    lower levels odd);
+  * odd primes, flat or auto mode: realize_odd_flat per odd prime and
+    realize_two(..., "flat") for the 2-part, joined by one fibre sum
+    (mixed-flat[...]); the pieces have coprime cone orders and eps = 0, so
+    the pairings add orthogonally (Lemma 1).  A gapped 2-part is joined to
+    the fibre sum of the odd pieces;
+  * odd primes, sphere mode: one balancing cone point for every prime
+    (odd-sphere/balanced, mixed-sphere/balanced), for an odd homogeneous
+    2-part or none.
 
 An UnrealizableError says only that no implemented construction applies;
 it proves no obstruction.  Some refused targets are realized by Seifert
@@ -27,6 +38,7 @@ M(0;(2,1),(2,1),(2,1),(2,-1)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -131,13 +143,13 @@ def _sum_zero_unit_tuples(p: int, m: int, want_cls: int):
                 yield (b1, b2) + tail
 
 
-def realize_odd_flat(target: StandardForm, p: int) -> RealizationResult:
-    """Realize a p-primary pairing (p odd) with all cone orders powers of p
-    and eps = 0 exactly (genus 0)."""
-    if p == 2 or target.primes() not in ((), (p,)):
-        raise UnsupportedError(f"realize_odd_flat needs a pure {p}-primary target")
-    if not target.atoms:
-        return _first_verified([("trivial-flat", SeifertData(0, ((2, 1), (2, -1))))], target)
+def realize_odd_flat(target: StandardForm) -> RealizationResult:
+    """Realize a nontrivial p-primary pairing (p odd) with all cone orders
+    powers of p and eps = 0 exactly (genus 0)."""
+    primes = target.primes()
+    if len(primes) != 1 or primes[0] == 2:
+        raise UnsupportedError("realize_odd_flat needs a p-primary target for an odd p")
+    p = primes[0]
     blocks = target.levels(p)
     k1, units1, _, _ = blocks[0]
     m1 = len(units1) + 2
@@ -295,26 +307,6 @@ def _balanced_sphere_candidates(target: StandardForm, label: str):
     yield label, assemble(tails)
 
 
-def realize_odd_sphere(target: StandardForm) -> RealizationResult:
-    """Realize an odd-order pairing by a rational homology sphere M(0;S).
-
-    The data is a balancing pair (A, B) with B = -1 mod A followed by one
-    lens-type pair per cyclic atom; eps = 1/A exactly.
-    """
-    primes = target.primes()
-    if 2 in primes:
-        raise UnsupportedError("realize_odd_sphere needs an odd-order target")
-    if not target.atoms:
-        return _first_verified(
-            [("trivial-sphere", SeifertData(0, ((2, 1), (3, -1))))], target
-        )
-    result = _first_verified(
-        _balanced_sphere_candidates(target, "odd-sphere/balanced"), target
-    )
-    assert euler_invariant(result.seifert).numerator == 1
-    return result
-
-
 # ---------------------------------------------------------------------------
 # 2-primary targets
 
@@ -414,10 +406,8 @@ def realize_two(target: StandardForm, mode: str = "auto") -> RealizationResult:
     numerators are derived from the wanted mod-8 residues, with a bounded
     search via orientation variants.
     """
-    if target.primes() not in ((), (2,)):
-        raise UnsupportedError("realize_two needs a 2-primary target")
-    if not target.atoms:
-        return realize(StandardForm.empty(), mode=mode)
+    if target.primes() != (2,):
+        raise UnsupportedError("realize_two needs a nontrivial 2-primary target")
     blocks = canonical_form(target).levels(2)
     if any(e0 or e1 for _, _, e0, e1 in blocks[1:]):
         raise UnrealizableError(
@@ -466,108 +456,71 @@ def realize_two(target: StandardForm, mode: str = "auto") -> RealizationResult:
 
 
 # ---------------------------------------------------------------------------
-# mixed targets
-
-
-def realize_mixed(target: StandardForm, mode: str = "auto") -> RealizationResult:
-    """Realize a pairing whose 2-primary part (if any) is homogeneous.
-
-    Flat mode takes the fibre sum of the per-prime flat realizations
-    (coprime cone orders with all eps = 0, so the pairings add
-    orthogonally).  Sphere mode uses one balancing pair as in the
-    odd-order construction, provided the 2-part is odd or absent.
-    """
-    two = target.restrict(2)
-    if len(two.levels(2)) > 1:  # canonical_form keeps every level
-        raise UnrealizableError(
-            "2-primary part is inhomogeneous; use the gap construction"
-        )
-    odd_primes = tuple(p for p in target.primes() if p != 2)
-    if not two.atoms and not odd_primes:
-        return realize(StandardForm.empty(), mode=mode)
-    if mode in ("auto", "flat"):
-        pieces = []
-        for p in odd_primes:
-            pieces.append(realize_odd_flat(target.restrict(p), p))
-        if two.atoms:
-            pieces.append(realize_two(two, mode="flat"))
-        S = pieces[0].seifert
-        for piece in pieces[1:]:
-            S = fibre_sum(S, piece.seifert)
-        if verify_realization(S, target):
-            tags = "+".join(piece.construction for piece in pieces)
-            return RealizationResult(S, True, f"mixed-flat[{tags}]", euler_invariant(S))
-        if mode == "flat":
-            raise VerificationError("fibre sum of flat pieces failed to verify")
-    # sphere mode
-    if not two.atoms:
-        return realize_odd_sphere(target)
-    two_canon = canonical_form(two)
-    if any(not isinstance(a, Cyc) for a in two_canon.atoms):
-        raise UnrealizableError(
-            "sphere-mode realization with an even 2-part is outside the "
-            "implemented constructions; use flat mode"
-        )
-    # replace the 2-part atoms by their canonical diagonal before balancing
-    odd_atoms = tuple(a for a in target.atoms if isinstance(a, Cyc) and a.p != 2)
-    diag_target = StandardForm.of(odd_atoms + two_canon.atoms)
-    return _first_verified(
-        _balanced_sphere_candidates(diag_target, "mixed-sphere/balanced"), target
-    )
-
-
-# ---------------------------------------------------------------------------
 # dispatcher
+
+
+def _fibre_sum_of(pieces, target: StandardForm) -> RealizationResult:
+    """Join flat realizations of the target's parts at coprime primes.
+
+    The pieces have coprime cone orders and eps = 0, so their pairings add
+    orthogonally (Lemma 1): the fibre sum realizes the orthogonal sum.
+    """
+    S = functools.reduce(fibre_sum, (piece.seifert for piece in pieces))
+    tags = "+".join(piece.construction for piece in pieces)
+    return _first_verified([(f"mixed-flat[{tags}]", S)], target)
 
 
 def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
     """Realize a standard form by Seifert data M(0;S), if a construction exists.
 
-    mode is "flat" (eps = 0), "sphere" (eps != 0), or "auto" (flat first).
+    mode is "flat" (eps = 0), "sphere" (eps != 0), or "auto" (flat first;
+    only realize_two has sphere candidates left to try after its flat ones).
+
+      target                  flat, auto                        sphere
+      trivial                 trivial-flat                      trivial-sphere
+      2-primary               realize_two                       realize_two
+      one odd prime           realize_odd_flat                  odd-sphere/balanced
+      odd primes              mixed-flat[odd pieces]            odd-sphere/balanced
+      odd + homogeneous 2     mixed-flat[odd pieces + two]      mixed-sphere/balanced,
+                                                                refused if the 2-part is even
+      odd + gapped 2          mixed-flat[two + mixed-flat[odd   refused
+                              pieces]]
     """
     if mode not in ("auto", "flat", "sphere"):
         raise UnsupportedError(f"unknown mode {mode!r}")
     if not target.atoms:
-        pairs = ((2, 1), (2, -1)) if mode in ("auto", "flat") else ((2, 1), (3, -1))
-        return _first_verified(
-            [(f"trivial-{'flat' if mode != 'sphere' else 'sphere'}", SeifertData(0, pairs))],
-            target,
-        )
+        if mode == "sphere":
+            return _first_verified([("trivial-sphere", SeifertData(0, ((2, 1), (3, -1))))], target)
+        return _first_verified([("trivial-flat", SeifertData(0, ((2, 1), (2, -1))))], target)
+    odd = StandardForm.of(a for a in target.atoms if isinstance(a, Cyc) and a.p != 2)
+    if not odd.atoms:
+        return realize_two(target, mode)
     two = target.restrict(2)
-    odd_primes = tuple(p for p in target.primes() if p != 2)
-    if len(two.levels(2)) > 1:
-        if odd_primes:
-            if mode == "sphere":
-                raise UnrealizableError(
-                    "sphere mode with an inhomogeneous 2-part is outside the "
-                    "implemented constructions"
-                )
-            gap_piece = realize_two(two, "flat")
-            odd_piece = realize_mixed(
-                StandardForm.of(
-                    a for a in target.atoms if isinstance(a, Cyc) and a.p != 2
-                ),
-                "flat",
-            )
-            S = fibre_sum(gap_piece.seifert, odd_piece.seifert)
-            if verify_realization(S, target):
-                return RealizationResult(
-                    S,
-                    True,
-                    f"mixed-flat[{gap_piece.construction}+{odd_piece.construction}]",
-                    euler_invariant(S),
-                )
-            raise VerificationError("gap + odd fibre sum failed to verify")
-        return realize_two(target, mode)
-    if two.atoms and odd_primes:
-        return realize_mixed(target, mode)
-    if two.atoms:
-        return realize_two(target, mode)
+    gapped = len(two.levels(2)) > 1  # canonical_form keeps every level
     if mode == "sphere":
-        return realize_odd_sphere(target)
-    if len(odd_primes) == 1:
-        return realize_odd_flat(target, odd_primes[0])
-    return realize_mixed(target, "flat" if mode == "auto" else mode)
+        if gapped:
+            raise UnrealizableError(
+                "sphere mode with an inhomogeneous 2-part is outside the "
+                "implemented constructions"
+            )
+        two_atoms = canonical_form(two).atoms
+        if any(not isinstance(a, Cyc) for a in two_atoms):
+            raise UnrealizableError(
+                "sphere-mode realization with an even 2-part is outside the "
+                "implemented constructions; use flat mode"
+            )
+        # balance the 2-part's canonical diagonal
+        label = "mixed-sphere/balanced" if two_atoms else "odd-sphere/balanced"
+        candidates = _balanced_sphere_candidates(odd + StandardForm.of(two_atoms), label)
+        return _first_verified(candidates, target)
+    if gapped:
+        two_piece = realize_two(two, "flat")  # first: a gapped 2-part may be refused
+        odd_pieces = [realize_odd_flat(odd.restrict(p)) for p in odd.primes()]
+        return _fibre_sum_of([two_piece, _fibre_sum_of(odd_pieces, odd)], target)
+    pieces = [realize_odd_flat(odd.restrict(p)) for p in odd.primes()]
+    if two.atoms:
+        pieces.append(realize_two(two, "flat"))
+    return pieces[0] if len(pieces) == 1 else _fibre_sum_of(pieces, target)
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +532,10 @@ def exhaustive_search(
     *,
     max_r: int,
     max_beta: int,
-    alphas=None,
-    max_alpha: int | None = None,
-    genus: int = 0,
+    alphas,
 ) -> list[SeifertData]:
-    """All Seifert data within bounds whose pairing is isomorphic to target.
+    """All genus-0 Seifert data within bounds whose pairing is isomorphic to
+    target (the pairing does not depend on the genus).
 
     Candidates are multisets of pairs from the pool of admissible (a, b),
     listed by r, then lexicographically by pool position (a repeated alpha
@@ -610,16 +562,12 @@ def exhaustive_search(
     A survivor is then decided once per manifold.  M(g; S) depends only on
     g, on the multiset of pairs (a_i, b_i mod a_i) and on eps (Seifert's
     classification; Orlik, Seifert Manifolds, LNM 291, 1972).  The genus is
-    fixed within a call, and the alphas fix A, so the key
+    0 here, and the alphas fix A, so the key
     (sorted (a_i, b_i mod a_i), D) names the manifold, and candidates with
     equal keys have isomorphic pairings.  verify_realization runs on the
     first SeifertData of each key; a later candidate reuses the verdict and
     is built only when it is reported.
     """
-    if alphas is None:
-        if max_alpha is None:
-            raise UnsupportedError("need alphas or max_alpha")
-        alphas = range(2, max_alpha + 1)
     alphas = sorted(alphas)
     if max_r < 1 or max_beta < 1 or not alphas or alphas[0] < 2:
         raise InvalidDataError(
@@ -673,15 +621,15 @@ def exhaustive_search(
                 path.append(pool[j])
                 if depth == 0:
                     if not target.atoms and abs(b) == 1:
-                        results[1].append(SeifertData(genus, tuple(path)))
+                        results[1].append(SeifertData(0, tuple(path)))
                 elif d in sums:
                     key = (tuple(sorted((x, y % x) for x, y in path)), d)
                     S = None
                     if key not in verdicts:
-                        S = SeifertData(genus, tuple(path))
+                        S = SeifertData(0, tuple(path))
                         verdicts[key] = verify_realization(S, target)
                     if verdicts[key]:
-                        results[depth + 1].append(S or SeifertData(genus, tuple(path)))
+                        results[depth + 1].append(S or SeifertData(0, tuple(path)))
                 if depth + 1 < max_r:
                     grow(depth + 1, j, A * a, d, child)
                 path.pop()

@@ -75,7 +75,6 @@ def _run(workload, entry, monkeypatch):
     return code, out.getvalue()
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["compute", "realize", "search", "verify"])
 def test_catalogue_reports_are_reproduced(workload, monkeypatch):
     lines = (PERFBENCH / "data" / f"{workload}.jsonl").read_text().splitlines()

@@ -350,13 +350,18 @@ def test_even_decompose_pairs_of_e1():
 
 def test_even_decompose_agrees_with_brute_force_identification():
     rng = random.Random(3)
-    for base in (sf(E0(2)), sf(E1(2)), sf(E0(2), E0(2)), sf(E0(2), E1(2))):
+    bases = (
+        sf(E0(2)), sf(E1(2)), sf(E0(2), E0(2)), sf(E0(2), E1(2)),
+        sf(E0(3)), sf(E1(3)), sf(E1(2), E1(2)), sf(E0(1), E0(1)),
+    )
+    for base in bases:
         G = standard_form_gram(base, 2)
+        k = base.atoms[0].k
         for _ in range(3):
             H = shuffle_basis(G, rng)
             C = block_diagonalize(H)[0]
             n0, n1 = even_decompose(C)
-            rebuilt = StandardForm.of([E0(2)] * n0 + ([E1(2)] if n1 else []))
+            rebuilt = StandardForm.of([E0(k)] * n0 + ([E1(k)] if n1 else []))
             ok, _ = brute_force_isomorphic(
                 C.gram(), standard_form_gram(rebuilt, 2), bound=2**10
             )

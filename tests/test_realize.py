@@ -24,9 +24,7 @@ from linkform.pairing import (
 from linkform.realize import (
     exhaustive_search,
     realize,
-    realize_mixed,
     realize_odd_flat,
-    realize_odd_sphere,
     realize_two,
     verify_realization,
 )
@@ -48,32 +46,34 @@ def sf(*atoms):
 
 
 def test_odd_flat_rank1_p5():
-    r = realize_odd_flat(sf(Cyc.make(5, 1, 1)), 5)
+    r = realize_odd_flat(sf(Cyc.make(5, 1, 1)))
     assert r.verified
     assert euler_invariant(r.seifert) == 0
     assert sorted(r.seifert.pairs) == [(5, -3), (5, 1), (5, 2)]
 
 
 def test_odd_flat_p3_square_needs_bumped_orders():
-    r = realize_odd_flat(sf(Cyc.make(3, 2, 1), Cyc.make(3, 2, 1)), 3)
+    r = realize_odd_flat(sf(Cyc.make(3, 2, 1), Cyc.make(3, 2, 1)))
     assert r.verified and "bump" in r.construction
     assert sorted(a for a, _ in r.seifert.pairs) == [9, 9, 27, 27]
     # same rank and exponent with nonsquare class stays at equal cone orders
-    r2 = realize_odd_flat(sf(Cyc.make(3, 2, 1), Cyc.make(3, 2, 2)), 3)
+    r2 = realize_odd_flat(sf(Cyc.make(3, 2, 1), Cyc.make(3, 2, 2)))
     assert r2.verified and set(a for a, _ in r2.seifert.pairs) == {9}
 
 
 def test_odd_flat_multi_block():
     target = sf(Cyc.make(5, 2, 1), Cyc.make(5, 2, 2), Cyc.make(5, 1, 1))
-    r = realize_odd_flat(target, 5)
+    r = realize_odd_flat(target)
     assert r.verified
     assert euler_invariant(r.seifert) == 0
     assert sorted(a for a, _ in r.seifert.pairs) == [5, 25, 25, 25, 25]
 
 
 def test_odd_flat_rejects_wrong_prime():
-    with pytest.raises(UnsupportedError):
-        realize_odd_flat(sf(Cyc.make(3, 1, 1)), 5)
+    # one odd prime only: the prime is read from the target
+    for target in (sf(Cyc.make(2, 1, 1)), sf(Cyc.make(3, 1, 1), Cyc.make(5, 1, 1)), sf()):
+        with pytest.raises(UnsupportedError):
+            realize_odd_flat(target)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_odd_flat_rejects_wrong_prime():
 
 
 def test_odd_sphere_lens():
-    r = realize_odd_sphere(sf(Cyc.make(3, 1, 1)))
+    r = realize(sf(Cyc.make(3, 1, 1)), "sphere")
     assert r.verified
     assert r.seifert.r == 2  # a lens space
     assert euler_invariant(r.seifert) == Fraction(1, 9)
@@ -89,7 +89,7 @@ def test_odd_sphere_lens():
 
 def test_odd_sphere_euler_is_one_over_big_alpha():
     target = sf(Cyc.make(3, 1, 1), Cyc.make(5, 1, 2))
-    r = realize_odd_sphere(target)
+    r = realize(target, "sphere")
     assert r.verified
     eps = euler_invariant(r.seifert)
     assert eps.numerator == 1
@@ -101,7 +101,7 @@ def test_odd_sphere_homogeneous_rank2_square():
     target = sf(Cyc.make(3, 1, 1), Cyc.make(3, 1, 1))
     bumped = seifert((9, 7), (3, -1), (3, -1))
     assert verify_realization(bumped, target)
-    r = realize_odd_sphere(target)
+    r = realize(target, "sphere")
     assert r.verified
 
 
@@ -116,7 +116,7 @@ def test_odd_sphere_multi_block_classes():
         if not atoms:
             continue
         target = sf(*atoms)
-        r = realize_odd_sphere(target)
+        r = realize(target, "sphere")
         assert r.verified, target
 
 
@@ -221,9 +221,12 @@ def test_realize_covers_witness_targets(target, S):
 
 # ---------------------------------------------------------------------------
 # construction table: one target per construction family that wins on the
-# benchmark's realize catalogue, plus the bumped-order odd-flat recipe; each
-# row is (atoms, mode, construction, pairs) as recorded before the 2-primary
-# constructions were merged into realize_two
+# benchmark's realize catalogue, plus the bumped-order odd-flat recipe, plus
+# one row per dispatch branch not pinned otherwise (the trivial target in
+# both modes, one odd prime, and mixed targets in auto mode); each row is
+# (atoms, mode, construction, pairs) as recorded before the 2-primary
+# constructions were merged into realize_two, or (the last five) before
+# realize became the one dispatcher
 
 C = Cyc.make
 CONSTRUCTIONS = [
@@ -263,6 +266,11 @@ CONSTRUCTIONS = [
     ((C(2, 3, 3), C(2, 3, 5)), 'sphere', 'two-homog/odd-sphere-pm1[0]', ((16, 1), (8, 1), (8, -1))),
     ((C(2, 2, 3), C(2, 2, 3), C(2, 2, 1)), 'sphere', 'two-homog/odd-sphere-z3[0,0]', ((16, -19), (4, 1), (4, 3), (4, 1))),
     ((C(2, 3, 1), C(2, 3, 1)), 'sphere', 'two-homog/odd-sphere-z3[1,0]/flipped', ((32, 7), (8, -1), (8, -1))),
+    ((), 'flat', 'trivial-flat', ((2, 1), (2, -1))),
+    ((), 'sphere', 'trivial-sphere', ((2, 1), (3, -1))),
+    ((C(5, 1, 1),), 'flat', 'odd-flat/sum-zero[0]', ((5, -3), (5, 2), (5, 1))),
+    ((C(3, 1, 1), E0(2)), 'auto', 'mixed-flat[odd-flat/sum-zero[0]+two-homog/even-hyperbolic-flat]', ((3, -2), (3, 1), (3, 1), (4, -1), (4, 1), (4, -1), (4, 1))),
+    ((C(2, 3, 3), C(2, 1, 1), C(3, 1, 1)), 'auto', 'mixed-flat[gap-stacked/odd-flat+mixed-flat[odd-flat/sum-zero[0]]]', ((32, -21), (32, 1), (8, 1), (2, 1), (3, -2), (3, 1), (3, 1))),
 ]
 
 
@@ -313,7 +321,7 @@ def test_lazy_candidates_work_guard(monkeypatch, name):
 
 def test_mixed_flat_example():
     target = sf(Cyc.make(3, 1, 1), E0(2))
-    r = realize_mixed(target, "flat")
+    r = realize(target, "flat")
     assert r.verified
     assert euler_invariant(r.seifert) == 0
     alphas = {a for a, _ in r.seifert.pairs}
@@ -322,17 +330,18 @@ def test_mixed_flat_example():
 
 def test_mixed_pure_odd_delegates():
     target = sf(Cyc.make(3, 1, 1))
-    assert realize_mixed(target, "flat").verified
+    assert realize(target, "flat").verified
 
 
-def test_mixed_inhomogeneous_two_part_redirects():
-    with pytest.raises(UnrealizableError):
-        realize_mixed(sf(Cyc.make(2, 3, 1), Cyc.make(2, 1, 1), Cyc.make(3, 1, 1)), "flat")
+def test_mixed_gapped_two_part_refused_in_sphere_mode():
+    target = sf(Cyc.make(2, 3, 1), Cyc.make(2, 1, 1), Cyc.make(3, 1, 1))
+    with pytest.raises(UnrealizableError, match="sphere mode with an inhomogeneous 2-part"):
+        realize(target, "sphere")
 
 
 def test_mixed_sphere_with_odd_two_part():
     target = sf(Cyc.make(3, 1, 1), Cyc.make(2, 2, 3))
-    r = realize_mixed(target, "sphere")
+    r = realize(target, "sphere")
     assert r.verified
     assert euler_invariant(r.seifert) != 0
 
@@ -342,14 +351,14 @@ def test_mixed_sphere_with_level3_two_part():
     target = sf(
         Cyc.make(2, 3, 3), Cyc.make(2, 3, 3), Cyc.make(2, 3, 3), Cyc.make(3, 1, 1)
     )
-    r = realize_mixed(target, "sphere")
+    r = realize(target, "sphere")
     assert r.verified
     assert euler_invariant(r.seifert).numerator == 1
 
 
 def test_mixed_sphere_even_two_part_refused():
     with pytest.raises(UnrealizableError):
-        realize_mixed(sf(Cyc.make(3, 1, 1), E0(2)), "sphere")
+        realize(sf(Cyc.make(3, 1, 1), E0(2)), "sphere")
 
 
 def test_dispatcher_trivial_target():
@@ -409,7 +418,7 @@ def test_verify_realization_rejects_extra_torsion():
 # the integer prunes of exhaustive_search
 
 
-def _unfiltered_search(target, *, max_r, alphas, max_beta, genus=0):
+def _unfiltered_search(target, *, max_r, alphas, max_beta):
     """exhaustive_search without its integer prunes: every r >= 2 candidate
     of combinations_with_replacement goes through the local-order check and
     verify_realization."""
@@ -423,7 +432,7 @@ def _unfiltered_search(target, *, max_r, alphas, max_beta, genus=0):
     results = []
     for r in range(1, max_r + 1):
         for combo in itertools.combinations_with_replacement(pool, r):
-            S = SeifertData(genus, combo)
+            S = SeifertData(0, combo)
             if r == 1:
                 if not target.atoms and abs(combo[0][1]) == 1:
                     results.append(S)
@@ -475,7 +484,7 @@ def _manifold_key(S):
 
 
 def test_exhaustive_search_matches_reference_on_random_bounds(monkeypatch):
-    # unsorted and repeated alphas, both genera, r = 1..4; targets are the
+    # unsorted and repeated alphas, r = 1..4; targets are the
     # trivial form or the pairing of data drawn inside the bounds, a third
     # of it flat (pairs and their negations), so eps = 0 hits occur.  The
     # search checks each manifold once: its verify_realization count is the
@@ -492,7 +501,6 @@ def test_exhaustive_search_matches_reference_on_random_bounds(monkeypatch):
             "max_r": max_r,
             "alphas": tuple(alphas),
             "max_beta": rng.randint(1, 3 if max_r < 4 else 2),
-            "genus": rng.randint(0, 1),
         }
         pool = [
             (a, b)
@@ -557,7 +565,7 @@ def test_search_memo_key_names_one_pairing(data):
         {"max_r": 2, "alphas": (0, 2), "max_beta": 1},
         {"max_r": 2, "alphas": (1, 2), "max_beta": 1},
         {"max_r": 2, "alphas": (-2, 2), "max_beta": 1},
-        {"max_r": 2, "max_alpha": 1, "max_beta": 1},
+        {"max_r": 2, "alphas": range(2, 2), "max_beta": 1},
     ],
 )
 def test_exhaustive_search_rejects_bad_bounds(bounds):
