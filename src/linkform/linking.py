@@ -67,6 +67,20 @@ class GramPairing:
         N = self.modulus
         return tuple(tuple(Fraction(x, N) for x in row) for row in self.matrix)
 
+    def components(self) -> tuple:
+        """``pairing.block_diagonalize(self)``, computed on first use.
+
+        Kept in the instance ``__dict__``, outside the dataclass fields, so
+        ``welldefined_check`` and ``classify`` share one decomposition.  A
+        singular pairing raises InvalidDataError on every call.
+        """
+        found = self.__dict__.get("_components")
+        if found is None:
+            from .pairing import block_diagonalize  # late import avoids a cycle
+
+            found = self.__dict__["_components"] = tuple(block_diagonalize(self))
+        return found
+
     def group_order(self) -> int:
         return prod(self.orders) if self.orders else 1
 
@@ -207,7 +221,8 @@ def self_link_profile(G: GramPairing) -> Counter:
 def welldefined_check(G: GramPairing) -> list[str]:
     """Diagnostics: symmetry, order-compatibility, and nonsingularity.
 
-    Nonsingularity is decided exactly by ``block_diagonalize``: the pairing
+    Nonsingularity is decided exactly by ``block_diagonalize``, through
+    ``G.components()``, which ``classify`` then reuses: the pairing
     is singular iff some homogeneous top block has determinant divisible
     by p.
     """
@@ -227,10 +242,8 @@ def welldefined_check(G: GramPairing) -> list[str]:
                 problems.append(f"entry ({i},{j}) not reduced to [0,1)")
     if problems:
         return problems
-    from .pairing import block_diagonalize  # late import avoids a cycle
-
     try:
-        block_diagonalize(G)
+        G.components()
     except InvalidDataError as exc:
         problems.append(f"singular: {exc}")
     return problems

@@ -546,7 +546,7 @@ def classify(G: GramPairing) -> ClassificationReport:
         return ClassificationReport(G.prime, (), StandardForm.empty())
     summaries = []
     atoms: list[Atom] = []
-    for C in block_diagonalize(G):
+    for C in G.components():
         if G.prime == 2:
             par = parity(C)
             if par == "even":

@@ -459,15 +459,15 @@ def realize_two(target: StandardForm, mode: str = "auto") -> RealizationResult:
 # dispatcher
 
 
-def _fibre_sum_of(pieces, target: StandardForm) -> RealizationResult:
-    """Join flat realizations of the target's parts at coprime primes.
+def _fibre_sum_of(pieces) -> tuple[str, SeifertData]:
+    """The labelled fibre sum of (label, data) pieces: flat realizations of
+    a target's parts at coprime primes.
 
     The pieces have coprime cone orders and eps = 0, so their pairings add
     orthogonally (Lemma 1): the fibre sum realizes the orthogonal sum.
     """
-    S = functools.reduce(fibre_sum, (piece.seifert for piece in pieces))
-    tags = "+".join(piece.construction for piece in pieces)
-    return _first_verified([(f"mixed-flat[{tags}]", S)], target)
+    labels, data = zip(*pieces)
+    return f"mixed-flat[{'+'.join(labels)}]", functools.reduce(fibre_sum, data)
 
 
 def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
@@ -516,11 +516,17 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
     if gapped:
         two_piece = realize_two(two, "flat")  # first: a gapped 2-part may be refused
         odd_pieces = [realize_odd_flat(odd.restrict(p)) for p in odd.primes()]
-        return _fibre_sum_of([two_piece, _fibre_sum_of(odd_pieces, odd)], target)
+        # the odd pieces' sum is not checked on its own: the check of the
+        # whole sum covers it
+        odd_sum = _fibre_sum_of((r.construction, r.seifert) for r in odd_pieces)
+        whole = _fibre_sum_of([(two_piece.construction, two_piece.seifert), odd_sum])
+        return _first_verified([whole], target)
     pieces = [realize_odd_flat(odd.restrict(p)) for p in odd.primes()]
     if two.atoms:
         pieces.append(realize_two(two, "flat"))
-    return pieces[0] if len(pieces) == 1 else _fibre_sum_of(pieces, target)
+    if len(pieces) == 1:
+        return pieces[0]
+    return _first_verified([_fibre_sum_of((r.construction, r.seifert) for r in pieces)], target)
 
 
 # ---------------------------------------------------------------------------
@@ -543,30 +549,45 @@ def exhaustive_search(
     the sorted representative.  r = 1 candidates are only reported for the
     trivial target: lens-space pairings are not computed by this pipeline.
 
-    The enumeration is depth-first; a node carries A = prod a_i and
-    D = sum_i b_i prod_{j != i} a_j = -A eps, and appending (a, b) gives
-    (A a, D a + b A).  Three integer prunes run before any exact work:
+    The pool falls into blocks, one per entry of alphas.  A candidate takes
+    m_k pairs from block k: an alpha multiset (the m_k) and, per block, a
+    multiset of m_k betas.  With A = prod a_i and c_k = A / a_k,
 
-      * torsion order: for D != 0 the torsion of H_1 has order |D|, which
-        must be the target's order |T|; D = 0 (eps = 0) passes.
-      * per prime p (of an alpha or of the target): local_orders makes
-        each nonzero v_p(a_i) outside the two largest a summand Z/p^v, plus
-        Z/p^s with s = v_p(D) - (their sum) when D != 0.  Appending a pair
-        only adds to that rest, so a node whose rest is not a sub-multiset
-        of the target's p-exponents is cut with its subtree.  A leaf passes
-        iff its rest lacks none of them (D = 0) or at most one, which
-        v_p(D) = v_p(|T|) then supplies (D = +-|T|).
-      * the last beta is solved, not scanned: D a + b A in {0, +-|T|}
-        leaves at most three b per alpha.
+      D = sum_i b_i prod_{j != i} a_j = -A eps = sum_k c_k s_k,
+
+    where s_k is the sum of block k's betas, so D is linear in the s_k.
+    The search runs in two stages, and only integers enter either.
+
+      * Alpha multisets, depth first over the blocks, one block at a time
+        with each multiplicity m_k in turn.  Per prime p (of an alpha or of
+        the target) a multiset keeps its sorted nonzero v_p(a_i);
+        local_orders makes each of them outside the two largest a summand
+        Z/p^v, plus Z/p^s with s = v_p(D) - (their sum) when D != 0.
+        Adding a cone point only adds to that rest, so a multiset whose rest
+        is not a sub-multiset of the target's p-exponents is cut together
+        with every superset of it.  A multiset with r >= 2 passes iff its
+        rest lacks none of the target's exponents (then D is 0 or +-|T|) or
+        at most one, which v_p(D) = v_p(|T|) supplies (then D = +-|T|).
+        For D != 0 the torsion of H_1 has order |D|, which must be the
+        target's order |T|; D = 0 (eps = 0) says nothing about it.
+      * Betas, by a join.  A surviving multiset fixes A, the c_k and the
+        allowed D.  A value of D that is not a multiple of gcd(c_k), or
+        exceeds max_beta sum_k c_k m_k in size, is dropped at once.  Per
+        block and multiplicity, a table maps each sum of m_k betas to the
+        pool position tuples that give it; it is built on first use from
+        combinations_with_replacement and shared by every multiset.  The
+        join walks the distinct sums of every block but the one with the
+        most sums, and solves that block's sum for each allowed D.
 
     A survivor is then decided once per manifold.  M(g; S) depends only on
     g, on the multiset of pairs (a_i, b_i mod a_i) and on eps (Seifert's
     classification; Orlik, Seifert Manifolds, LNM 291, 1972).  The genus is
     0 here, and the alphas fix A, so the key
     (sorted (a_i, b_i mod a_i), D) names the manifold, and candidates with
-    equal keys have isomorphic pairings.  verify_realization runs on the
-    first SeifertData of each key; a later candidate reuses the verdict and
-    is built only when it is reported.
+    equal keys have isomorphic pairings.  The survivors are taken in the
+    order of the result, and verify_realization runs on the first
+    SeifertData of each key; a later candidate reuses the verdict and is
+    built only when it is reported.
     """
     alphas = sorted(alphas)
     if max_r < 1 or max_beta < 1 or not alphas or alphas[0] < 2:
@@ -581,58 +602,83 @@ def exhaustive_search(
     pool, blocks = [], []
     for a in alphas:
         betas = [b for b in range(-max_beta, max_beta + 1) if b and gcd(a, b) == 1]
-        where = {b: len(pool) + i for i, b in enumerate(betas)}
         vals = [(i, padic_val(a, p)) for i, p in enumerate(primes) if a % p == 0]
-        blocks.append((a, len(pool), len(pool) + len(betas), where, vals))
+        blocks.append((a, range(len(pool), len(pool) + len(betas)), vals))
         pool += [(a, b) for b in betas]
-    results = [[] for _ in range(max_r + 1)]
-    path, memo, verdicts = [], {}, {}
+    # r = 1: M(0; (a, b)) has H_1 = Z/|b|, so only |b| = 1 can give the trivial target
+    hits = [SeifertData(0, (ab,)) for ab in pool if not target.atoms and abs(ab[1]) == 1]
+    tables, survivors = {}, []
 
-    def extend(levels, vals):
-        # levels[i]: the sorted nonzero v_p(a_j) at primes[i]
+    def table(k, m):
+        # sum of m betas of block k -> the pool position tuples giving it
+        if (k, m) not in tables:
+            sums = tables[k, m] = {}
+            for js in itertools.combinations_with_replacement(blocks[k][1], m):
+                sums.setdefault(sum(pool[j][1] for j in js), []).append(js)
+        return tables[k, m]
+
+    def join(chosen, A, leaf):
+        # D = sum_k c_k s_k is a multiple of gcd(c_k) and at most
+        # max_beta sum_k c_k m_k in size
+        cs = [A // blocks[k][0] for k, _ in chosen]
+        reach = max_beta * sum(c * m for c, (_, m) in zip(cs, chosen))
+        leaf = [d for d in leaf if abs(d) <= reach and d % gcd(*cs) == 0]
+        if not leaf:
+            return
+        parts = [(c, table(k, m)) for c, (k, m) in zip(cs, chosen)]
+        solved = max(range(len(parts)), key=lambda i: len(parts[i][1]))
+        c, last = parts.pop(solved)
+        for picks in itertools.product(*(t.items() for _, t in parts)):
+            partial = sum(ck * s for (ck, _), (s, _) in zip(parts, picks))
+            for d in leaf:
+                s, off = divmod(d - partial, c)
+                if not off and s in last:
+                    tuples = [ix for _, ix in picks]
+                    tuples.insert(solved, last[s])
+                    for js in itertools.product(*tuples):
+                        survivors.append((sum(js, ()), d))
+
+    def add(levels, k):
+        # levels[i]: the sorted nonzero v_p(a_j) at primes[i].  Returns the
+        # levels with one more cone point of block k and the values of D at
+        # which such a multiset passes, or None if it is cut
         child = list(levels)
-        for i, v in vals:
-            child[i] = tuple(sorted(child[i] + (v,)))
-            if not Counter(child[i][:-2]) <= wants[i]:
-                return None
+        for i, v in blocks[k][2]:
+            vs = child[i] = tuple(sorted(levels[i] + (v,)))
+            if len(vs) > 2:
+                e = min(v, levels[i][-2])  # the one exponent that joins the rest
+                if vs[:-2].count(e) > wants[i][e]:
+                    return None
         gaps = [w.total() - len(vs[:-2]) for w, vs in zip(wants, child)]
-        # sums: the values of D at which a leaf passes
-        sums = (-order, 0, order) if not any(gaps) else (-order, order)
-        return tuple(child), sums if max(gaps) < 2 else ()
+        leaf = (-order, 0, order) if not any(gaps) else (-order, order)
+        return child, leaf if max(gaps) < 2 else ()
 
-    def grow(depth, first, A, D, levels):
-        for k, (a, lo, hi, where, vals) in enumerate(blocks):
-            if hi <= first:
-                continue
-            if (levels, k) not in memo:
-                memo[levels, k] = extend(levels, vals)
-            if memo[levels, k] is None:
-                continue
-            child, sums = memo[levels, k]
-            n = D * a
-            if depth + 1 == max_r > 1:  # solve D a + b A in sums for b
-                js = [where.get(q) for t in sums for q, m in [divmod(t - n, A)] if not m]
-                js = [j for j in js if j is not None and j >= first]
-            else:
-                js = range(max(lo, first), hi)
-            for j in js:
-                b = pool[j][1]
-                d = n + b * A
-                path.append(pool[j])
-                if depth == 0:
-                    if not target.atoms and abs(b) == 1:
-                        results[1].append(SeifertData(0, tuple(path)))
-                elif d in sums:
-                    key = (tuple(sorted((x, y % x) for x, y in path)), d)
-                    S = None
-                    if key not in verdicts:
-                        S = SeifertData(0, tuple(path))
-                        verdicts[key] = verify_realization(S, target)
-                    if verdicts[key]:
-                        results[depth + 1].append(S or SeifertData(0, tuple(path)))
-                if depth + 1 < max_r:
-                    grow(depth + 1, j, A * a, d, child)
-                path.pop()
+    def walk(first, r, A, levels, chosen):
+        # chosen: the (block, m) of the multiset so far, r cone points in all
+        for k in range(first, len(blocks)):
+            a = blocks[k][0]
+            step = levels
+            for m in range(1, max_r - r + 1):
+                got = add(step, k)
+                if got is None:
+                    break
+                step, leaf = got
+                grown, Am = chosen + [(k, m)], A * a**m
+                if r + m > 1 and leaf:
+                    join(grown, Am, leaf)
+                if r + m < max_r:
+                    walk(k + 1, r + m, Am, step, grown)
 
-    grow(0, 0, 1, 0, ((),) * len(primes))
-    return [S for hits in results for S in hits]
+    walk(0, 0, 1, [()] * len(primes), [])
+    survivors.sort(key=lambda s: (len(s[0]), s[0]))  # by r, then by pool position
+    verdicts = {}
+    for js, d in survivors:
+        path = tuple(pool[j] for j in js)
+        key = (tuple(sorted((a, b % a) for a, b in path)), d)
+        S = None
+        if key not in verdicts:
+            S = SeifertData(0, path)
+            verdicts[key] = verify_realization(S, target)
+        if verdicts[key]:
+            hits.append(S or SeifertData(0, path))
+    return hits

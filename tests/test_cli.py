@@ -42,6 +42,23 @@ def test_compute_flat_example(tmp_path, capsys):
     assert len(atoms) == 1 and atoms[0]["cyc"][:2] == [3, 1]
 
 
+def test_compute_decomposes_each_prime_once(tmp_path, capsys, monkeypatch):
+    # welldefined_check and classify share one block_diagonalize per (S, p)
+    import linkform.pairing as pairing
+
+    calls = []
+    inner = pairing.block_diagonalize
+    monkeypatch.setattr(pairing, "block_diagonalize", lambda G: calls.append(G) or inner(G))
+    data = {"genus": 0, "pairs": [[4, 1], [6, 1], [9, 2], [10, -3]]}
+    code, out, _ = run_cli(capsys, "compute", write(tmp_path, "s.json", data))
+    assert code == 0
+    report = json.loads(out)
+    assert all(entry["welldefined"] == [] for entry in report["local"])
+    # primes 2, 3, 5 (trivial: no generators) and 61, from the Euler numerator
+    assert [entry["prime"] for entry in report["local"]] == [2, 3, 5, 61]
+    assert sorted(G.prime for G in calls) == [2, 3, 5, 61]
+
+
 def test_compute_single_prime(tmp_path, capsys):
     data = {"genus": 0, "pairs": [[4, 1], [6, 1], [9, 2], [8, 3], [5, -4]]}
     code, out, _ = run_cli(

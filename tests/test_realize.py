@@ -383,6 +383,24 @@ def test_dispatcher_gap_plus_odd_flat():
     assert r.verified
 
 
+def test_gap_plus_odd_flat_checks_the_whole_sum_once(monkeypatch):
+    # one check per piece (gapped 2-part, two odd primes) and one of the
+    # whole sum; the inner sum of the odd pieces keeps its label unchecked
+    verify_calls = _counting(monkeypatch, "verify_realization")
+    target = sf(E1(6), Cyc.make(2, 4, 7), Cyc.make(11, 1, 7), Cyc.make(7, 2, 4))
+    r = realize(target, "flat")
+    assert len(verify_calls) == 4
+    assert r.verified and euler_invariant(r.seifert) == 0
+    assert r.construction == (
+        "mixed-flat[gap-stacked/even-flat+"
+        "mixed-flat[odd-flat/sum-zero[0]+odd-flat/sum-zero[0]]]"
+    )
+    assert r.seifert.pairs == (
+        (64, 9), (64, 1), (64, 1), (64, 1), (16, -3),
+        (49, -3), (49, 2), (49, 1), (11, -4), (11, 3), (11, 1),
+    )
+
+
 def test_negated_target_realized_by_negated_betas():
     target = sf(Cyc.make(5, 1, 2))
     r = realize(target, "flat")
@@ -527,6 +545,32 @@ def test_exhaustive_search_matches_reference_on_random_bounds(monkeypatch):
     assert flat_hits > 100 and seen > flat_hits
 
 
+def test_exhaustive_search_matches_reference_on_many_alphas(monkeypatch):
+    # the shapes with many alpha multisets and few betas each: 5-7 distinct
+    # alphas, unsorted, every other case with one repeated, max_beta = 1 and
+    # r up to 5; each manifold is still checked once
+    verify_calls = _counting(monkeypatch, "verify_realization")
+    rng = random.Random(14)
+    for case in range(20):
+        distinct = rng.sample((2, 3, 4, 5, 6, 7, 8, 9, 10, 12), rng.randint(5, 7))
+        alphas = distinct + rng.sample(distinct, case % 2)
+        rng.shuffle(alphas)
+        bounds = {"max_r": 2 + case % 4, "alphas": tuple(alphas), "max_beta": 1}
+        pool = [(a, b) for a in alphas for b in (-1, 1)]
+        if case % 5 == 0:
+            target = StandardForm.empty()
+        else:
+            target = standard_form_of(seifert(*rng.choices(pool, k=bounds["max_r"])))
+        verify_calls.clear()
+        hits = exhaustive_search(target, **bounds)
+        checked = {_manifold_key(S) for S, _ in verify_calls}
+        assert len(verify_calls) == len(checked), (target.to_json(), bounds)
+        verify_calls.clear()
+        assert hits == _unfiltered_search(target, **bounds), (target.to_json(), bounds)
+        assert checked == {_manifold_key(S) for S, _ in verify_calls}
+        assert hits or target.atoms  # the trivial target always has r = 1 hits
+
+
 @st.composite
 def same_manifold(draw):
     """Valid S with r <= 8 and alpha <= 60, and S' naming the same manifold:
@@ -622,6 +666,17 @@ def test_nonrealizable_search_to_r6(monkeypatch):
     assert rep["nil_data_found"]
     assert rep["nil_class_hits"] == 23
     assert len(verify_calls) <= 25
+
+
+def test_nonrealizable_search_to_r8(monkeypatch, time_budget):
+    # criterion 9 at r = 8: the local-order prune leaves no alpha multiset
+    # with more than 6 cone points, and the beta join reaches the 19
+    # manifolds left within a fraction of a second
+    verify_calls = _counting(monkeypatch, "verify_realization")
+    with time_budget(5):
+        hits = exhaustive_search(sf(E0(2), E0(1)), max_r=8, alphas=(2, 4, 8), max_beta=7)
+    assert hits == []
+    assert len(verify_calls) == 19
 
 
 def test_nonrealizable_search_to_r7():
