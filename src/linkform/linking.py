@@ -71,8 +71,9 @@ class GramPairing:
         """``pairing.block_diagonalize(self)``, computed on first use.
 
         Kept in the instance ``__dict__``, outside the dataclass fields, so
-        ``welldefined_check`` and ``classify`` share one decomposition.  A
-        singular pairing raises InvalidDataError on every call.
+        ``welldefined_check``, ``classify`` and ``pairing.local_invariant``
+        share one decomposition.  A singular pairing raises InvalidDataError
+        on every call.
         """
         found = self.__dict__.get("_components")
         if found is None:

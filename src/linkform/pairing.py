@@ -10,9 +10,10 @@ of the rank-2 pairings E0(k) (hyperbolic) and at most one E1(k).
 
 This module provides the block decomposition, the per-component
 invariants, conversion to a standard form built from Cyc/E0/E1 atoms, an
-exact isomorphism test by Gauss-sum invariants at every order, a sound
-normal form from which realization reads target shapes, and a
-brute-force isomorphism search kept as a test oracle.
+exact isomorphism test by Gauss-sum invariants at every order (read from
+the atoms of a standard form or, without classifying, from the components
+of a Gram pairing), a sound normal form from which realization reads
+target shapes, and a brute-force isomorphism search kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from math import prod
 
 from .arith import (
     bareiss,
@@ -279,6 +282,18 @@ class HomogeneousComponent:
         labels = tuple(f"e{i + 1}" for i in range(self.rank))
         return GramPairing(self.prime, labels, (q,) * self.rank, self.matrix)
 
+    def det(self) -> int:
+        """Exact determinant of ``matrix``, computed on first use.
+
+        block_diagonalize records the one it computes.  Kept in the instance
+        ``__dict__``, outside the dataclass fields, like
+        ``GramPairing.components()``.
+        """
+        found = self.__dict__.get("_det")
+        if found is None:
+            found = self.__dict__["_det"] = _int_det(self.matrix)
+        return found
+
 
 def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
     """Orthogonal decomposition into homogeneous components.
@@ -301,14 +316,15 @@ def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
         if any(W[i][j] % s for i in top for j in top):
             raise InvalidDataError("pairing value incompatible with orders")
         A = [[W[i][j] // s for j in top] for i in top]
-        if _int_det(A) % p == 0:
+        det = _int_det(A)
+        if det % p == 0:
             raise InvalidDataError(
                 f"singular pairing: top block at exponent {q} has determinant "
                 f"divisible by {p}"
             )
-        components.append(
-            HomogeneousComponent(p, padic_val(q, p), len(top), tuple(map(tuple, A)))
-        )
+        C = HomogeneousComponent(p, padic_val(q, p), len(top), tuple(map(tuple, A)))
+        C.__dict__["_det"] = det
+        components.append(C)
         if not rest:
             break
         assert not any(W[l][i] % s for l in rest for i in top)
@@ -349,7 +365,7 @@ def d_invariant(C: HomogeneousComponent) -> int:
     """Square class (+1/-1) of det of the scaled Gram matrix mod odd p."""
     if C.prime == 2:
         raise UnsupportedError("the determinant class is defined for odd p")
-    det = _int_det(C.matrix)
+    det = C.det()
     if det % C.prime == 0:
         raise InvalidDataError("component determinant is not a unit")
     return legendre(det, C.prime)
@@ -440,7 +456,7 @@ def even_decompose(C: HomogeneousComponent) -> tuple[int, int]:
         raise InvalidDataError("even components have even rank")
     if C.k == 1:
         return (C.rank // 2, 0)
-    det = _int_det(C.matrix)
+    det = C.det()
     if det % 2 == 0:
         raise InvalidDataError("singular even component")
     e1 = int(det % 8 in (3, 5))
@@ -647,60 +663,117 @@ def canonical_form(sf: StandardForm) -> StandardForm:
     return StandardForm.of(out)
 
 
-def _as_standard(obj) -> StandardForm:
-    if isinstance(obj, StandardForm):
-        return obj
-    if isinstance(obj, GramPairing):
-        return classify(obj).standard_form
-    raise InvalidDataError(f"expected StandardForm or GramPairing, got {obj!r}")
+def _level(p: int, k: int, rank: int, units=(), e1: int = 0, d: int = 1) -> tuple:
+    """(k, rank, odd, even, dead): the Gauss sums of one level of a pairing.
+
+    A level is given at p = 2 by its diagonal ``units`` and its number
+    ``e1`` of E1 blocks, at odd p by its rank and determinant class ``d``.
+    The argument in Z/8 of sum_x e(p^n l(x,x)) over the level is, at
+    m = k - n, 0 for m <= 0, else ``odd`` for odd m and ``even`` for even
+    m; at m = 1 it is None (the sum is 0) if ``dead``: if the level has a
+    diagonal unit at p = 2.  These are closed forms of quadratic Gauss sums
+    modulo p^m, added atom by atom: <a/p^k> gives 4 [a is a nonresidue] +
+    2 [p = 3 mod 4] at odd m and 0 at even m for odd p; a mod 8 at odd m
+    and +-1 (as a = +-1 mod 4) at even m for p = 2.  E0 gives 0, and E1
+    gives 4 at even m.
+    """
+    if p != 2:
+        return k, rank, 2 * rank * (p % 4 == 3) + 4 * (d == -1), 0, False
+    even = sum(1 if a % 4 == 1 else 7 for a in units) + 4 * e1
+    return k, rank, sum(units), even, bool(units)
 
 
-def _gauss_arg(atom: Atom, n: int) -> int | None:
-    """Argument in Z/8 of sum_x e(p^n l(x,x)) over one atom; None if the sum is 0."""
-    m = atom.k - n  # closed forms of quadratic Gauss sums modulo p^m
-    if isinstance(atom, E1):
-        return 4 * ((m - 1) % 2) if m > 0 else 0
-    if m <= 0 or isinstance(atom, E0) or (atom.p != 2 and m % 2 == 0):
-        return 0
-    if atom.p != 2:
-        return 4 * (legendre(atom.a, atom.p) == -1) + 2 * (atom.p % 4 == 3)
-    if m == 1:
-        return None
-    return (1 if atom.a % 4 == 1 else 7) if m % 2 == 0 else atom.a % 8
+def _prime_invariant(levels) -> tuple:
+    """(ranks, args) at one prime from its _level records, by decreasing k.
 
-
-def _gauss_invariant(sf: StandardForm) -> tuple:
-    """Group structure plus, per prime p and 0 <= n < K_p (the top exponent
-    at p), the argument in Z/8 of sum_x e(p^n l(x,x)), or None if it is 0.
-
-    Gauss sums multiply over orthogonal sums, so arguments add atom by atom.
-    The invariant is complete: at odd p it gives rank and determinant class
-    level by level, and at p = 2 ranks and these Gauss sums classify
-    (Kawauchi-Kojima, Math. Ann. 253, 1980).
+    ranks holds each level's (k, rank); args holds, for 0 <= n < K (the
+    top exponent), the argument in Z/8 of sum_x e(p^n l(x,x)), or None if
+    the sum is 0.  Gauss sums multiply over orthogonal sums, so the
+    arguments of the levels add.
     """
     args = []
-    for p in sf.primes():
-        atoms = sf.restrict(p).atoms
-        for n in range(max(a.k for a in atoms)):
-            parts = [_gauss_arg(a, n) for a in atoms]
-            args.append((p, n, None if None in parts else sum(parts) % 8))
-    return sf.group_structure(), tuple(args)
+    for n in range(levels[0][0] if levels else 0):
+        total = 0
+        for k, _, odd, even, dead in levels:
+            m = k - n
+            if m <= 0:
+                break
+            if m == 1 and dead:
+                total = None
+                break
+            total += odd if m % 2 else even
+        args.append(None if total is None else total % 8)
+    return tuple((k, rank) for k, rank, *_ in levels), tuple(args)
+
+
+def local_invariant(G: GramPairing) -> tuple:
+    """The invariant of G's class at its prime, read from ``G.components()``.
+
+    Nothing is classified: at odd p each component gives its rank and
+    determinant class (``d_invariant``), at p = 2 an even one its E1 count
+    (``even_decompose``) and an odd one its diagonal units
+    (``diagonalize_odd``).  Equal to the p-part of gauss_invariant of
+    ``classify(G).standard_form``.
+    """
+    p = G.prime
+    levels = []
+    for C in G.components():
+        if p != 2:
+            levels.append(_level(p, C.k, C.rank, d=d_invariant(C)))
+        elif parity(C) == "even":
+            levels.append(_level(2, C.k, C.rank, e1=even_decompose(C)[1]))
+        else:
+            levels.append(_level(2, C.k, C.rank, [a.a for a in diagonalize_odd(C)]))
+    return _prime_invariant(levels)
+
+
+def gauss_invariant(obj) -> tuple:
+    """((p, (ranks, args)), ...) over the primes of a StandardForm or a
+    GramPairing: the ranks level by level and, for 0 <= n < K_p (the top
+    exponent at p), the argument in Z/8 of sum_x e(p^n l(x,x)), or None if
+    it is 0 (see _prime_invariant).
+
+    The invariant is complete: at odd p it gives rank and determinant class
+    level by level, and at p = 2 ranks and these Gauss sums classify
+    (Kawauchi-Kojima, Math. Ann. 253, 1980).  A Gram pairing is read by
+    local_invariant, a standard form from its atoms, level by level.
+    """
+    if isinstance(obj, GramPairing):
+        return ((obj.prime, local_invariant(obj)),) if obj.orders else ()
+    if not isinstance(obj, StandardForm):
+        raise InvalidDataError(f"expected StandardForm or GramPairing, got {obj!r}")
+    levels: dict[int, list] = {}  # atoms come by prime, then by decreasing k
+    for (p, k), group in groupby(obj.atoms, lambda a: (_atom_prime(a), a.k)):
+        group = list(group)
+        units = [a.a for a in group if isinstance(a, Cyc)]
+        e1 = sum(isinstance(a, E1) for a in group)
+        d = 1 if p == 2 else prod(legendre(a, p) for a in units)
+        rank = 2 * len(group) - len(units)
+        levels.setdefault(p, []).append(_level(p, k, rank, units, e1, d))
+    return tuple((p, _prime_invariant(found)) for p, found in levels.items())
+
+
+def _negated(invariant: tuple) -> tuple:
+    """The invariant of the negated pairing: every Gauss sum is conjugated."""
+    return tuple(
+        (p, (ranks, tuple(None if a is None else -a % 8 for a in args)))
+        for p, (ranks, args) in invariant
+    )
 
 
 def is_isomorphic(f, g, *, allow_negation: bool = False) -> bool:
     """Exact isomorphism test between standard forms or Gram pairings.
 
-    Compares the complete invariants of _gauss_invariant, at every group
+    Compares the complete invariants of gauss_invariant, at every group
     order.  With ``allow_negation`` the negated pairing is accepted as well.
     """
     return isomorphism_report(f, g, allow_negation=allow_negation)["isomorphic"]
 
 
 def isomorphism_report(f, g, *, allow_negation=False) -> dict:
-    sg = _as_standard(g)
-    want = _gauss_invariant(_as_standard(f))
-    targets = [sg] + ([sg.negated()] if allow_negation else [])
-    hit = next((i for i, t in enumerate(targets) if _gauss_invariant(t) == want), None)
+    want, got = gauss_invariant(f), gauss_invariant(g)
+    targets = [got] + ([_negated(got)] if allow_negation else [])
+    hit = next((i for i, t in enumerate(targets) if t == want), None)
     return {"isomorphic": hit is not None, "method": "invariants", "negated": hit == 1}
 
 

@@ -2,13 +2,13 @@
 
 Every construction here is recipe-first, verify-always: candidate Seifert
 data is produced lazily from explicit recipes (plus orientation variants
-and small structured repairs), each candidate is classified through the
-exact pipeline, and the first one whose pairing matches the target is
-returned.  A target that passes the preconditions but exhausts its
-candidates raises VerificationError; targets outside the implemented
-constructions raise UnrealizableError up front.  Target shapes are read
-level by level via StandardForm.levels, the 2-primary ones from the
-canonical form.
+and small structured repairs), each candidate's pairing is compared with
+the target prime by prime by complete invariants (verify_realization),
+and the first one that matches is returned.  A target that passes the
+preconditions but exhausts its candidates raises VerificationError;
+targets outside the implemented constructions raise UnrealizableError up
+front.  Target shapes are read level by level via StandardForm.levels,
+the 2-primary ones from the canonical form.
 
 realize is the one dispatcher.  It reads three facts of the target: whether
 it has a 2-part, whether that 2-part is homogeneous ("gapped" if not), and
@@ -52,10 +52,10 @@ from .pairing import (
     Cyc,
     StandardForm,
     canonical_form,
+    gauss_invariant,
     is_isomorphic,
-    standard_form_of,
 )
-from .seifert import SeifertData, euler_invariant, fibre_sum
+from .seifert import SeifertData, euler_invariant, fibre_sum, relevant_primes
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,16 @@ class RealizationResult:
 
 def verify_realization(S: SeifertData, target: StandardForm) -> bool:
     """Exact round trip: the pairing of M(0;S) matches the target at every
-    prime of the target and is trivial at every other relevant prime."""
-    return is_isomorphic(standard_form_of(S), target)
+    prime of the target and is trivial at every other relevant prime.
+
+    Decided prime by prime by gauss_invariant, a complete invariant: each
+    relevant prime's Gram pairing is read from its homogeneous components,
+    and S is never classified.  Every relevant prime is read before the
+    comparison, so a singular pairing raises rather than reads as False; a
+    target prime that is not relevant to S is a mismatch.
+    """
+    got = (part for p in relevant_primes(S) for part in gauss_invariant(gram_matrix(S, p)))
+    return tuple(got) == gauss_invariant(target)
 
 
 def _negate_betas(S: SeifertData) -> SeifertData:
@@ -267,7 +275,7 @@ def _balanced_sphere_candidates(target: StandardForm, label: str):
     Builds S = ((A, B)) + per-prime tails with B = -1 - A * sum(beta/alpha),
     so eps = 1/A exactly (see _balanced).  Because the p-primary pairing depends only on A
     and the p-tail, each prime's tail variant is chosen by a local
-    classification check before the full verification.
+    isomorphism check at p before the full verification.
     """
     primes = target.primes()
     per_prime = {p: target.levels(p) for p in primes}

@@ -1,5 +1,6 @@
 """Helpers used only by the tests: a random change of basis, the value of
-the pairing on two elements, and a data-level evenness predicate."""
+the pairing on two elements, a data-level evenness predicate and random
+Seifert data with large cone orders."""
 
 import random
 from fractions import Fraction
@@ -65,3 +66,34 @@ def even_predicate_from_data(S: SeifertData) -> bool:
     if eps == 0:
         return True
     return padic_val(pairs[0][0] * eps.numerator, 2) == padic_val(eps.denominator, 2)
+
+
+def rand_block_seifert(rng: random.Random, flat: bool, max_r: int = 10, max_alpha: int = 1000):
+    """Random Seifert data with 2 <= r <= max_r and alphas <= max_alpha,
+    with eps = 0 exactly if ``flat`` and eps != 0 otherwise.
+
+    The pairs fall into one or two blocks.  Every alpha of a block divides
+    the block's largest one, L, whose beta sets the block's share of eps to
+    -c/L, with c = 0 for flat data and 0 < |c| <= 3 otherwise, so the
+    numerator of eps stays small while the cone orders share many primes.
+    """
+    while True:
+        r = rng.randint(2, max_r)
+        split = rng.randint(2, r - 2) if r >= 4 and rng.random() < 0.5 else r
+        pairs = []
+        for m in (split, r - split):
+            if not m:
+                continue
+            L = rng.randint(2, max_alpha)
+            divisors = [d for d in range(2, L + 1) if L % d == 0]
+            for _ in range(m - 1):
+                a = rng.choice(divisors)
+                b = rng.choice([b for b in range(-a, a + 1) if gcd(a, b) == 1])
+                pairs.append((a, b))
+            c = 0 if flat else rng.choice((-3, -2, -1, 1, 2, 3))
+            pairs.append((L, c - sum(L // a * b for a, b in pairs[len(pairs) - m + 1 :])))
+        if all(gcd(a, b) == 1 for a, b in pairs):
+            rng.shuffle(pairs)
+            S = SeifertData(0, tuple(pairs))
+            if (S.eps == 0) == flat:
+                return S

@@ -13,9 +13,9 @@ from linkform.pairing import (
     E0,
     E1,
     StandardForm,
-    _gauss_invariant,
     brute_force_isomorphic,
     classify,
+    gauss_invariant,
     standard_form_gram,
 )
 from linkform.seifert import euler_invariant, seifert
@@ -112,11 +112,11 @@ def _every_two_homogeneous_atom_list(kmax, rhomax):
 
 
 def test_two_homogeneous_forms_cover_every_class():
-    # _gauss_invariant is complete, so equal sets of invariants mean the
+    # gauss_invariant is complete, so equal sets of invariants mean the
     # listed forms hit every class; three classes are listed twice
     forms = all_two_homogeneous_forms(kmax=3, rhomax=4)
-    listed = [_gauss_invariant(f) for f in forms]
-    every = {_gauss_invariant(f) for f in _every_two_homogeneous_atom_list(3, 4)}
+    listed = [gauss_invariant(f) for f in forms]
+    every = {gauss_invariant(f) for f in _every_two_homogeneous_atom_list(3, 4)}
     assert set(listed) == every
     assert len(every) == 53 and len(listed) == 56
 

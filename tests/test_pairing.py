@@ -22,6 +22,7 @@ from linkform.pairing import (
     diagonalize_odd,
     div4_diagonal_count,
     even_decompose,
+    gauss_invariant,
     hyperbolic_from_counts,
     hyperbolic_test,
     is_isomorphic,
@@ -30,7 +31,7 @@ from linkform.pairing import (
     standard_form_of,
 )
 from linkform.seifert import seifert
-from support import eval_pair, even_predicate_from_data, shuffle_basis
+from support import eval_pair, even_predicate_from_data, rand_block_seifert, shuffle_basis
 
 NIL = seifert((2, 1), (2, 1), (2, 1), (2, -1))
 
@@ -667,8 +668,7 @@ def _direct_gauss_arg(sf_p, p, n):
 
 
 def test_gauss_arguments_match_direct_sums():
-    from linkform.pairing import _gauss_arg
-
+    # one atom: the invariant lists n < k; at n >= k the sum is |G|, argument 0
     for p, kmax in ((2, 5), (3, 4), (5, 3), (7, 2)):
         for k in range(1, kmax + 1):
             units = (1, 3, 5, 7) if p == 2 else (1, 2, 3, 6)
@@ -676,24 +676,83 @@ def test_gauss_arguments_match_direct_sums():
             if p == 2:
                 atoms += [E0(k)] + ([E1(k)] if k >= 2 else [])
             for atom in atoms:
+                [(q, (_, args))] = gauss_invariant(sf(atom))
+                assert q == p and len(args) == k
                 for n in range(k + 2):
-                    assert _gauss_arg(atom, n) == _direct_gauss_arg(sf(atom), p, n), (atom, n)
+                    got = args[n] if n < k else 0
+                    assert got == _direct_gauss_arg(sf(atom), p, n), (atom, n)
 
 
 def test_gauss_invariant_adds_over_atoms():
-    from linkform.pairing import _gauss_invariant
-
     for form in (
         sf(Cyc.make(2, 3, 3), Cyc.make(2, 2, 1), E1(2)),
         sf(Cyc.make(2, 3, 5), E0(1), Cyc.make(2, 1, 1)),
         sf(Cyc.make(3, 2, 2), Cyc.make(3, 1, 1), Cyc.make(3, 1, 2)),
         sf(Cyc.make(5, 1, 2), Cyc.make(5, 2, 3), Cyc.make(7, 1, 3)),
     ):
-        structure, args = _gauss_invariant(form)
-        assert structure == form.group_structure()
-        for p, n, arg in args:
-            assert arg == _direct_gauss_arg(form.restrict(p), p, n), (form, p, n)
+        invariant = gauss_invariant(form)
+        structure = [(p, k) for p, (ranks, _) in invariant for k, rho in ranks for _ in range(rho)]
+        assert tuple(sorted(structure)) == form.group_structure()
+        for p, (_, args) in invariant:
+            for n, arg in enumerate(args):
+                assert arg == _direct_gauss_arg(form.restrict(p), p, n), (form, p, n)
 
+
+
+def _gram_pairings():
+    """Gram pairings of random data (r <= 10, alphas <= 1000) at each
+    relevant prime, every 2-homogeneous form with k <= 3 and rho <= 4, and
+    a random change of basis of each."""
+    from linkform.seifert import relevant_primes
+    from linkform.verify import all_two_homogeneous_forms
+
+    rng = random.Random(16)
+    for i in range(150):
+        S = rand_block_seifert(rng, flat=i % 2 == 0)
+        for p in relevant_primes(S):
+            G = gram_matrix(S, p)
+            yield G
+            yield shuffle_basis(G, rng)
+    for form in all_two_homogeneous_forms():
+        G = standard_form_gram(form, 2)
+        yield G
+        yield shuffle_basis(G, rng)
+
+
+def test_local_invariant_equals_classified_invariant():
+    # read from the components, the invariant equals that of the atoms
+    # classify finds; so does the report on Gram pairings, with negation
+    from linkform.pairing import isomorphism_report, local_invariant
+
+    seen = 0
+    for G in _gram_pairings():
+        form = classify(G).standard_form
+        assert gauss_invariant(G) == gauss_invariant(form), G
+        if G.orders:
+            seen += 1
+            assert gauss_invariant(G) == ((G.prime, local_invariant(G)),)
+            neg = standard_form_gram(form.negated(), G.prime)
+            rep = isomorphism_report(form, neg, allow_negation=True)
+            assert rep["isomorphic"] and rep["negated"] == (not is_isomorphic(form, neg))
+    assert seen > 500
+
+
+def test_component_determinant_recorded_once():
+    # block_diagonalize records each component's determinant; a component
+    # built by hand computes it on first use, and the record stays outside
+    # ==, hash and repr
+    from linkform.pairing import _int_det
+
+    for G in _gram_pairings():
+        for C in G.components():
+            fresh = HomogeneousComponent(C.prime, C.k, C.rank, C.matrix)
+            assert "_det" in vars(C) and "_det" not in vars(fresh)
+            assert C == fresh and hash(C) == hash(fresh) and repr(C) == repr(fresh)
+            if C.prime != 2:
+                assert d_invariant(C) == d_invariant(fresh)
+            elif parity(C) == "even":
+                assert even_decompose(C) == even_decompose(fresh)
+            assert C.det() == fresh.det() == _int_det(C.matrix)
 
 TWO_UNITS = {1: (1,), 2: (1, 3), 3: (1, 3, 5, 7)}
 

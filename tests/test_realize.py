@@ -2,15 +2,16 @@ import importlib
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkform.arith import padic_val
+from linkform.arith import is_prime, least_nonresidue, padic_val
 from linkform.errors import InvalidDataError, UnrealizableError, UnsupportedError
-from linkform.linking import gram_matrix
+from linkform.linking import GramPairing, gram_matrix
 from linkform.pairing import (
     Cyc,
     E0,
@@ -31,6 +32,7 @@ from linkform.realize import (
 from linkform.seifert import SeifertData, euler_invariant, relevant_primes, seifert
 from linkform.torsion import local_orders
 from linkform.verify import RunConfig, run_suite
+from support import rand_block_seifert
 
 
 # the package re-exports the function realize under the submodule's name
@@ -430,6 +432,115 @@ def test_exhaustive_search_small_positive_control():
 def test_verify_realization_rejects_extra_torsion():
     # correct 2-part but stray torsion at 3 must fail
     assert not verify_realization(seifert((4, 1), (2, 1)), sf(Cyc.make(2, 1, 1)))
+
+
+def _changed_at_one_prime(form, rng):
+    """form with one atom changed at one of its primes: a unit class flipped
+    at odd p; at p = 2 an E0 and an E1 swapped (E0(1) split into two
+    units) or a unit moved mod 8."""
+    atoms = list(form.atoms)
+    i = rng.randrange(len(atoms))
+    a = atoms[i]
+    if isinstance(a, Cyc) and a.p != 2:
+        atoms[i] = Cyc.make(a.p, a.k, a.a * least_nonresidue(a.p))
+    elif isinstance(a, Cyc):
+        atoms[i] = Cyc.make(2, a.k, a.a + rng.choice((2, 4, 6)))
+    elif isinstance(a, E1):
+        atoms[i] = E0(a.k)
+    elif a.k >= 2:
+        atoms[i] = E1(a.k)
+    else:
+        atoms[i:i + 1] = [Cyc.make(2, 1, 1), Cyc.make(2, 1, 1)]
+    return StandardForm.of(atoms)
+
+
+def test_verify_realization_agrees_with_classification():
+    # the prime-by-prime check against classifying the whole candidate, on
+    # data with r <= 10 and alphas <= 1000, half of it with eps = 0
+    rng = random.Random(15)
+    verdicts = {}
+    for i in range(400):
+        S = rand_block_seifert(rng, flat=i % 2 == 0)
+        form = standard_form_of(S)
+        extra = next(q for q in itertools.count(3) if is_prime(q) and q not in relevant_primes(S))
+        targets = {
+            "own": form,
+            "negated": form.negated(),
+            "extra prime": form + sf(Cyc.make(extra, 1, 1)),
+            "trivial": StandardForm.empty(),
+        }
+        if form.atoms:
+            targets["changed"] = _changed_at_one_prime(form, rng)
+        for name, target in targets.items():
+            got = verify_realization(S, target)
+            assert got == is_isomorphic(form, target), (S, name, target.to_json())
+            verdicts.setdefault(name, set()).add(got)
+    assert verdicts == {
+        "own": {True},
+        "negated": {True, False},
+        "changed": {True, False},
+        "extra prime": {False},
+        "trivial": {True, False},
+    }
+
+
+def test_verify_realization_refuses_r1_and_reads_every_prime(monkeypatch):
+    # r = 1 raises, as the classification does
+    with pytest.raises(UnsupportedError):
+        standard_form_of(seifert((5, 2)))
+    with pytest.raises(UnsupportedError):
+        verify_realization(seifert((5, 2)), sf(Cyc.make(2, 1, 1)))
+    # the target fails at 2 already, but a singular pairing at 3 still raises
+    S = seifert((4, 1), (2, 1))
+    singular = standard_form_gram(sf(Cyc.make(3, 1, 1)), 3)
+    singular = GramPairing(3, singular.labels, singular.orders, ((0,),))
+    monkeypatch.setattr(
+        realize_module, "gram_matrix", lambda S, p: singular if p == 3 else gram_matrix(S, p)
+    )
+    with pytest.raises(InvalidDataError, match="singular"):
+        verify_realization(S, sf(Cyc.make(2, 2, 1)))
+
+
+def test_verify_realization_classifies_nothing(monkeypatch):
+    # inside verify_realization: no classify call, and one determinant per
+    # homogeneous component (block_diagonalize's, read again by d_invariant
+    # and even_decompose)
+    import linkform.pairing as pairing
+
+    inside, counts = [False], Counter()
+
+    def counting(name):
+        inner = getattr(pairing, name)
+
+        def counted(*args):
+            if inside[0]:
+                counts[name] += 1
+            found = inner(*args)
+            if inside[0] and name == "block_diagonalize":
+                counts["components"] += len(found)
+            return found
+
+        monkeypatch.setattr(pairing, name, counted)
+
+    for name in ("classify", "block_diagonalize", "_int_det", "diagonalize_odd"):
+        counting(name)
+    check = realize_module.verify_realization
+
+    def verify(S, target):
+        inside[0] = True
+        try:
+            return check(S, target)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(realize_module, "verify_realization", verify)
+    target = sf(E1(6), Cyc.make(2, 4, 7), Cyc.make(11, 1, 7), Cyc.make(7, 2, 4))
+    assert realize(target, "flat").verified
+    assert counts["classify"] == 0
+    assert counts["_int_det"] == counts["components"] > 0
+    # the 2-parts: the gapped piece (E1(6) on top, <7>/16 below) and the
+    # whole sum; diagonalize_odd runs on their one odd component each
+    assert counts["diagonalize_odd"] == 2
 
 
 # ---------------------------------------------------------------------------
