@@ -34,6 +34,8 @@ def padic_val(q, p: int) -> int:
     -2
     """
     if type(q) is int:  # the common case: no Fraction is built
+        if p == 2 and q:
+            return (q & -q).bit_length() - 1
         n, d = q, 1
     else:
         q = as_fraction(q)

@@ -10,14 +10,27 @@ rational values
     l(s,    q_i') = beta_i / alpha_i
     l(s,    s)    = -(alpha_1 + n alpha_1 alpha_2 eps) / (alpha_1 alpha_2^2 eps)
 
-where m alpha_2 + n beta_2 = 1.  Every p-primary value lies in (1/N)Z/Z,
-where N = p^K is the largest generator order, so a pairing is stored as
-the integer matrix N l(e_i, e_j) mod N: each closed-form value is
-converted once, from its integer numerator and denominator, by
-``arith.p_part``, and a value off the 1/N grid is refused, never
-truncated.  No rescaling to pure p-power denominators of
-the underlying 1-cycles is performed.  ``GramPairing.gram`` is a Fraction
-view in [0, 1), used for JSON output.
+where m alpha_2 + n beta_2 = 1.  With c = -alpha_2 beta_2 this matrix is
+
+    diag(E) + (1/c) u u^T,
+    E_i = -beta_2^2 beta_i / alpha_i,                    u_i = c beta_i / alpha_i,
+    E_s = -(beta_2 - m alpha_2^2 eps) / (alpha_2^2 beta_2 eps),   u_s = 1,
+
+so Gram-Schmidt needs one running partial Euler sum,
+T = beta_2/alpha_2 + sum x_i over the generators already pivoted, with
+x_i = beta_i/alpha_i and x_s = beta_2 eps / (beta_2 - m alpha_2^2 eps): a
+1x1 pivot is E_i (T + x_i)/T and a 2x2 pivot has determinant
+E_i E_j (T + x_i + x_j)/T.  When E_s = 0 the s pivot is -1/(alpha_2^2 T)
+and every later pivot is its E_i.  pairing.local_invariant_from_data reads
+each prime's invariant from these pivots without building a Gram matrix.
+
+Every p-primary value lies in (1/N)Z/Z, where N = p^K is the largest
+generator order, so a pairing is stored as the integer matrix
+N l(e_i, e_j) mod N: each closed-form value is converted once, from its
+integer numerator and denominator, by ``arith.p_part``, and a value off
+the 1/N grid is refused, never truncated.  No rescaling to pure p-power
+denominators of the underlying 1-cycles is performed.  ``GramPairing.gram``
+is a Fraction view in [0, 1), used for JSON output.
 
 The pairing of two elements is then an integer dot product mod N, so the
 element-level oracles (self-linking profiles, brute-force isomorphism,

@@ -12,8 +12,9 @@ This module provides the block decomposition, the per-component
 invariants, conversion to a standard form built from Cyc/E0/E1 atoms, an
 exact isomorphism test by Gauss-sum invariants at every order (read from
 the atoms of a standard form or, without classifying, from the components
-of a Gram pairing), a sound normal form from which realization reads
-target shapes, and a brute-force isomorphism search kept as a test oracle.
+of a Gram pairing or from Seifert data directly), a sound normal form from
+which realization reads target shapes, and a brute-force isomorphism
+search kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from math import prod
 
 from .arith import (
     bareiss,
+    ext_gcd,
     is_prime,
     least_nonresidue,
     legendre,
@@ -42,7 +44,7 @@ from .linking import (
     image,
 )
 from .seifert import SeifertData, relevant_primes
-from .torsion import local_orders
+from .torsion import local_orders, unsupported_r1_pairing
 
 
 # ---------------------------------------------------------------------------
@@ -727,21 +729,111 @@ def local_invariant(G: GramPairing) -> tuple:
     return _prime_invariant(levels)
 
 
+def _unit_value(num: int, den: int, p: int, v: int) -> int | None:
+    """The unit u of num/den = p^v u mod 8 (p = 2) or mod p, or None if
+    num/den is 0 or has another valuation."""
+    if not num:
+        return None
+    vn, vd = padic_val(num, p), padic_val(den, p)
+    if vn - vd != v:
+        return None
+    # an odd unit is its own inverse mod 8
+    return num // p**vn * (den // p**vd) % (8 if p == 2 else p)
+
+
+def local_invariant_from_data(S: SeifertData, p: int) -> tuple:
+    """local_invariant(gram_matrix(S, p)), read from the Seifert data.
+
+    Builds no Gram matrix.  On the kept generators the pairing is
+    diag(E) + (1/c) u u^T (see the ``linking`` module docstring), so after
+    pivots with Euler terms x the next 1x1 pivot is E (T + x)/T, with the
+    partial Euler sum T = beta_2/alpha_2 + sum x.  In integers, with
+    x = xn/xd, F = E/xd and T = tn/td, a pivot is F tn'/tn where
+    tn' = tn xd + xn td is the numerator of T + x over the denominator
+    td xd.  So the pivots of a level multiply to prod F times the ratio of
+    the level's last and first tn, whatever pivots are chosen.  After an s
+    with E_s = 0 (xd = 0), td = 0: T is infinite and every later pivot is
+    its E.
+
+    Generators are taken by decreasing order.  At odd p a level gives its
+    rank and the determinant class of that product.  At p = 2 a level takes
+    1x1 pivots of valuation -k while one exists; what is left is even, and
+    its determinant decides one E1 (k >= 2, unit +-3 mod 8).  A level whose
+    determinant has the wrong valuation raises InvalidDataError (singular),
+    as block_diagonalize does.
+    """
+    unsupported_r1_pairing(S)
+    decomp = local_orders(S, p)
+    pairs, eps = decomp.pairs, decomp.eps
+    a2, b2 = pairs[1]
+    # (order, F numerator, F denominator, x numerator, x denominator); the
+    # kept q_i' are the first pairs after the second, in pair order
+    gens = []
+    for i, (label, order) in enumerate(decomp.orders):
+        if label == "s":
+            _, m, _ = ext_gcd(a2, b2)
+            en, ed = eps.numerator, eps.denominator
+            gens.append((order, -1, a2 * a2 * b2 * en, b2 * en, b2 * ed - m * a2 * a2 * en))
+        else:
+            a, b = pairs[i + 2]
+            gens.append((order, -b2 * b2 * b, a * a, b, a))
+    gens.sort(key=lambda g: -g[0])  # stable: s follows the q_i' of its order
+    tn, td = b2, a2
+    levels = []
+    for order, group in groupby(gens, lambda g: g[0]):
+        k = padic_val(order, p)
+        rest = list(group)
+        rank = len(rest)
+        units = []
+        while p == 2 and rest:  # 1x1 pivots of valuation -k
+            for j, (_, fn, fd, xn, xd) in enumerate(rest):
+                t = tn * xd + xn * td
+                u = _unit_value(fn * t, fd * tn, 2, -k)
+                if u is not None:
+                    units.append(u)  # _level reads a unit mod 2^k only at k >= 3
+                    tn, td = t, td * xd
+                    del rest[j]
+                    break
+            else:
+                break
+        num, den = 1, tn
+        for _, fn, fd, xn, xd in rest:
+            tn, td = tn * xd + xn * td, td * xd
+            num, den = num * fn, den * fd
+        d = _unit_value(num * tn, den, p, -k * len(rest)) if rest else 1
+        if d is None:
+            raise InvalidDataError(
+                f"singular pairing: top block at exponent {order} has determinant "
+                f"divisible by {p}"
+            )
+        if p != 2:
+            levels.append(_level(p, k, rank, d=legendre(d, p)))
+        else:
+            levels.append(_level(2, k, rank, units, int(k >= 2 and d in (3, 5))))
+    return _prime_invariant(levels)
+
+
 def gauss_invariant(obj) -> tuple:
-    """((p, (ranks, args)), ...) over the primes of a StandardForm or a
-    GramPairing: the ranks level by level and, for 0 <= n < K_p (the top
-    exponent at p), the argument in Z/8 of sum_x e(p^n l(x,x)), or None if
-    it is 0 (see _prime_invariant).
+    """((p, (ranks, args)), ...) over the primes of a StandardForm, a
+    GramPairing or the linking pairing of SeifertData: the ranks level by
+    level and, for 0 <= n < K_p (the top exponent at p), the argument in Z/8
+    of sum_x e(p^n l(x,x)), or None if it is 0 (see _prime_invariant).
 
     The invariant is complete: at odd p it gives rank and determinant class
     level by level, and at p = 2 ranks and these Gauss sums classify
     (Kawauchi-Kojima, Math. Ann. 253, 1980).  A Gram pairing is read by
-    local_invariant, a standard form from its atoms, level by level.
+    local_invariant, Seifert data by local_invariant_from_data at every
+    relevant prime, and a standard form from its atoms, level by level.
     """
     if isinstance(obj, GramPairing):
         return ((obj.prime, local_invariant(obj)),) if obj.orders else ()
+    if isinstance(obj, SeifertData):
+        found = [(p, local_invariant_from_data(obj, p)) for p in relevant_primes(obj)]
+        return tuple((p, inv) for p, inv in found if inv[0])
     if not isinstance(obj, StandardForm):
-        raise InvalidDataError(f"expected StandardForm or GramPairing, got {obj!r}")
+        raise InvalidDataError(
+            f"expected StandardForm, GramPairing or SeifertData, got {obj!r}"
+        )
     levels: dict[int, list] = {}  # atoms come by prime, then by decreasing k
     for (p, k), group in groupby(obj.atoms, lambda a: (_atom_prime(a), a.k)):
         group = list(group)
@@ -762,7 +854,8 @@ def _negated(invariant: tuple) -> tuple:
 
 
 def is_isomorphic(f, g, *, allow_negation: bool = False) -> bool:
-    """Exact isomorphism test between standard forms or Gram pairings.
+    """Exact isomorphism test between standard forms, Gram pairings or the
+    linking pairings of Seifert data.
 
     Compares the complete invariants of gauss_invariant, at every group
     order.  With ``allow_negation`` the negated pairing is accepted as well.

@@ -47,15 +47,14 @@ from math import gcd, prod
 
 from .arith import factorize, least_nonresidue, legendre, padic_val
 from .errors import InvalidDataError, UnrealizableError, UnsupportedError, VerificationError
-from .linking import gram_matrix
 from .pairing import (
     Cyc,
     StandardForm,
     canonical_form,
     gauss_invariant,
-    is_isomorphic,
+    local_invariant_from_data,
 )
-from .seifert import SeifertData, euler_invariant, fibre_sum, relevant_primes
+from .seifert import SeifertData, euler_invariant, fibre_sum
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,14 @@ def verify_realization(S: SeifertData, target: StandardForm) -> bool:
     """Exact round trip: the pairing of M(0;S) matches the target at every
     prime of the target and is trivial at every other relevant prime.
 
-    Decided prime by prime by gauss_invariant, a complete invariant: each
-    relevant prime's Gram pairing is read from its homogeneous components,
-    and S is never classified.  Every relevant prime is read before the
-    comparison, so a singular pairing raises rather than reads as False; a
-    target prime that is not relevant to S is a mismatch.
+    Decided prime by prime by gauss_invariant, a complete invariant.  The
+    candidate's invariant is read from its Seifert data at each relevant
+    prime (local_invariant_from_data): no Gram matrix is built and S is
+    never classified.  Every relevant prime is read before the comparison,
+    so a singular pairing raises rather than reads as False; a target prime
+    that is not relevant to S is a mismatch.
     """
-    got = (part for p in relevant_primes(S) for part in gauss_invariant(gram_matrix(S, p)))
-    return tuple(got) == gauss_invariant(target)
+    return gauss_invariant(S) == gauss_invariant(target)
 
 
 def _negate_betas(S: SeifertData) -> SeifertData:
@@ -125,6 +124,11 @@ def _sum_zero_unit_tuples(p: int, m: int, want_cls: int):
     """Yield tuples of m units mod p with exact sum 0 and given class of product.
 
     Deterministic order; used for the top block of the flat odd-p recipe.
+    Each tail of m - 2 units is completed by a pair (b1, b2).  The
+    alternating +-1 tails come first.  Their number of non-residues stays
+    near m/2, and at p = 3 the tail's sum fixes the class of the pair, so
+    they can miss a class.  The tails with j non-residues (j = 0..m-2)
+    follow; at p = 3 these reach every class that a sum-zero tuple has.
     """
     base = tuple(1 if i % 2 == 0 else -1 for i in range(m - 2))
     tails = [base]
@@ -132,6 +136,8 @@ def _sum_zero_unit_tuples(p: int, m: int, want_cls: int):
         tails.append(base[:-1] + (v,))
         if m >= 4:
             tails.append((v,) + base[1:])
+    nonres = -1 if legendre(-1, p) == -1 else least_nonresidue(p)
+    tails += [(nonres,) * j + (1,) * (m - 2 - j) for j in range(m - 1)]
     seen = set()
     for tail in tails:
         if tail in seen:
@@ -274,8 +280,9 @@ def _balanced_sphere_candidates(target: StandardForm, label: str):
 
     Builds S = ((A, B)) + per-prime tails with B = -1 - A * sum(beta/alpha),
     so eps = 1/A exactly (see _balanced).  Because the p-primary pairing depends only on A
-    and the p-tail, each prime's tail variant is chosen by a local
-    isomorphism check at p before the full verification.
+    and the p-tail, each prime's tail variant is chosen before the full
+    verification, by comparing the invariant at p read from the data with
+    the target's, computed once per prime.
     """
     primes = target.primes()
     per_prime = {p: target.levels(p) for p in primes}
@@ -294,7 +301,7 @@ def _balanced_sphere_candidates(target: StandardForm, label: str):
 
     tails = {p: default_tail(p) for p in primes}
     for p in primes:
-        want = target.restrict(p)
+        ((_, want),) = gauss_invariant(target.restrict(p))
         variants = (
             _two_tails_for_sphere(per_prime[2][0][0], per_prime[2][0][1], alpha_big)
             if p == 2
@@ -304,7 +311,7 @@ def _balanced_sphere_candidates(target: StandardForm, label: str):
             trial = dict(tails)
             trial[p] = variant
             S = assemble(trial)
-            if is_isomorphic(gram_matrix(S, p), want):
+            if local_invariant_from_data(S, p) == want:
                 tails[p] = variant
                 break
         else:

@@ -239,7 +239,7 @@ def test_d_formula_examples():
     assert d_formula_case(S, 3) == "sphere"
     assert d_class_from_data(S, 3) == 1
     S = seifert((5, 1), (5, 2), (5, -3))
-    assert d_class_from_data(S, 3 if False else 5) == 1  # (-1)^2 * (1*2*-3) = 4 mod 5
+    assert d_class_from_data(S, 5) == 1  # (-1)^2 * (1*2*-3) = 4 mod 5
 
 
 def test_d_formula_matches_matrix_on_known_cases():

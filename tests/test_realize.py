@@ -227,8 +227,10 @@ def test_realize_covers_witness_targets(target, S):
 # one row per dispatch branch not pinned otherwise (the trivial target in
 # both modes, one odd prime, and mixed targets in auto mode); each row is
 # (atoms, mode, construction, pairs) as recorded before the 2-primary
-# constructions were merged into realize_two, or (the last five) before
-# realize became the one dispatcher
+# constructions were merged into realize_two, or (the five after the first
+# 36) before realize became the one dispatcher.  The last is a p = 3 top
+# level of even rank and the non-hyperbolic class, which the alternating
+# +-1 tails of the flat odd-p recipe miss (see test_flat_p3_even_rank_classes)
 
 C = Cyc.make
 CONSTRUCTIONS = [
@@ -273,6 +275,7 @@ CONSTRUCTIONS = [
     ((C(5, 1, 1),), 'flat', 'odd-flat/sum-zero[0]', ((5, -3), (5, 2), (5, 1))),
     ((C(3, 1, 1), E0(2)), 'auto', 'mixed-flat[odd-flat/sum-zero[0]+two-homog/even-hyperbolic-flat]', ((3, -2), (3, 1), (3, 1), (4, -1), (4, 1), (4, -1), (4, 1))),
     ((C(2, 3, 3), C(2, 1, 1), C(3, 1, 1)), 'auto', 'mixed-flat[gap-stacked/odd-flat+mixed-flat[odd-flat/sum-zero[0]]]', ((32, -21), (32, 1), (8, 1), (2, 1), (3, -2), (3, 1), (3, 1))),
+    ((C(3, 1, 1),) * 6, 'auto', 'odd-flat/sum-zero[0]', ((3, -7),) + ((3, 1),) * 7),
 ]
 
 
@@ -289,6 +292,51 @@ def test_construction_table(atoms, mode, construction, pairs):
     r = realize(sf(*atoms), mode)
     assert (r.construction, r.seifert.pairs) == (construction, pairs)
     assert r.verified
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_flat_p3_even_rank_classes(k):
+    # a top level at p = 3 of even rank >= 4 whose class is not that of the
+    # hyperbolic form: every sum-zero tuple of the +-1 tails has the other
+    # class, so flat and auto mode tried no candidate at all
+    q = 3**k
+    targets = [
+        (sf(C(3, k, 1), C(3, k, 1), C(3, k, 1), C(3, k, 2)), seifert(*[(q, 1)] * 5, (q, -5))),
+        (sf(*[C(3, k, 1)] * 6), seifert((q, -1), *[(q, 1)] * 6, (q, -5))),
+    ]
+    for target, witness in targets:
+        assert verify_realization(witness, target)
+        for mode in ("flat", "auto"):
+            r = realize(target, mode)
+            assert r.verified and r.euler == 0 and verify_realization(r.seifert, target)
+
+
+def _homogeneous_two_target(rng):
+    """Odd primes <= 17, up to 3 levels each, exponents <= 30, top rank
+    <= 14, plus a 2-part that is absent, diagonal or even on one level."""
+    atoms = []
+    for p in rng.sample([3, 5, 7, 11, 13, 17], rng.randint(1, 3)):
+        ks = sorted(rng.sample(range(1, 31), rng.randint(1, 3)), reverse=True)
+        for i, k in enumerate(ks):
+            rank = rng.randint(1, 14) if i == 0 else rng.randint(1, 3)
+            atoms += [C(p, k, rng.randrange(1, p)) for _ in range(rank)]
+    k, kind = rng.randint(1, 8), rng.random()
+    if kind < 1 / 3:
+        atoms += [C(2, k, rng.choice((1, 3, 5, 7))) for _ in range(rng.randint(1, 4))]
+    elif kind < 2 / 3:
+        e1 = int(k >= 2 and rng.random() < 0.5)
+        atoms += [E0(k)] * (rng.randint(1, 3) - e1) + [E1(k) for _ in range(e1)]
+    return sf(*atoms)
+
+
+def test_flat_and_auto_realize_every_target_with_a_homogeneous_two_part():
+    rng = random.Random(16)
+    for _ in range(120):
+        target = _homogeneous_two_target(rng)
+        for mode in ("flat", "auto"):
+            r = realize(target, mode)
+            assert r.verified and r.euler == 0, (target.to_json(), mode)
+            assert verify_realization(r.seifert, target)
 
 
 # candidates are built lazily: a target whose first candidate verifies builds
@@ -491,39 +539,51 @@ def test_verify_realization_refuses_r1_and_reads_every_prime(monkeypatch):
     with pytest.raises(UnsupportedError):
         verify_realization(seifert((5, 2)), sf(Cyc.make(2, 1, 1)))
     # the target fails at 2 already, but a singular pairing at 3 still raises
+    import linkform.pairing as pairing
+
     S = seifert((4, 1), (2, 1))
-    singular = standard_form_gram(sf(Cyc.make(3, 1, 1)), 3)
-    singular = GramPairing(3, singular.labels, singular.orders, ((0,),))
-    monkeypatch.setattr(
-        realize_module, "gram_matrix", lambda S, p: singular if p == 3 else gram_matrix(S, p)
-    )
+    assert relevant_primes(S) == (2, 3)
+    read = pairing.local_invariant_from_data
+
+    def singular_at_3(S, p):
+        if p == 3:
+            raise InvalidDataError("singular pairing at 3")
+        return read(S, p)
+
+    monkeypatch.setattr(pairing, "local_invariant_from_data", singular_at_3)
     with pytest.raises(InvalidDataError, match="singular"):
         verify_realization(S, sf(Cyc.make(2, 2, 1)))
 
 
 def test_verify_realization_classifies_nothing(monkeypatch):
-    # inside verify_realization: no classify call, and one determinant per
-    # homogeneous component (block_diagonalize's, read again by d_invariant
-    # and even_decompose)
+    # inside verify_realization the candidate's invariant is read from its
+    # Seifert data: no Gram matrix, no block decomposition, no determinant
+    # and no diagonalization
+    import linkform.linking as linking
     import linkform.pairing as pairing
 
     inside, counts = [False], Counter()
 
-    def counting(name):
-        inner = getattr(pairing, name)
+    def counting(module, name):
+        inner = getattr(module, name)
 
         def counted(*args):
             if inside[0]:
                 counts[name] += 1
-            found = inner(*args)
-            if inside[0] and name == "block_diagonalize":
-                counts["components"] += len(found)
-            return found
+            return inner(*args)
 
-        monkeypatch.setattr(pairing, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    for name in ("classify", "block_diagonalize", "_int_det", "diagonalize_odd"):
-        counting(name)
+    counting(linking, "gram_matrix")
+    for name in (
+        "gram_matrix",
+        "classify",
+        "block_diagonalize",
+        "_int_det",
+        "diagonalize_odd",
+        "local_invariant_from_data",
+    ):
+        counting(pairing, name)
     check = realize_module.verify_realization
 
     def verify(S, target):
@@ -536,11 +596,9 @@ def test_verify_realization_classifies_nothing(monkeypatch):
     monkeypatch.setattr(realize_module, "verify_realization", verify)
     target = sf(E1(6), Cyc.make(2, 4, 7), Cyc.make(11, 1, 7), Cyc.make(7, 2, 4))
     assert realize(target, "flat").verified
-    assert counts["classify"] == 0
-    assert counts["_int_det"] == counts["components"] > 0
-    # the 2-parts: the gapped piece (E1(6) on top, <7>/16 below) and the
-    # whole sum; diagonalize_odd runs on their one odd component each
-    assert counts["diagonalize_odd"] == 2
+    for name in ("gram_matrix", "classify", "block_diagonalize", "_int_det", "diagonalize_odd"):
+        assert counts[name] == 0, name
+    assert counts["local_invariant_from_data"] > 0
 
 
 # ---------------------------------------------------------------------------
