@@ -70,7 +70,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, too many digits
         raise InvalidDataError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -98,7 +98,10 @@ def _write(o, nl, append) -> None:
     if t is str:
         append(_encode_str(o))
     elif t is int:
-        append(int.__repr__(o))
+        try:
+            append(int.__repr__(o))
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise UnsupportedError(f"cannot write the report: {exc}") from exc
     elif t is list or t is tuple:
         if not o:
             append("[]")
@@ -265,8 +268,9 @@ def cmd_search(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The one parser of the process, built on first use.
+def _build_parser() -> tuple[_Parser, dict]:
+    """The one root parser of the process and its subcommand parsers by
+    name, built on first use.
 
     Reuse is safe: parse_args makes a fresh Namespace per call and no
     default is mutable.
@@ -321,12 +325,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-beta", type=_at_least(1), default=7)
     p.set_defaults(func=cmd_search)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
     try:
+        # a subcommand's own parser: the root's pass would only hand it argv[1:]
+        if argv and argv[0] in commands:
+            parser, argv = commands[argv[0]], argv[1:]
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:

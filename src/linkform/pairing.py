@@ -43,7 +43,7 @@ from .linking import (
     gram_matrix,
     image,
 )
-from .seifert import SeifertData, relevant_primes
+from .seifert import SeifertData, _memo, relevant_primes
 from .torsion import local_orders, unsupported_r1_pairing
 
 
@@ -164,6 +164,19 @@ class StandardForm:
             for k, group in sorted(by_k.items(), reverse=True)
         ]
 
+    @_memo
+    def gauss(self) -> tuple:
+        """gauss_invariant(self), read once and kept like ``SeifertData.eps``."""
+        levels: dict[int, list] = {}  # atoms come by prime, then by decreasing k
+        for (p, k), group in groupby(self.atoms, lambda a: (_atom_prime(a), a.k)):
+            group = list(group)
+            units = [a.a for a in group if isinstance(a, Cyc)]
+            e1 = sum(isinstance(a, E1) for a in group)
+            d = 1 if p == 2 else prod(legendre(a, p) for a in units)
+            rank = 2 * len(group) - len(units)
+            levels.setdefault(p, []).append(_level(p, k, rank, units, e1, d))
+        return tuple((p, _prime_invariant(found)) for p, found in levels.items())
+
     def group_structure(self) -> tuple[tuple[int, int], ...]:
         """Multiset of (p, k) of cyclic summands of the underlying group."""
         out = []
@@ -199,7 +212,7 @@ class StandardForm:
                     atoms.append(E1(int(item["E1"])))
                 else:
                     raise InvalidDataError(f"unknown atom {item!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidDataError(f"bad standard form: {obj!r}") from exc
         return cls.of(atoms)
 
@@ -834,15 +847,7 @@ def gauss_invariant(obj) -> tuple:
         raise InvalidDataError(
             f"expected StandardForm, GramPairing or SeifertData, got {obj!r}"
         )
-    levels: dict[int, list] = {}  # atoms come by prime, then by decreasing k
-    for (p, k), group in groupby(obj.atoms, lambda a: (_atom_prime(a), a.k)):
-        group = list(group)
-        units = [a.a for a in group if isinstance(a, Cyc)]
-        e1 = sum(isinstance(a, E1) for a in group)
-        d = 1 if p == 2 else prod(legendre(a, p) for a in units)
-        rank = 2 * len(group) - len(units)
-        levels.setdefault(p, []).append(_level(p, k, rank, units, e1, d))
-    return tuple((p, _prime_invariant(found)) for p, found in levels.items())
+    return obj.gauss
 
 
 def _negated(invariant: tuple) -> tuple:

@@ -82,6 +82,14 @@ class SeifertData:
         """
         return {}
 
+    @_memo
+    def relevant(self) -> tuple[int, ...]:
+        """relevant_primes(self), kept in ``__dict__`` like ``eps``."""
+        primes = {p for a, _ in self.pairs for p in factorize(a)}
+        if self.eps != 0:
+            primes.update(factorize(self.eps.numerator))
+        return tuple(sorted(primes))
+
     def to_json(self) -> dict:
         return {"genus": self.genus, "pairs": [list(p) for p in self.pairs]}
 
@@ -90,7 +98,7 @@ class SeifertData:
         try:
             genus = int(obj.get("genus", 0))
             pairs = tuple((int(a), int(b)) for a, b in obj["pairs"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidDataError(f"bad Seifert data: {obj!r}") from exc
         return cls(genus, pairs)
 
@@ -143,13 +151,7 @@ def fibre_sum(S: SeifertData, T: SeifertData) -> SeifertData:
 def relevant_primes(S: SeifertData) -> tuple[int, ...]:
     """Primes at which the torsion of H_1(M(g;S)) can be nontrivial.
 
-    These are the primes dividing some cone point order together with the
-    primes dividing the numerator of the Euler number.
+    These are the primes of the cone point orders and of the numerator of
+    the Euler number, found once per instance (``SeifertData.relevant``).
     """
-    primes: set[int] = set()
-    for a, _ in S.pairs:
-        primes.update(factorize(a))
-    eps = euler_invariant(S)
-    if eps != 0:
-        primes.update(factorize(eps.numerator))
-    return tuple(sorted(primes))
+    return S.relevant

@@ -1,15 +1,23 @@
 """Helpers used only by the tests: a random change of basis, the value of
-the pairing on two elements, a data-level evenness predicate and random
-Seifert data with large cone orders."""
+the pairing on two elements, a data-level evenness predicate, random
+Seifert data with large cone orders and the piece-by-piece realization
+selection as a reference."""
 
+import importlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from linkform.arith import padic_val
+from linkform.errors import UnrealizableError, UnsupportedError, VerificationError
 from linkform.linking import GramPairing, dot, image
+from linkform.pairing import Cyc, StandardForm, canonical_form, gauss_invariant
+from linkform.pairing import local_invariant_from_data
 from linkform.seifert import SeifertData
 from linkform.torsion import local_orders
+
+# the package re-exports the function realize under the submodule's name
+R = importlib.import_module("linkform.realize")
 
 
 def shuffle_basis(G: GramPairing, rng: random.Random, steps: int = 12) -> GramPairing:
@@ -97,3 +105,86 @@ def rand_block_seifert(rng: random.Random, flat: bool, max_r: int = 10, max_alph
             S = SeifertData(0, tuple(pairs))
             if (S.eps == 0) == flat:
                 return S
+
+
+def reference_realize(target: StandardForm, mode: str = "auto") -> tuple[str, SeifertData]:
+    """(construction, data) chosen piece by piece, as realize chose before it
+    assembled one candidate stream per prime and checked only the whole.
+
+    Each flat piece is the first candidate of its stream that verifies
+    against its own part of the target, and the fibre sum of the pieces is
+    then checked; in sphere mode each prime's first tail variant whose
+    invariant at p matches is kept (later primes start at their default
+    tails) before the whole is checked.  The candidate streams are
+    realize's own, so this pins the selection, not the recipes.
+    """
+
+    def first(candidates, form):
+        for label, S in candidates:
+            if R.verify_realization(S, form):
+                return label, S
+        raise VerificationError(f"no candidate verified for {form.to_json()}")
+
+    if mode not in ("auto", "flat", "sphere"):
+        raise UnsupportedError(mode)
+    if not target.atoms:
+        label = "trivial-sphere" if mode == "sphere" else "trivial-flat"
+        pairs = ((2, 1), (3, -1)) if mode == "sphere" else ((2, 1), (2, -1))
+        return first([(label, SeifertData(0, pairs))], target)
+    odd = StandardForm.of(a for a in target.atoms if isinstance(a, Cyc) and a.p != 2)
+    if not odd.atoms:
+        return first(R._two_candidates(target, mode), target)
+    two = target.restrict(2)
+    gapped = len(two.levels(2)) > 1
+    if mode == "sphere":
+        if gapped:
+            raise UnrealizableError("gapped 2-part in sphere mode")
+        two_atoms = canonical_form(two).atoms
+        if any(not isinstance(a, Cyc) for a in two_atoms):
+            raise UnrealizableError("even 2-part in sphere mode")
+        label = "mixed-sphere/balanced" if two_atoms else "odd-sphere/balanced"
+        return first([(label, _reference_balanced(odd + StandardForm.of(two_atoms)))], target)
+
+    def piece(p):
+        part = two if p == 2 else odd.restrict(p)
+        stream = R._two_candidates(two, "flat") if p == 2 else R._odd_flat_candidates(part, p)
+        return first(stream, part)
+
+    if gapped:
+        two_piece = piece(2)
+        odd_sum = R._fibre_sum_of([piece(p) for p in odd.primes()])
+        return first([R._fibre_sum_of([two_piece, odd_sum])], target)
+    pieces = [piece(p) for p in odd.primes()] + ([piece(2)] if two.atoms else [])
+    return pieces[0] if len(pieces) == 1 else first([R._fibre_sum_of(pieces)], target)
+
+
+def _reference_balanced(form: StandardForm) -> SeifertData:
+    primes = form.primes()
+    per_prime = {p: form.levels(p) for p in primes}
+    alpha_big = prod(p ** (per_prime[p][0][0] + 1) for p in primes)
+    tails = {
+        p: [
+            (p**k, R._small_unit_rep(a, min(p**k, 8) if p == 2 else p**k))
+            for k, units, _, _ in per_prime[p]
+            for a in units
+        ]
+        for p in primes
+    }
+
+    def assemble(tails):
+        return R._balanced(alpha_big, -1, [pair for p in primes for pair in tails[p]])
+
+    for p in primes:
+        ((_, want),) = gauss_invariant(form.restrict(p))
+        variants = (
+            R._two_tails_for_sphere(per_prime[2][0][0], per_prime[2][0][1], alpha_big)
+            if p == 2
+            else R._odd_prime_tails(p, per_prime[p])
+        )
+        for variant in variants:
+            if local_invariant_from_data(assemble({**tails, p: variant}), p) == want:
+                tails[p] = variant
+                break
+        else:
+            raise VerificationError(f"no tail variant matched at p={p}")
+    return assemble(tails)

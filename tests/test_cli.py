@@ -1,8 +1,12 @@
 import argparse
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linkform import cli
 from linkform.cli import main
@@ -372,3 +376,164 @@ def test_every_command_writes_the_stdlib_bytes(tmp_path, capsys):
         code, out, _ = run_cli(capsys, *argv, "--json-out", str(out_path))
         text = out_path.read_text()
         assert code == 0 and out == "" and text == _stdlib(json.loads(text)) + "\n", argv
+
+
+# ---------------------------------------------------------------------------
+# usage errors: a named subcommand parses with its own parser, the root
+# parser takes the rest, and both give the messages argparse always gave
+
+_COMMANDS = "'compute', 'classify', 'realize', 'witt', 'verify', 'search'"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], f"argument command: invalid choice: 'bogus' (choose from {_COMMANDS})"),
+        (["--json-out", "x", "compute"], f"argument command: invalid choice: 'x' (choose from {_COMMANDS})"),
+        (["realize"], "the following arguments are required: input"),
+        (["compute", "--prime", "3"], "the following arguments are required: input"),
+        (
+            ["realize", "{t}", "--mode", "bogus"],
+            "argument --mode: invalid choice: 'bogus' (choose from 'auto', 'flat', 'sphere')",
+        ),
+        (["realize", "{t}", "extra"], "unrecognized arguments: extra"),
+        (["search", "{t}", "extra", "--max-r", "2"], "unrecognized arguments: extra"),
+        (["compute", "{nil}", "--prime", "4"], "argument --prime: 4 is not a prime"),
+        (["compute", "{nil}", "--prime"], "argument --prime: expected one argument"),
+    ],
+)
+def test_usage_errors_keep_their_messages(tmp_path, capsys, argv, message):
+    files = {
+        "{t}": write(tmp_path, "t.json", {"atoms": [{"cyc": [3, 1, 1]}]}),
+        "{nil}": write(tmp_path, "nil.json", NIL),
+    }
+    code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+def test_a_named_subcommand_skips_the_root_parser(tmp_path, capsys, monkeypatch):
+    progs = []
+    inner = cli._Parser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        progs.append(self.prog)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", recording)
+    assert run_cli(capsys, "witt", write(tmp_path, "nil.json", NIL))[0] == 0
+    assert progs == ["linkform witt"]
+    progs.clear()
+    assert run_cli(capsys, "nonsense")[0] == 1
+    assert progs == ["linkform"]
+
+
+def test_help_is_unchanged(capsys):
+    for argv, usage in (
+        (["-h"], "usage: linkform [-h] {compute,classify,realize,witt,verify,search} ..."),
+        (["realize", "-h"], "usage: linkform realize [-h] [--json-out JSON_OUT]"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+
+# ---------------------------------------------------------------------------
+# Python's limit on the digits of an int: refused with a named message
+
+
+def test_a_json_number_past_the_digit_limit_is_invalid_data(capsys, monkeypatch):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"genus": 0, "pairs": [[2, %s]]}' % digits))
+    code, out, err = run_cli(capsys, "compute", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid data: cannot read JSON from -: ") and "digits" in err
+
+
+def test_a_report_past_the_digit_limit_is_unsupported(tmp_path, capsys):
+    # the realization exists, but its cone orders 2^20000 and up have more
+    # digits than int.__repr__ writes
+    target = write(tmp_path, "t.json", {"atoms": [{"cyc": [2, 20000, 1]}]})
+    out_path = tmp_path / "report.json"
+    for extra in ([], ["--json-out", str(out_path)]):
+        code, out, err = run_cli(capsys, "realize", target, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("unsupported: cannot write the report: ") and "digits" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("compute", {"genus": float("inf"), "pairs": [[2, 1], [2, 1]]}),
+        ("compute", {"genus": 0, "pairs": [[2, 1], [float("-inf"), 1]]}),
+        ("realize", {"atoms": [{"cyc": [3, float("inf"), 1]}]}),
+    ],
+)
+def test_an_infinite_json_number_is_invalid_data(tmp_path, capsys, command, doc):
+    code, out, err = run_cli(capsys, command, write(tmp_path, "doc.json", doc))
+    assert code == 2 and out == "" and err.startswith("invalid data: ")
+
+
+# ---------------------------------------------------------------------------
+# realize and search on arbitrary JSON: an answer or a named refusal
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-50, 50), st.floats(), st.text(max_size=3)
+)
+_ANY_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+# JSON's Infinity and NaN are floats; int(inf) raises OverflowError
+_EXPONENT = st.integers(-1, 40) | st.sampled_from([float("inf"), float("-inf"), float("nan"), 2.5])
+_ATOM = st.one_of(
+    st.builds(
+        lambda p, k, a: {"cyc": [p, k, a]},
+        st.sampled_from([2, 3, 5, 7, 11, 13, 0, 1, 4, -3]),
+        _EXPONENT,
+        st.integers(-40, 40),
+    ),
+    st.builds(lambda k: {"E0": k}, _EXPONENT),
+    st.builds(lambda k: {"E1": k}, _EXPONENT),
+    st.dictionaries(st.sampled_from(["cyc", "E0", "E1", "x"]), _ANY_JSON, max_size=2),
+)
+_DOCUMENTS = st.one_of(
+    st.lists(_ATOM, max_size=5).map(lambda atoms: {"atoms": atoms}),
+    _ANY_JSON,
+    st.builds(lambda atoms: {"atoms": atoms}, _ANY_JSON),
+)
+
+
+def _run_on_stdin(argv, doc):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=3000)
+@given(_DOCUMENTS, st.sampled_from(["auto", "flat", "sphere"]))
+@example({"atoms": [{"E0": float("inf")}]}, "auto")  # used to escape as OverflowError
+def test_realize_answers_or_refuses_any_json(doc, mode):
+    code, out, err = _run_on_stdin(["realize", "-", "--mode", mode], doc)
+    assert code in (0, 2, 3, 4), err
+    if code:
+        assert out == "" and "Traceback" not in err
+    else:
+        assert json.loads(out)["verified"] is True
+
+
+@settings(max_examples=100, deadline=3000)
+@given(_DOCUMENTS)
+def test_search_answers_or_refuses_any_json(doc):
+    argv = ["search", "-", "--max-r", "2", "--max-alpha", "3", "--max-beta", "2"]
+    code, out, err = _run_on_stdin(argv, doc)
+    assert code in (0, 2, 3, 4), err
+    if code:
+        assert out == "" and "Traceback" not in err
+    else:
+        assert json.loads(out)["count"] >= 0

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import random
 import re
 from collections import Counter
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkform.arith import is_prime, least_nonresidue, padic_val
-from linkform.errors import InvalidDataError, UnrealizableError, UnsupportedError
+from linkform.cli import main as cli_main
+from linkform.errors import (
+    InvalidDataError,
+    LinkformError,
+    UnrealizableError,
+    UnsupportedError,
+    VerificationError,
+)
 from linkform.linking import GramPairing, gram_matrix
 from linkform.pairing import (
     Cyc,
@@ -23,16 +31,17 @@ from linkform.pairing import (
     standard_form_of,
 )
 from linkform.realize import (
+    RealizationResult,
     exhaustive_search,
     realize,
     realize_odd_flat,
     realize_two,
     verify_realization,
 )
-from linkform.seifert import SeifertData, euler_invariant, relevant_primes, seifert
+from linkform.seifert import SeifertData, euler_invariant, fibre_sum, relevant_primes, seifert
 from linkform.torsion import local_orders
 from linkform.verify import RunConfig, run_suite
-from support import rand_block_seifert
+from support import rand_block_seifert, reference_realize
 
 
 # the package re-exports the function realize under the submodule's name
@@ -434,12 +443,12 @@ def test_dispatcher_gap_plus_odd_flat():
 
 
 def test_gap_plus_odd_flat_checks_the_whole_sum_once(monkeypatch):
-    # one check per piece (gapped 2-part, two odd primes) and one of the
-    # whole sum; the inner sum of the odd pieces keeps its label unchecked
+    # the pieces (gapped 2-part, two odd primes) are not checked on their
+    # own: one check of the whole sum; the inner sum keeps its label
     verify_calls = _counting(monkeypatch, "verify_realization")
     target = sf(E1(6), Cyc.make(2, 4, 7), Cyc.make(11, 1, 7), Cyc.make(7, 2, 4))
     r = realize(target, "flat")
-    assert len(verify_calls) == 4
+    assert len(verify_calls) == 1
     assert r.verified and euler_invariant(r.seifert) == 0
     assert r.construction == (
         "mixed-flat[gap-stacked/even-flat+"
@@ -449,6 +458,143 @@ def test_gap_plus_odd_flat_checks_the_whole_sum_once(monkeypatch):
         (64, 9), (64, 1), (64, 1), (64, 1), (16, -3),
         (49, -3), (49, 2), (49, 1), (11, -4), (11, 3), (11, 1),
     )
+
+
+# ---------------------------------------------------------------------------
+# one candidate stream per prime, the whole checked once
+
+
+ONE_CHECK_TARGETS = {
+    "odd primes, flat": ((C(3, 1, 1), C(5, 1, 2), C(7, 2, 3)), "flat"),
+    "odd primes and E0, auto": ((C(3, 1, 1), C(5, 2, 1), E0(2)), "auto"),
+    "odd primes and a diagonal 2-part, auto": ((C(3, 1, 2), C(11, 1, 1), C(2, 3, 3)), "auto"),
+    "gapped 2-part and odd primes, flat": (
+        (E1(6), C(2, 4, 7), C(11, 1, 7), C(7, 2, 4)),
+        "flat",
+    ),
+    "gapped 2-part and an odd prime, auto": ((C(2, 3, 3), C(2, 1, 1), C(3, 1, 1)), "auto"),
+    "balanced sphere, odd primes": ((C(3, 1, 2), C(5, 1, 2), C(7, 1, 3)), "sphere"),
+    "balanced sphere with a 2-part": (
+        (C(3, 1, 1), C(2, 3, 3), C(2, 3, 3), C(2, 3, 3)),
+        "sphere",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CHECK_TARGETS))
+def test_one_check_per_realization(monkeypatch, name):
+    atoms, mode = ONE_CHECK_TARGETS[name]
+    target = sf(*atoms)
+    verify_calls = _counting(monkeypatch, "verify_realization")
+    r = realize(target, mode)
+    assert len(verify_calls) == 1
+    assert r.verified and (r.construction, r.seifert) == reference_realize(target, mode)
+
+
+def _wrong_first(monkeypatch, mode, wrong_only=False):
+    """Make the stream of p = 7 yield a candidate of the other determinant
+    class first (or only that); returns the number of draws per prime."""
+    other = sf(C(7, 2, 1))  # 1 is a square mod 7, the target's 3 is not
+    name = "_odd_flat_candidates" if mode == "flat" else "_odd_prime_tails"
+    make = getattr(realize_module, name)
+    wrong = next(iter(make(other, 7) if mode == "flat" else make(7, other.levels(7))))
+    drawn = Counter()
+
+    def patched(*args):
+        p = args[1] if mode == "flat" else args[0]
+        first = [wrong] if p == 7 else []
+        for candidate in first + ([] if wrong_only and p == 7 else list(make(*args))):
+            drawn[p] += 1
+            yield candidate
+
+    monkeypatch.setattr(realize_module, name, patched)
+    return drawn
+
+
+STREAM_TARGET = (C(3, 1, 1), C(5, 1, 2), C(7, 2, 3))
+
+
+@pytest.mark.parametrize("mode", ["flat", "sphere"])
+def test_a_missed_prime_advances_only_its_stream(monkeypatch, mode):
+    target = sf(*STREAM_TARGET)
+    want = realize(target, mode)
+    drawn = _wrong_first(monkeypatch, mode)
+    verify_calls = _counting(monkeypatch, "verify_realization")
+    got = realize(target, mode)
+    assert (got.construction, got.seifert) == (want.construction, want.seifert)
+    assert drawn == {3: 1, 5: 1, 7: 2}
+    assert len(verify_calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["flat", "sphere"])
+def test_an_exhausted_stream_is_a_verification_failure(monkeypatch, tmp_path, capsys, mode):
+    drawn = _wrong_first(monkeypatch, mode, wrong_only=True)
+    with pytest.raises(VerificationError, match="no construction candidate verified"):
+        realize(sf(*STREAM_TARGET), mode)
+    assert drawn == {3: 1, 5: 1, 7: 1}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(sf(*STREAM_TARGET).to_json()))
+    assert cli_main(["realize", str(path), "--mode", mode]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("verification failure: ")
+
+
+def test_torsion_at_a_prime_without_a_stream_is_refused():
+    # the candidate realizes the 3-part but has 5-torsion too: no stream can
+    # repair 5, and the 3-stream is not advanced
+    three, five = realize(sf(C(3, 1, 1))).seifert, realize(sf(C(5, 1, 1))).seifert
+
+    def stream():
+        yield "with 5-torsion", fibre_sum(three, five)
+        raise AssertionError("the 3-stream advanced")
+
+    with pytest.raises(VerificationError):
+        realize_module._first_verified({3: stream()}, sf(C(3, 1, 1)))
+
+
+def _random_multi_prime_target(rng):
+    atoms = []
+    for p in rng.sample([2, 3, 5, 7, 11, 13, 17], rng.randint(2, 4)):
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 5)
+            if p == 2 and rng.random() < 0.3:
+                atoms.append(E1(k) if k >= 2 and rng.random() < 0.5 else E0(k))
+            else:
+                atoms.append(C(p, k, rng.choice([a for a in range(1, 2 * p + 8) if a % p])))
+    return sf(*atoms)
+
+
+def _outcome(func, target, mode):
+    try:
+        r = func(target, mode)
+    except LinkformError as exc:
+        return type(exc).__name__
+    return (r.construction, r.seifert) if isinstance(r, RealizationResult) else r
+
+
+def test_stream_selection_matches_the_piece_by_piece_reference():
+    rng = random.Random(17)
+    realized = Counter()
+    for _ in range(300):
+        target = _random_multi_prime_target(rng)
+        for mode in ("flat", "auto", "sphere"):
+            got = _outcome(realize, target, mode)
+            assert got == _outcome(reference_realize, target, mode), (target, mode)
+            realized[mode, isinstance(got, tuple)] += 1
+    # 300 targets in each mode; most of them are realized
+    assert all(realized[mode, True] > 150 for mode in ("flat", "auto", "sphere"))
+
+
+def test_target_invariant_is_read_once_per_form(monkeypatch):
+    reads = []
+    memo = StandardForm.__dict__["gauss"]
+    inner = memo.func
+    monkeypatch.setattr(memo, "func", lambda form: reads.append(form) or inner(form))
+    target = sf(C(2, 2, 3), E0(1))
+    hits = exhaustive_search(target, max_r=4, alphas=(2, 3, 4), max_beta=3)
+    assert hits and reads == [target]
+    assert "gauss" in vars(target) and target == sf(C(2, 2, 3), E0(1))
+    assert hash(target) == hash(sf(C(2, 2, 3), E0(1)))
 
 
 def test_negated_target_realized_by_negated_betas():

@@ -137,6 +137,23 @@ def test_relevant_primes_sees_euler_numerator():
     assert relevant_primes(S) == (2, 3, 5)
 
 
+def test_relevant_primes_found_once_and_outside_the_fields(monkeypatch):
+    # compute asks twice per op (its report and structure_check); the cone
+    # orders and the Euler numerator are factorized on the first call only
+    import linkform.seifert as seifert_module
+
+    calls = []
+    inner = seifert_module.factorize
+    monkeypatch.setattr(seifert_module, "factorize", lambda n: calls.append(n) or inner(n))
+    S = seifert((4, 1), (6, 1), (9, 2), (10, -3))
+    seen = (hash(S), repr(S), S.to_json())
+    primes = relevant_primes(S)
+    assert primes == (2, 3, 5, 61)  # 61 from the Euler numerator
+    assert relevant_primes(S) is primes and len(calls) == 5
+    assert "relevant" in vars(S) and S == seifert((4, 1), (6, 1), (9, 2), (10, -3))
+    assert (hash(S), repr(S), S.to_json()) == seen
+
+
 def test_json_round_trip():
     S = seifert((2, 1), (2, 1), (2, 1), (2, -1), genus=1)
     assert SeifertData.from_json(S.to_json()) == S
