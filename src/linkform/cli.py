@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .arith import fmt_rational, is_prime
@@ -209,6 +210,10 @@ def cmd_classify(args) -> int:
 
 def cmd_realize(args) -> int:
     target = StandardForm.from_json(_read_json(args.input))
+    limit = sys.get_int_max_str_digits()
+    for a in target.atoms:  # p^k has floor(k log10 p) + 1 digits
+        if limit and a.k * math.log10(p := getattr(a, "p", 2)) >= limit:
+            raise UnsupportedError(f"cannot write the report: {p}^{a.k} has over {limit} digits")
     result = realize(target, mode=args.mode)
     out = result.to_json()
     out["target"] = target.to_json()

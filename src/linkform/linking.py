@@ -29,8 +29,9 @@ generator order, so a pairing is stored as the integer matrix
 N l(e_i, e_j) mod N: each closed-form value is converted once, from its
 integer numerator and denominator, by ``arith.p_part``, and a value off
 the 1/N grid is refused, never truncated.  No rescaling to pure p-power
-denominators of the underlying 1-cycles is performed.  ``GramPairing.gram``
-is a Fraction view in [0, 1), used for JSON output.
+denominators of the underlying 1-cycles is performed.  The JSON output
+writes an entry x as x/N reduced by one gcd; ``GramPairing.gram`` is a
+Fraction view in [0, 1).
 
 The pairing of two elements is then an integer dot product mod N, so the
 element-level oracles (self-linking profiles, brute-force isomorphism,
@@ -46,7 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .arith import ext_gcd, fmt_rational, p_part
+from .arith import ext_gcd, p_part
 from .errors import InvalidDataError
 from .seifert import SeifertData
 from .torsion import local_orders, unsupported_r1_pairing
@@ -102,12 +103,19 @@ class GramPairing:
         return not self.orders
 
     def to_json(self) -> dict:
+        N = self.modulus
         return {
             "prime": self.prime,
             "labels": list(self.labels),
             "orders": list(self.orders),
-            "gram": [[fmt_rational(x) for x in row] for row in self.gram],
+            "gram": [[_fmt_over(x, N) for x in row] for row in self.matrix],
         }
+
+
+def _fmt_over(x: int, N: int) -> str:
+    """``fmt_rational(Fraction(x, N))``, by one gcd."""
+    g = gcd(x, N)
+    return str(x // g) if g == N else f"{x // g}/{N // g}"
 
 
 def gram_matrix(S: SeifertData, p: int) -> GramPairing:
@@ -115,47 +123,34 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
 
     Requires r >= 2.  Generators with trivial p-order are dropped, so the
     result is nonsingular; the trivial pairing (no generators) is returned
-    when the p-torsion vanishes.  Independent of genus.
+    when the p-torsion vanishes.  Independent of genus.  The generators are
+    those of ``local_orders(S, p).orders``: the kept q_i' are the pairs
+    after the second, in order, and s comes last.
     """
     unsupported_r1_pairing(S)
     decomp = local_orders(S, p)
+    if not decomp.orders:
+        return GramPairing(p, (), (), ())
     pairs, eps = decomp.pairs, decomp.eps
-    wanted = dict(decomp.orders)
-    a1, b1 = pairs[0]
+    labels, orders = zip(*decomp.orders)
+    N = max(orders)
     a2, b2 = pairs[1]
-    _, _, n = ext_gcd(a2, b2)
-
-    gens: list[tuple[str, int, int | None]] = []  # (label, order, pair index)
-    for i in range(2, len(pairs)):
-        label = f"q{i + 1}'"
-        if label in wanted:
-            gens.append((label, wanted[label], i))
-    if "s" in wanted:
-        gens.append(("s", wanted["s"], None))
-
-    def raw_value(gi, gj) -> tuple[int, int]:
-        # (numerator, denominator) of the closed form, not necessarily reduced
-        _, _, i = gi
-        _, _, j = gj
-        if i is not None and j is not None:
-            ai, bi = pairs[i]
-            aj, bj = pairs[j]
-            if i == j:
-                return -b2 * bi * (ai * b2 + a2 * bi), ai * ai
-            return -b2 * bi * bj * a2, ai * aj
-        if i is None and j is None:  # both terms times the denominator of eps
-            en, ed = eps.numerator, eps.denominator
-            return -(a1 * ed + n * a1 * a2 * en), a1 * a2 * a2 * en
-        k = i if i is not None else j
-        return pairs[k][1], pairs[k][0]
-
-    N = max((g[1] for g in gens), default=1)
-    return GramPairing(
-        p,
-        tuple(g[0] for g in gens),
-        tuple(g[1] for g in gens),
-        tuple(tuple(p_part(*raw_value(gi, gj), p, N) for gj in gens) for gi in gens),
-    )
+    m = len(orders) - (labels[-1] == "s")  # the number of kept q_i'
+    A = [[0] * len(orders) for _ in orders]
+    for i in range(m):
+        ai, bi = pairs[i + 2]
+        A[i][i] = p_part(-b2 * bi * (ai * b2 + a2 * bi), ai * ai, p, N)
+        for j in range(i + 1, m):
+            aj, bj = pairs[j + 2]
+            A[i][j] = A[j][i] = p_part(-b2 * bi * bj * a2, ai * aj, p, N)
+        if m < len(orders):
+            A[i][m] = A[m][i] = p_part(bi, ai, p, N)
+    if m < len(orders):  # l(s, s), both terms times the denominator of eps
+        a1 = pairs[0][0]
+        _, _, n = ext_gcd(a2, b2)
+        en, ed = eps.numerator, eps.denominator
+        A[m][m] = p_part(-(a1 * ed + n * a1 * a2 * en), a1 * a2 * a2 * en, p, N)
+    return GramPairing(p, labels, orders, tuple(map(tuple, A)))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .linking import (
     gram_matrix,
     image,
 )
-from .seifert import SeifertData, _memo, relevant_primes
+from .seifert import SeifertData, _memo, json_int, relevant_primes
 from .torsion import local_orders, unsupported_r1_pairing
 
 
@@ -204,15 +204,15 @@ class StandardForm:
             atoms: list[Atom] = []
             for item in obj["atoms"]:
                 if "cyc" in item:
-                    p, k, a = (int(x) for x in item["cyc"])
+                    p, k, a = (json_int(x) for x in item["cyc"])
                     atoms.append(Cyc.make(p, k, a))
                 elif "E0" in item:
-                    atoms.append(E0(int(item["E0"])))
+                    atoms.append(E0(json_int(item["E0"])))
                 elif "E1" in item:
-                    atoms.append(E1(int(item["E1"])))
+                    atoms.append(E1(json_int(item["E1"])))
                 else:
                     raise InvalidDataError(f"unknown atom {item!r}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDataError(f"bad standard form: {obj!r}") from exc
         return cls.of(atoms)
 

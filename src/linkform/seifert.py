@@ -96,11 +96,18 @@ class SeifertData:
     @classmethod
     def from_json(cls, obj) -> "SeifertData":
         try:
-            genus = int(obj.get("genus", 0))
-            pairs = tuple((int(a), int(b)) for a, b in obj["pairs"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            genus = json_int(obj.get("genus", 0))
+            pairs = tuple((json_int(a), json_int(b)) for a, b in obj["pairs"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDataError(f"bad Seifert data: {obj!r}") from exc
         return cls(genus, pairs)
+
+
+def json_int(x) -> int:
+    """x if it is a JSON integer; a float (even 2.0), bool or string is refused."""
+    if type(x) is not int:
+        raise InvalidDataError(f"expected an integer, got {x!r}")
+    return x
 
 
 def seifert(*pairs: tuple[int, int], genus: int = 0) -> SeifertData:

@@ -1,6 +1,8 @@
 """Torsion of H_1 of a Seifert manifold: presentations, localized cyclic
-decompositions, and an exact Smith-normal-form oracle, computed modulo a
-determinant, cross-checking them.
+decompositions, and an exact Smith-normal-form oracle cross-checking them.
+The oracle diagonalizes the relation matrix modulo a nonzero maximal minor
+D and sorts the orders gcd(x_i, D) of the diagonal into a divisibility
+chain, whose first rank terms are the matrix's own invariant factors.
 
 H_1(M(g;S)) = Z^{2g} + coker(P) where P is the (r+1) x (r+1) relation
 matrix over generators q_1..q_r, h with rows (sum q_i = 0) and
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import bareiss, ext_gcd, padic_val
+from .arith import bareiss, padic_val
 from .errors import UnsupportedError
 from .seifert import SeifertData, euler_invariant, relevant_primes, valuation_order
 
@@ -65,55 +67,59 @@ def smith_normal_form(matrix) -> SmithForm:
 
     A Bareiss pass gives the rank rho and a nonzero rho x rho minor D.  The
     invariant factors d_1 | ... | d_rho divide D (their product is the gcd
-    of all rho x rho minors), so unimodular gcd steps over Z/|D| find each
-    one as gcd(pivot, D) while every entry stays below |D|
-    (Domich-Kannan-Trotter 1987; Cohen, GTM 138, section 2.4).
+    of all rho x rho minors), so over Z/D the cokernel of an m-row A is
+    +Z/d_i + (Z/D)^(m - rho).  Steps invertible over Z/D diagonalize A mod D
+    with every entry below D: a pivot p clears each entry y of its column
+    that gcd(p, D) divides by one row step (q p = y mod D); any other y
+    leaves y mod p < p as the next pivot (Domich-Kannan-Trotter 1987;
+    Cohen, GTM 138, section 2.4).  Column steps are row steps of the
+    transpose.  A diagonal x_i presents +Z/gcd(x_i, D), with gcd(0, D) = D,
+    and a decomposition into a divisibility chain is unique, so pairwise
+    gcd/lcm steps turn these orders into d_1 | ... | d_rho | D | ... | D:
+    its first rho terms are the invariant factors of A itself.
     """
     rank, D = bareiss(matrix)
     D = abs(D)
     A = [[x % D for x in row] for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    diag = []
-    for t in range(rank):
-        nonzero = [(A[i][j], i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
-        if not nonzero:  # the remaining factors are 0 mod D, i.e. equal to D
-            diag += [D] * (rank - t)
-            break
-        _, i, j = min(nonzero)
-        A[t], A[i] = A[i], A[t]
-        for row in A[t:]:
-            row[t], row[j] = row[j], row[t]
+    size = min(len(A), len(A[0])) if A else 0
+    orders = []
+    while any(map(any, A)):
+        i = next(i for i, row in enumerate(A) if any(row))
+        j = A[i].index(min(x for x in A[i] if x))
         while True:
-            for i in range(t + 1, m):  # row steps clear column t
-                if A[i][t]:
-                    g, s, u = ext_gcd(A[t][t], A[i][t])
-                    a, b = A[t][t] // g, A[i][t] // g
-                    A[t], A[i] = (
-                        [(s * x + u * y) % D for x, y in zip(A[t], A[i])],
-                        [(a * y - b * x) % D for x, y in zip(A[t], A[i])],
-                    )
-            for j in range(t + 1, n):  # column steps clear row t
-                if A[t][j]:
-                    g, s, u = ext_gcd(A[t][t], A[t][j])
-                    a, b = A[t][t] // g, A[t][j] // g
-                    for row in A[t:]:
-                        x, y = row[t], row[j]
-                        row[t], row[j] = (s * x + u * y) % D, (a * y - b * x) % D
-            if any(row[t] for row in A[t + 1 :]):
-                continue  # a column step refilled column t and shrank the pivot
-            # the pivot and gcd(pivot, D) are associates in Z/D; a divisor of
-            # D keeps divisibility of residues well defined
-            g = A[t][t] = gcd(A[t][t], D)
-            bad = next(
-                (j for row in A[t + 1 :] for j in range(t + 1, n) if row[j] % g), None
-            )
-            if bad is None:
-                break
-            for row in A[t + 1 :]:  # column t += column bad: the next row step
-                row[t] = row[bad]  # lowers the pivot to a proper divisor of g
-        diag.append(g)
-    return SmithForm(tuple(diag) + (0,) * (min(m, n) - rank))
+            top = A[i]
+            p = top[j]
+            g = gcd(p, D)
+            w = 1 if p == g else pow(p // g, -1, D // g)  # p w = g (mod D)
+            for k, row in enumerate(A):  # row steps clear column j
+                y = row[j]
+                if not y or k == i:
+                    continue
+                if y % g:  # a Euclid step: y mod p < p is the next pivot
+                    q, i = y // p, k
+                    A[k] = [(z - q * x) % D for x, z in zip(top, row)]
+                    break
+                q = y // g * w  # q p = y (mod D)
+                A[k] = [(z - q * x) % D for x, z in zip(top, row)]
+            else:
+                if not any(y % g for y in top):
+                    break  # exact column steps would clear row i alone
+                A = [list(col) for col in zip(*A)]  # column steps are row steps of A^T
+                i, j = j, i
+        orders.append(g)
+        del A[i]
+        for row in A:
+            del row[j]
+    orders += [D] * (rank - len(orders))
+    chain = [x for x in orders if x > 1]
+    for s in range(len(chain)):  # gcd/lcm steps keep the group and give the chain
+        for t in range(s + 1, len(chain)):
+            x, y = chain[s], chain[t]
+            if y % x:
+                chain[s] = g = gcd(x, y)
+                chain[t] = x // g * y
+    diag = (1,) * (len(orders) - len(chain)) + tuple(chain)
+    return SmithForm(diag[:rank] + (0,) * (size - rank))
 
 
 def local_orders(S: SeifertData, p: int) -> LocalDecomposition:

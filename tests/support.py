@@ -1,14 +1,15 @@
 """Helpers used only by the tests: a random change of basis, the value of
 the pairing on two elements, a data-level evenness predicate, random
-Seifert data with large cone orders and the piece-by-piece realization
-selection as a reference."""
+Seifert data with large cone orders, the piece-by-piece realization
+selection and a Smith normal form with divisibility repair, both kept as
+references."""
 
 import importlib
 import random
 from fractions import Fraction
 from math import gcd, prod
 
-from linkform.arith import padic_val
+from linkform.arith import bareiss, ext_gcd, padic_val
 from linkform.errors import UnrealizableError, UnsupportedError, VerificationError
 from linkform.linking import GramPairing, dot, image
 from linkform.pairing import Cyc, StandardForm, canonical_form, gauss_invariant
@@ -188,3 +189,55 @@ def _reference_balanced(form: StandardForm) -> SeifertData:
         else:
             raise VerificationError(f"no tail variant matched at p={p}")
     return assemble(tails)
+
+
+def reference_smith_normal_form(matrix) -> tuple[int, ...]:
+    """Smith diagonal by the algorithm torsion.smith_normal_form replaced.
+
+    Over Z/|D|, with D a nonzero rank x rank minor from Bareiss, each step
+    clears the pivot's row and column by Bezout steps until no entry is left,
+    takes gcd(pivot, D) and repairs divisibility of the rest by adding a
+    column the pivot does not divide, so every pivot is already the next
+    invariant factor.
+    """
+    rank, D = bareiss(matrix)
+    D = abs(D)
+    A = [[x % D for x in row] for row in matrix]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    diag = []
+    for t in range(rank):
+        nonzero = [(A[i][j], i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not nonzero:  # the remaining factors are 0 mod D, i.e. equal to D
+            diag += [D] * (rank - t)
+            break
+        _, i, j = min(nonzero)
+        A[t], A[i] = A[i], A[t]
+        for row in A[t:]:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            for i in range(t + 1, m):  # row steps clear column t
+                if A[i][t]:
+                    g, s, u = ext_gcd(A[t][t], A[i][t])
+                    a, b = A[t][t] // g, A[i][t] // g
+                    A[t], A[i] = (
+                        [(s * x + u * y) % D for x, y in zip(A[t], A[i])],
+                        [(a * y - b * x) % D for x, y in zip(A[t], A[i])],
+                    )
+            for j in range(t + 1, n):  # column steps clear row t
+                if A[t][j]:
+                    g, s, u = ext_gcd(A[t][t], A[t][j])
+                    a, b = A[t][t] // g, A[t][j] // g
+                    for row in A[t:]:
+                        x, y = row[t], row[j]
+                        row[t], row[j] = (s * x + u * y) % D, (a * y - b * x) % D
+            if any(row[t] for row in A[t + 1 :]):
+                continue  # a column step refilled column t and shrank the pivot
+            g = A[t][t] = gcd(A[t][t], D)
+            bad = next((j for row in A[t + 1 :] for j in range(t + 1, n) if row[j] % g), None)
+            if bad is None:
+                break
+            for row in A[t + 1 :]:  # column t += column bad
+                row[t] = row[bad]
+        diag.append(g)
+    return tuple(diag) + (0,) * (min(m, n) - rank)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from linkform.arith import ext_gcd
+import linkform.linking as linking
+from linkform.arith import ext_gcd, fmt_rational
 from linkform.errors import UnsupportedError
 from linkform.linking import (
     GramPairing,
@@ -62,6 +63,39 @@ def test_trivial_pairing_when_prime_absent():
     G = gram_matrix(S, 5)
     assert G.is_trivial()
     assert welldefined_check(G) == []
+
+
+def test_trivial_prime_gives_the_empty_pairing_without_a_bezout_pair(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("ext_gcd called")
+
+    monkeypatch.setattr(linking, "ext_gcd", refuse)
+    S = seifert((2, 1), (3, 1))  # H_1 = Z/5: 2 and 3 are relevant, with trivial parts
+    for p in (2, 3):
+        G = gram_matrix(S, p)
+        assert (G.labels, G.orders, G.matrix) == ((), (), ())
+    # without s (eps = 0) the q_i' need no Bezout pair either
+    assert gram_matrix(seifert((2, 1), (2, -1), (2, 1), (2, -1)), 2).orders == (2, 2)
+
+
+def test_gram_json_is_the_fraction_view_formatted():
+    rng = random.Random(5)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        ks = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            ks = [1] * len(ks)  # N = p
+        N = p ** max(ks)
+        n = len(ks)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                x = rng.choice((0, rng.randrange(N)))
+                matrix[i][j] = matrix[j][i] = x
+        G = GramPairing(p, tuple(f"g{i}" for i in range(n)), tuple(p**k for k in ks),
+                        tuple(map(tuple, matrix)))
+        expected = [[fmt_rational(x) for x in row] for row in G.gram]
+        assert G.to_json()["gram"] == expected
 
 
 def test_rank1_refused():

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkform.cli import main
-from linkform.errors import UnsupportedError
-from linkform.seifert import euler_invariant, reorder_at_prime, seifert
+from linkform.errors import InvalidDataError, UnsupportedError
+from linkform.seifert import SeifertData, euler_invariant, reorder_at_prime, seifert
 from linkform.torsion import (
     local_orders,
     presentation_matrix,
@@ -18,6 +19,9 @@ from linkform.torsion import (
     torsion_order,
     unsupported_r1_pairing,
 )
+from support import rand_block_seifert, reference_smith_normal_form
+
+CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "compute.jsonl"
 
 
 def _det(M):
@@ -59,6 +63,47 @@ def test_snf_examples():
     assert smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
 
 
+def test_snf_last_factor_equal_to_the_minor():
+    # the factor is D itself, so the diagonal entry is 0 mod D
+    assert smith_normal_form([[5]]).diagonal == (5,)
+    assert smith_normal_form([[0, 5]]).diagonal == (5,)
+    assert smith_normal_form([[5], [0]]).diagonal == (5,)
+    assert smith_normal_form([[1, 0], [0, 6]]).diagonal == (1, 6)
+    assert smith_normal_form([[0]]).diagonal == (0,)
+    assert smith_normal_form([[0, 0, 0], [0, 0, 0]]).diagonal == (0, 0)
+
+
+def _catalogue_presentations():
+    for line in CATALOGUE.read_text().splitlines():
+        doc = json.loads(line)["input"]
+        try:
+            yield presentation_matrix(SeifertData.from_json(doc)).matrix
+        except (InvalidDataError, AttributeError):  # malformed entries
+            continue
+
+
+def _sparse_matrix(rng, m, n):
+    matrix = [[rng.choice((0, 0, 0, rng.randint(-30, 30))) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and rng.random() < 0.4:  # rank-deficient: a dependent last row
+        c = rng.randint(-3, 3)
+        matrix[-1] = [x + c * y for x, y in zip(matrix[0], matrix[1 % (m - 1)])]
+    return matrix
+
+
+def test_snf_matches_the_reference_algorithm():
+    rng = random.Random(18)
+    matrices = list(_catalogue_presentations())
+    assert len(matrices) > 3800
+    for flat in (True, False):
+        for _ in range(200):
+            S = rand_block_seifert(rng, flat, max_r=12, max_alpha=10**4)
+            matrices.append(presentation_matrix(S).matrix)
+    for _ in range(1500):
+        matrices.append(_sparse_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)))
+    for matrix in matrices:
+        assert smith_normal_form(matrix).diagonal == reference_smith_normal_form(matrix), matrix
+
+
 def _determinantal_divisors_snf(matrix):
     """Smith diagonal from d_1...d_k = gcd of all k x k minors."""
     m, n = len(matrix), len(matrix[0])
@@ -83,8 +128,8 @@ def _check_chain(diagonal):
 
 @settings(max_examples=100)
 @given(
-    st.integers(1, 4),
-    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(1, 5),
     st.data(),
 )
 def test_snf_transforms_random(m, n, data):
