@@ -52,11 +52,6 @@ def padic_val(q, p: int) -> int:
     return v
 
 
-def is_p_unit(q, p: int) -> bool:
-    q = as_fraction(q)
-    return q != 0 and padic_val(q, p) == 0
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol of a mod an odd prime p (+1 square, -1 nonsquare)."""
     a %= p
@@ -74,7 +69,7 @@ def square_class(u, p: int):
     indexes the square classes of the 2-adic units.
     """
     u = as_fraction(u)
-    if not is_p_unit(u, p):
+    if u == 0 or padic_val(u, p) != 0:
         raise InvalidDataError(f"{u} is not a unit at p={p}")
     if p == 2:
         return (u.numerator * pow(u.denominator, -1, 8)) % 8

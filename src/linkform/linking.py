@@ -40,7 +40,6 @@ metabolizer search) make no Fraction per element.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +48,7 @@ from operator import mul
 
 from .arith import ext_gcd, p_part
 from .errors import InvalidDataError
-from .seifert import SeifertData
+from .seifert import SeifertData, _memo
 from .torsion import local_orders, unsupported_r1_pairing
 
 
@@ -81,20 +80,17 @@ class GramPairing:
         N = self.modulus
         return tuple(tuple(Fraction(x, N) for x in row) for row in self.matrix)
 
+    @_memo
     def components(self) -> tuple:
         """``pairing.block_diagonalize(self)``, computed on first use.
 
         Kept in the instance ``__dict__``, outside the dataclass fields, so
-        ``welldefined_check``, ``classify`` and ``pairing.local_invariant``
-        share one decomposition.  A singular pairing raises InvalidDataError
-        on every call.
+        ``welldefined_check`` and ``classify`` share one decomposition.  A
+        singular pairing raises InvalidDataError on every read.
         """
-        found = self.__dict__.get("_components")
-        if found is None:
-            from .pairing import block_diagonalize  # late import avoids a cycle
+        from .pairing import block_diagonalize  # late import avoids a cycle
 
-            found = self.__dict__["_components"] = tuple(block_diagonalize(self))
-        return found
+        return tuple(block_diagonalize(self))
 
     def group_order(self) -> int:
         return prod(self.orders) if self.orders else 1
@@ -158,13 +154,8 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
 # mod N = G.modulus: l(x, y) = (x^T A y mod N) / N with A = G.matrix
 
 
-def elements(orders):
-    """All elements of the group +Z/n_i, as coefficient tuples."""
-    return itertools.product(*(range(n) for n in orders))
-
-
 def element_table(N: int, A, orders) -> list[tuple[tuple[int, ...], int, int]]:
-    """(x, order of x, x^T A x mod N) for every element x, in ``elements`` order.
+    """(x, order of x, x^T A x mod N) for every element x, in lexicographic order.
 
     Built as an odometer, one coordinate at a time.  Fixing x_0..x_{k-1}
     leaves the prefix value q and the cross terms
@@ -231,7 +222,7 @@ def welldefined_check(G: GramPairing) -> list[str]:
     """Diagnostics: symmetry, order-compatibility, and nonsingularity.
 
     Nonsingularity is decided exactly by ``block_diagonalize``, through
-    ``G.components()``, which ``classify`` then reuses: the pairing
+    ``G.components``, which ``classify`` then reuses: the pairing
     is singular iff some homogeneous top block has determinant divisible
     by p.
     """
@@ -252,7 +243,7 @@ def welldefined_check(G: GramPairing) -> list[str]:
     if problems:
         return problems
     try:
-        G.components()
+        G.components  # raises on a singular pairing
     except InvalidDataError as exc:
         problems.append(f"singular: {exc}")
     return problems

@@ -11,10 +11,10 @@ of the rank-2 pairings E0(k) (hyperbolic) and at most one E1(k).
 This module provides the block decomposition, the per-component
 invariants, conversion to a standard form built from Cyc/E0/E1 atoms, an
 exact isomorphism test by Gauss-sum invariants at every order (read from
-the atoms of a standard form or, without classifying, from the components
-of a Gram pairing or from Seifert data directly), a sound normal form from
-which realization reads target shapes, and a brute-force isomorphism
-search kept as a test oracle.
+the atoms of a standard form, into which a Gram pairing is classified
+first, or, without classifying, from Seifert data directly), a sound
+normal form from which realization reads target shapes, and a brute-force
+isomorphism search kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -203,13 +203,17 @@ class StandardForm:
         try:
             atoms: list[Atom] = []
             for item in obj["atoms"]:
-                if "cyc" in item:
-                    p, k, a = (json_int(x) for x in item["cyc"])
+                # one key per atom: a second key would be dropped unread
+                if not isinstance(item, dict) or len(item) != 1:
+                    raise InvalidDataError(f"an atom has exactly one key, got {item!r}")
+                ((name, value),) = item.items()
+                if name == "cyc":
+                    p, k, a = (json_int(x) for x in value)
                     atoms.append(Cyc.make(p, k, a))
-                elif "E0" in item:
-                    atoms.append(E0(json_int(item["E0"])))
-                elif "E1" in item:
-                    atoms.append(E1(json_int(item["E1"])))
+                elif name == "E0":
+                    atoms.append(E0(json_int(value)))
+                elif name == "E1":
+                    atoms.append(E1(json_int(value)))
                 else:
                     raise InvalidDataError(f"unknown atom {item!r}")
         except (KeyError, TypeError, ValueError) as exc:
@@ -297,17 +301,15 @@ class HomogeneousComponent:
         labels = tuple(f"e{i + 1}" for i in range(self.rank))
         return GramPairing(self.prime, labels, (q,) * self.rank, self.matrix)
 
+    @_memo
     def det(self) -> int:
         """Exact determinant of ``matrix``, computed on first use.
 
         block_diagonalize records the one it computes.  Kept in the instance
         ``__dict__``, outside the dataclass fields, like
-        ``GramPairing.components()``.
+        ``GramPairing.components``.
         """
-        found = self.__dict__.get("_det")
-        if found is None:
-            found = self.__dict__["_det"] = _int_det(self.matrix)
-        return found
+        return _int_det(self.matrix)
 
 
 def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
@@ -338,7 +340,7 @@ def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
                 f"divisible by {p}"
             )
         C = HomogeneousComponent(p, padic_val(q, p), len(top), tuple(map(tuple, A)))
-        C.__dict__["_det"] = det
+        C.__dict__["det"] = det
         components.append(C)
         if not rest:
             break
@@ -380,7 +382,7 @@ def d_invariant(C: HomogeneousComponent) -> int:
     """Square class (+1/-1) of det of the scaled Gram matrix mod odd p."""
     if C.prime == 2:
         raise UnsupportedError("the determinant class is defined for odd p")
-    det = C.det()
+    det = C.det
     if det % C.prime == 0:
         raise InvalidDataError("component determinant is not a unit")
     return legendre(det, C.prime)
@@ -471,7 +473,7 @@ def even_decompose(C: HomogeneousComponent) -> tuple[int, int]:
         raise InvalidDataError("even components have even rank")
     if C.k == 1:
         return (C.rank // 2, 0)
-    det = C.det()
+    det = C.det
     if det % 2 == 0:
         raise InvalidDataError("singular even component")
     e1 = int(det % 8 in (3, 5))
@@ -577,7 +579,7 @@ def classify(G: GramPairing) -> ClassificationReport:
         return ClassificationReport(G.prime, (), StandardForm.empty())
     summaries = []
     atoms: list[Atom] = []
-    for C in G.components():
+    for C in G.components:
         if G.prime == 2:
             par = parity(C)
             if par == "even":
@@ -721,27 +723,6 @@ def _prime_invariant(levels) -> tuple:
     return tuple((k, rank) for k, rank, *_ in levels), tuple(args)
 
 
-def local_invariant(G: GramPairing) -> tuple:
-    """The invariant of G's class at its prime, read from ``G.components()``.
-
-    Nothing is classified: at odd p each component gives its rank and
-    determinant class (``d_invariant``), at p = 2 an even one its E1 count
-    (``even_decompose``) and an odd one its diagonal units
-    (``diagonalize_odd``).  Equal to the p-part of gauss_invariant of
-    ``classify(G).standard_form``.
-    """
-    p = G.prime
-    levels = []
-    for C in G.components():
-        if p != 2:
-            levels.append(_level(p, C.k, C.rank, d=d_invariant(C)))
-        elif parity(C) == "even":
-            levels.append(_level(2, C.k, C.rank, e1=even_decompose(C)[1]))
-        else:
-            levels.append(_level(2, C.k, C.rank, [a.a for a in diagonalize_odd(C)]))
-    return _prime_invariant(levels)
-
-
 def _unit_value(num: int, den: int, p: int, v: int) -> int | None:
     """The unit u of num/den = p^v u mod 8 (p = 2) or mod p, or None if
     num/den is 0 or has another valuation."""
@@ -755,7 +736,7 @@ def _unit_value(num: int, den: int, p: int, v: int) -> int | None:
 
 
 def local_invariant_from_data(S: SeifertData, p: int) -> tuple:
-    """local_invariant(gram_matrix(S, p)), read from the Seifert data.
+    """The invariant at p of gram_matrix(S, p), read from the Seifert data.
 
     Builds no Gram matrix.  On the kept generators the pairing is
     diag(E) + (1/c) u u^T (see the ``linking`` module docstring), so after
@@ -834,12 +815,13 @@ def gauss_invariant(obj) -> tuple:
 
     The invariant is complete: at odd p it gives rank and determinant class
     level by level, and at p = 2 ranks and these Gauss sums classify
-    (Kawauchi-Kojima, Math. Ann. 253, 1980).  A Gram pairing is read by
-    local_invariant, Seifert data by local_invariant_from_data at every
-    relevant prime, and a standard form from its atoms, level by level.
+    (Kawauchi-Kojima, Math. Ann. 253, 1980).  A Gram pairing is classified
+    and read as its standard form, Seifert data by local_invariant_from_data
+    at every relevant prime, and a standard form from its atoms, level by
+    level.  A singular Gram pairing raises InvalidDataError.
     """
     if isinstance(obj, GramPairing):
-        return ((obj.prime, local_invariant(obj)),) if obj.orders else ()
+        return classify(obj).standard_form.gauss
     if isinstance(obj, SeifertData):
         found = [(p, local_invariant_from_data(obj, p)) for p in relevant_primes(obj)]
         return tuple((p, inv) for p, inv in found if inv[0])
@@ -947,12 +929,6 @@ def d_formula_case(S: SeifertData, p: int) -> str | None:
     valuation exactly k and r_p >= 3; for eps != 0, alpha_2..alpha_{r_p}
     must have valuation k and alpha_1 * eps must be a p-adic unit.
     """
-    found = _d_case(S, p)
-    return found[0] if found else None
-
-
-def _d_case(S: SeifertData, p: int):
-    """(branch, local record at p) for d_formula_case, or None."""
     if p == 2 or S.r < 2:
         return None
     dec = local_orders(S, p)
@@ -969,14 +945,14 @@ def _d_case(S: SeifertData, p: int):
             return None
         if any(padic_val(pairs[i][0], p) != k for i in range(rp)):
             return None
-        return "flat", dec
+        return "flat"
     if rp < 2:
         return None
     if any(padic_val(pairs[i][0], p) != k for i in range(1, rp)):
         return None
     if padic_val(pairs[0][0] * eps.numerator, p) != padic_val(eps.denominator, p):
         return None
-    return "sphere", dec
+    return "sphere"
 
 
 def d_class_from_data(S: SeifertData, p: int) -> int:
@@ -986,10 +962,10 @@ def d_class_from_data(S: SeifertData, p: int) -> int:
     d_invariant computes from the Gram matrix.  Preconditions as in
     d_formula_case; raises otherwise.
     """
-    found = _d_case(S, p)
-    if found is None:
+    case = d_formula_case(S, p)
+    if case is None:
         raise UnsupportedError("closed-form determinant class does not apply")
-    case, dec = found
+    dec = local_orders(S, p)
     pairs, eps = dec.pairs, dec.eps
     rp = sum(1 for a, _ in pairs if a % p == 0)
     k = padic_val(dec.orders[0][1], p)

@@ -144,12 +144,6 @@ def valuation_order(pairs, p: int) -> tuple[int, ...]:
     return tuple(sorted(range(len(pairs)), key=lambda i: -padic_val(pairs[i][0], p)))
 
 
-def reorder_at_prime(S: SeifertData, p: int) -> tuple[SeifertData, tuple[int, ...]]:
-    """S with its pairs in valuation_order at p, and that permutation."""
-    perm = valuation_order(S.pairs, p)
-    return SeifertData(S.genus, tuple(S.pairs[i] for i in perm)), perm
-
-
 def fibre_sum(S: SeifertData, T: SeifertData) -> SeifertData:
     """Concatenate Seifert data (fibre sum of the manifolds); genera add."""
     return SeifertData(S.genus + T.genus, S.pairs + T.pairs)

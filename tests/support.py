@@ -1,10 +1,12 @@
 """Helpers used only by the tests: a random change of basis, the value of
-the pairing on two elements, a data-level evenness predicate, random
+the pairing on two elements, the elements of a finite abelian group, Seifert
+data reordered at a prime, a data-level evenness predicate, random
 Seifert data with large cone orders, the piece-by-piece realization
 selection and a Smith normal form with divisibility repair, both kept as
 references."""
 
 import importlib
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, prod
@@ -14,7 +16,7 @@ from linkform.errors import UnrealizableError, UnsupportedError, VerificationErr
 from linkform.linking import GramPairing, dot, image
 from linkform.pairing import Cyc, StandardForm, canonical_form, gauss_invariant
 from linkform.pairing import local_invariant_from_data
-from linkform.seifert import SeifertData
+from linkform.seifert import SeifertData, valuation_order
 from linkform.torsion import local_orders
 
 # the package re-exports the function realize under the submodule's name
@@ -54,6 +56,17 @@ def eval_pair(G: GramPairing, x, y) -> Fraction:
     """Pairing of two elements given by generator coefficients."""
     N = G.modulus
     return Fraction(dot(x, image(G.matrix, y)) % N, N)
+
+
+def elements(orders):
+    """All elements of the group +Z/n_i, as coefficient tuples."""
+    return itertools.product(*(range(n) for n in orders))
+
+
+def reorder_at_prime(S: SeifertData, p: int) -> tuple[SeifertData, tuple[int, ...]]:
+    """S with its pairs in valuation_order at p, and that permutation."""
+    perm = valuation_order(S.pairs, p)
+    return SeifertData(S.genus, tuple(S.pairs[i] for i in perm)), perm
 
 
 def even_predicate_from_data(S: SeifertData) -> bool:

@@ -487,6 +487,23 @@ def test_an_unwritable_realize_target_is_refused_at_once(tmp_path, capsys, time_
     assert err.startswith("unsupported: cannot write the report: ") and "digits" in err
 
 
+@pytest.mark.parametrize("command", ["realize", "search"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"atoms": [{"E1": 2, "E0": 2}]},  # was read as E0(2)
+        {"atoms": [{"cyc": [3, 1, 1], "x": 1}]},  # x was dropped unread
+        {"atoms": [{}]},
+    ],
+)
+def test_an_atom_needs_exactly_one_key(tmp_path, capsys, command, doc):
+    argv = [command, write(tmp_path, "t.json", doc)]
+    if command == "search":
+        argv += ["--max-r", "2", "--max-alpha", "3", "--max-beta", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("invalid data: ")
+
+
 # ---------------------------------------------------------------------------
 # JSON numbers that are not integers: refused, never truncated
 

@@ -17,7 +17,6 @@ from linkform.arith import p_part
 from linkform.errors import InvalidDataError
 from linkform.linking import (
     GramPairing,
-    elements,
     gram_matrix,
     self_link_profile,
 )
@@ -25,7 +24,7 @@ from linkform.pairing import brute_force_isomorphic
 from linkform.seifert import SeifertData, seifert
 from linkform.verify import RunConfig, run_suite
 from linkform.witt import metabolic_oracle
-from support import eval_pair, shuffle_basis
+from support import elements, eval_pair, shuffle_basis
 
 # ---------------------------------------------------------------------------
 # Fraction reference

@@ -1,5 +1,6 @@
 """local_invariant_from_data against the Gram-matrix path it replaces in
-realization and search checks: local_invariant(gram_matrix(S, p)).
+realization and search checks: the invariant at p of the standard form that
+classify(gram_matrix(S, p)) finds.
 
 Besides equality, each sweep counts the cases where the order in which
 generators are taken matters, and asserts that they occur: an even level
@@ -23,8 +24,8 @@ from linkform.pairing import (
     E0,
     E1,
     StandardForm,
+    classify,
     even_decompose,
-    local_invariant,
     local_invariant_from_data,
     parity,
 )
@@ -32,6 +33,11 @@ from linkform.realize import realize
 from linkform.seifert import SeifertData, relevant_primes, seifert
 from linkform.torsion import local_orders
 from support import rand_block_seifert
+
+
+def _classified(G) -> tuple:
+    """The invariant at G's prime of the standard form classify finds."""
+    return dict(classify(G).standard_form.gauss).get(G.prime, ((), ()))
 
 
 def _in_order_pivot_fails(C) -> bool:
@@ -49,7 +55,7 @@ def _in_order_pivot_fails(C) -> bool:
 
 def _cases(G) -> Counter:
     seen = Counter()
-    for C in G.components():
+    for C in G.components:
         if G.prime == 2 and parity(C) == "even":
             seen["even level at 2"] += 1
         if G.prime != 2 and _in_order_pivot_fails(C):
@@ -74,7 +80,7 @@ def test_matches_gram_path_on_random_block_data():
         S = rand_block_seifert(rng, flat=t % 2 == 0, max_r=12, max_alpha=10**4)
         for p in relevant_primes(S):
             G = gram_matrix(S, p)
-            assert local_invariant_from_data(S, p) == local_invariant(G), (S, p)
+            assert local_invariant_from_data(S, p) == _classified(G), (S, p)
             seen += _cases(G)
     assert seen["even level at 2"] and seen["pair pivot at odd p"], seen
 
@@ -94,7 +100,7 @@ def test_matches_gram_path_on_every_small_datum():
             oracle[key] = want = {}
             for p in relevant_primes(S):
                 G = gram_matrix(S, p)
-                want[p] = local_invariant(G)
+                want[p] = _classified(G)
                 seen += _cases(G)
         for p, inv in oracle[key].items():
             assert local_invariant_from_data(S, p) == inv, (S, p)
@@ -115,8 +121,8 @@ def test_matches_gram_path_on_realized_even_levels():
             S = realize(target, mode).seifert
             for p in relevant_primes(S):
                 G = gram_matrix(S, p)
-                assert local_invariant_from_data(S, p) == local_invariant(G), (S, p)
-                seen.update((C.rank, even_decompose(C)[1]) for C in G.components() if C.k >= 2)
+                assert local_invariant_from_data(S, p) == _classified(G), (S, p)
+                seen.update((C.rank, even_decompose(C)[1]) for C in G.components if C.k >= 2)
     assert seen[4, 1] and seen[6, 1], seen
 
 
@@ -131,12 +137,12 @@ def test_matches_gram_path_on_realized_even_levels():
 )
 def test_s_with_zero_e_term(S, p):
     assert _s_case(S, p) == "E_s = 0"
-    assert local_invariant_from_data(S, p) == local_invariant(gram_matrix(S, p))
+    assert local_invariant_from_data(S, p) == _classified(gram_matrix(S, p))
 
 
 def test_trivial_part_and_r1():
     S = seifert((2, 1), (2, -1))  # eps = 0, r = 2: no torsion at 2
     for p in (2, 5):
-        assert local_invariant_from_data(S, p) == local_invariant(gram_matrix(S, p)) == ((), ())
+        assert local_invariant_from_data(S, p) == _classified(gram_matrix(S, p)) == ((), ())
     with pytest.raises(UnsupportedError):
         local_invariant_from_data(seifert((5, 2)), 2)

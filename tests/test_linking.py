@@ -9,14 +9,13 @@ from linkform.errors import UnsupportedError
 from linkform.linking import (
     GramPairing,
     element_table,
-    elements,
     gram_matrix,
     self_link_profile,
     welldefined_check,
 )
-from linkform.seifert import euler_invariant, reorder_at_prime, seifert
+from linkform.seifert import euler_invariant, seifert
 from linkform.verify import RunConfig, rand_seifert
-from support import eval_pair
+from support import elements, eval_pair, reorder_at_prime
 
 NIL = seifert((2, 1), (2, 1), (2, 1), (2, -1))
 

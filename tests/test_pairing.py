@@ -4,7 +4,7 @@ import random
 import pytest
 
 from linkform.errors import InvalidDataError, UnsupportedError
-from linkform.linking import gram_matrix
+from linkform.linking import GramPairing, gram_matrix
 from linkform.pairing import (
     Cyc,
     E0,
@@ -31,7 +31,14 @@ from linkform.pairing import (
     standard_form_of,
 )
 from linkform.seifert import seifert
-from support import eval_pair, even_predicate_from_data, rand_block_seifert, shuffle_basis
+from support import (
+    elements,
+    eval_pair,
+    even_predicate_from_data,
+    rand_block_seifert,
+    reorder_at_prime,
+    shuffle_basis,
+)
 
 NIL = seifert((2, 1), (2, 1), (2, 1), (2, -1))
 
@@ -397,7 +404,7 @@ def test_parity_count_relation():
     import random as _random
 
     from linkform.arith import padic_val
-    from linkform.seifert import euler_invariant, reorder_at_prime
+    from linkform.seifert import euler_invariant
 
     rng = _random.Random(29)
     from linkform.verify import RunConfig, rand_seifert
@@ -653,8 +660,6 @@ def _direct_gauss_arg(sf_p, p, n):
     """Argument in Z/8 of sum_x e(p^n l(x,x)) by summing over the group."""
     import cmath
 
-    from linkform.linking import elements
-
     G = standard_form_gram(sf_p, p)
     z = sum(
         cmath.exp(2j * cmath.pi * float(p**n * eval_pair(G, x, x)))
@@ -719,22 +724,38 @@ def _gram_pairings():
         yield shuffle_basis(G, rng)
 
 
-def test_local_invariant_equals_classified_invariant():
-    # read from the components, the invariant equals that of the atoms
-    # classify finds; so does the report on Gram pairings, with negation
-    from linkform.pairing import isomorphism_report, local_invariant
+def test_gram_invariant_is_kept_by_a_change_of_basis():
+    # the invariant of a Gram pairing is that of its class: a change of basis
+    # keeps it, and the report on Gram pairings finds the negated pairing
+    from linkform.pairing import isomorphism_report
 
+    rng = random.Random(19)
     seen = 0
     for G in _gram_pairings():
-        form = classify(G).standard_form
-        assert gauss_invariant(G) == gauss_invariant(form), G
+        assert gauss_invariant(shuffle_basis(G, rng)) == gauss_invariant(G), G
         if G.orders:
             seen += 1
-            assert gauss_invariant(G) == ((G.prime, local_invariant(G)),)
-            neg = standard_form_gram(form.negated(), G.prime)
-            rep = isomorphism_report(form, neg, allow_negation=True)
-            assert rep["isomorphic"] and rep["negated"] == (not is_isomorphic(form, neg))
+            neg = standard_form_gram(classify(G).standard_form.negated(), G.prime)
+            rep = isomorphism_report(G, neg, allow_negation=True)
+            assert rep["isomorphic"] and rep["negated"] == (not is_isomorphic(G, neg))
     assert seen > 500
+
+
+def test_singular_gram_pairing_raises_rather_than_reads_false():
+    # p divides the determinant of each top block below
+    for singular in (
+        GramPairing(2, ("e1", "e2"), (2, 2), ((1, 0), (0, 0))),
+        GramPairing(3, ("e1", "e2"), (3, 3), ((1, 1), (1, 1))),
+    ):
+        p = singular.prime
+        fine = standard_form_gram(sf(Cyc.make(p, 1, 1), Cyc.make(p, 1, 1)), p)
+        for call in (
+            lambda: gauss_invariant(singular),
+            lambda: is_isomorphic(singular, fine),
+            lambda: is_isomorphic(fine, singular, allow_negation=True),
+        ):
+            with pytest.raises(InvalidDataError, match="singular"):
+                call()
 
 
 def test_component_determinant_recorded_once():
@@ -744,15 +765,15 @@ def test_component_determinant_recorded_once():
     from linkform.pairing import _int_det
 
     for G in _gram_pairings():
-        for C in G.components():
+        for C in G.components:
             fresh = HomogeneousComponent(C.prime, C.k, C.rank, C.matrix)
-            assert "_det" in vars(C) and "_det" not in vars(fresh)
+            assert "det" in vars(C) and "det" not in vars(fresh)
             assert C == fresh and hash(C) == hash(fresh) and repr(C) == repr(fresh)
             if C.prime != 2:
                 assert d_invariant(C) == d_invariant(fresh)
             elif parity(C) == "even":
                 assert even_decompose(C) == even_decompose(fresh)
-            assert C.det() == fresh.det() == _int_det(C.matrix)
+            assert C.det == fresh.det == _int_det(C.matrix)
 
 TWO_UNITS = {1: (1,), 2: (1, 3), 3: (1, 3, 5, 7)}
 

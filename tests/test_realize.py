@@ -34,8 +34,6 @@ from linkform.realize import (
     RealizationResult,
     exhaustive_search,
     realize,
-    realize_odd_flat,
-    realize_two,
     verify_realization,
 )
 from linkform.seifert import SeifertData, euler_invariant, fibre_sum, relevant_primes, seifert
@@ -57,34 +55,27 @@ def sf(*atoms):
 
 
 def test_odd_flat_rank1_p5():
-    r = realize_odd_flat(sf(Cyc.make(5, 1, 1)))
+    r = realize(sf(Cyc.make(5, 1, 1)), "flat")
     assert r.verified
     assert euler_invariant(r.seifert) == 0
     assert sorted(r.seifert.pairs) == [(5, -3), (5, 1), (5, 2)]
 
 
 def test_odd_flat_p3_square_needs_bumped_orders():
-    r = realize_odd_flat(sf(Cyc.make(3, 2, 1), Cyc.make(3, 2, 1)))
+    r = realize(sf(Cyc.make(3, 2, 1), Cyc.make(3, 2, 1)), "flat")
     assert r.verified and "bump" in r.construction
     assert sorted(a for a, _ in r.seifert.pairs) == [9, 9, 27, 27]
     # same rank and exponent with nonsquare class stays at equal cone orders
-    r2 = realize_odd_flat(sf(Cyc.make(3, 2, 1), Cyc.make(3, 2, 2)))
+    r2 = realize(sf(Cyc.make(3, 2, 1), Cyc.make(3, 2, 2)), "flat")
     assert r2.verified and set(a for a, _ in r2.seifert.pairs) == {9}
 
 
 def test_odd_flat_multi_block():
     target = sf(Cyc.make(5, 2, 1), Cyc.make(5, 2, 2), Cyc.make(5, 1, 1))
-    r = realize_odd_flat(target)
+    r = realize(target, "flat")
     assert r.verified
     assert euler_invariant(r.seifert) == 0
     assert sorted(a for a, _ in r.seifert.pairs) == [5, 25, 25, 25, 25]
-
-
-def test_odd_flat_rejects_wrong_prime():
-    # one odd prime only: the prime is read from the target
-    for target in (sf(Cyc.make(2, 1, 1)), sf(Cyc.make(3, 1, 1), Cyc.make(5, 1, 1)), sf()):
-        with pytest.raises(UnsupportedError):
-            realize_odd_flat(target)
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +127,22 @@ def test_odd_sphere_multi_block_classes():
 
 
 def test_two_homog_e0_squared():
-    r = realize_two(sf(E0(2)), "flat")
+    r = realize(sf(E0(2)), "flat")
     assert r.seifert.pairs == ((4, -1), (4, 1), (4, -1), (4, 1))
     assert r.verified
 
 
 def test_two_homog_cyc233_sphere():
-    r = realize_two(sf(Cyc.make(2, 3, 3)), "sphere")
+    r = realize(sf(Cyc.make(2, 3, 3)), "sphere")
     assert r.seifert.pairs == ((32, -3), (8, 1))
     assert r.verified
 
 
 def test_two_homog_cyc211():
-    r = realize_two(sf(Cyc.make(2, 1, 1)), "sphere")
+    r = realize(sf(Cyc.make(2, 1, 1)), "sphere")
     assert r.verified
     assert euler_invariant(r.seifert) != 0
-    r = realize_two(sf(Cyc.make(2, 1, 1)), "flat")
+    r = realize(sf(Cyc.make(2, 1, 1)), "flat")
     assert r.verified and euler_invariant(r.seifert) == 0
 
 
@@ -159,31 +150,31 @@ def test_two_homog_all_lens_classes():
     for k in (1, 2, 3):
         units = [1] if k == 1 else ([1, 3] if k == 2 else [1, 3, 5, 7])
         for a in units:
-            r = realize_two(sf(Cyc.make(2, k, a)), "sphere")
+            r = realize(sf(Cyc.make(2, k, a)), "sphere")
             assert r.verified, (k, a)
             assert euler_invariant(r.seifert) != 0
 
 
 def test_two_homog_e1_both_modes():
     for mode in ("flat", "sphere"):
-        r = realize_two(sf(E1(2)), mode)
+        r = realize(sf(E1(2)), mode)
         assert r.verified, mode
 
 
 def test_gap_realization():
-    r = realize_two(sf(Cyc.make(2, 3, 3), Cyc.make(2, 1, 1)))
+    r = realize(sf(Cyc.make(2, 3, 3), Cyc.make(2, 1, 1)))
     assert r.verified
     alphas = sorted(a for a, _ in r.seifert.pairs)
     assert alphas[0] == 2 and alphas[-1] == 32
 
 
 def test_gap_even_top():
-    r = realize_two(sf(E0(3), Cyc.make(2, 1, 1)))
+    r = realize(sf(E0(3), Cyc.make(2, 1, 1)))
     assert r.verified
 
 
 def test_gap_sphere_mode():
-    r = realize_two(sf(Cyc.make(2, 4, 3), Cyc.make(2, 2, 1)), "sphere")
+    r = realize(sf(Cyc.make(2, 4, 3), Cyc.make(2, 2, 1)), "sphere")
     assert r.verified
     assert euler_invariant(r.seifert) != 0
 
@@ -192,7 +183,7 @@ def test_gap_condition_violated():
     # refused as outside the constructions, not as impossible: the target is
     # realized by M(0;(2,-5),(4,7),(8,5)) (see WITNESSES)
     with pytest.raises(UnrealizableError, match="outside the implemented"):
-        realize_two(sf(Cyc.make(2, 2, 1), Cyc.make(2, 1, 1)))
+        realize(sf(Cyc.make(2, 2, 1), Cyc.make(2, 1, 1)))
 
 
 def test_even_below_top_refused_by_constructions():

@@ -16,10 +16,10 @@ from linkform.seifert import (
     euler_invariant,
     fibre_sum,
     relevant_primes,
-    reorder_at_prime,
     seifert,
     validate,
 )
+from support import reorder_at_prime
 
 
 def valid_seifert(max_r=5, max_alpha=12, max_beta=9):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from linkform.cli import main
 from linkform.errors import InvalidDataError, UnsupportedError
-from linkform.seifert import SeifertData, euler_invariant, reorder_at_prime, seifert
+from linkform.seifert import SeifertData, euler_invariant, seifert
 from linkform.torsion import (
     local_orders,
     presentation_matrix,
@@ -19,7 +19,7 @@ from linkform.torsion import (
     torsion_order,
     unsupported_r1_pairing,
 )
-from support import rand_block_seifert, reference_smith_normal_form
+from support import rand_block_seifert, reference_smith_normal_form, reorder_at_prime
 
 CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "compute.jsonl"
 
