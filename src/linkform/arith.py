@@ -139,11 +139,9 @@ def factorize(n: int) -> dict[int, int]:
 
     Trial division by d < 2^10 finishes every n < 2^20 on its own.  A larger
     cofactor is split by Pollard-Brent rho, and its parts are proved prime
-    by deterministic Miller-Rabin on the 13 prime bases 2..41, which is
-    exact below 3317044064679887385961981.  A part at or above that bound
-    which passes every base cannot be proved prime here, so it raises
-    UnsupportedError instead of being guessed prime; so does a composite
-    part that rho cannot split within its step budget.
+    by _proved_prime.  A part that can be neither proved prime nor split
+    raises UnsupportedError instead of being guessed prime; so does a
+    composite part that rho cannot split within its step budget.
     """
     n = abs(n)
     if n == 0:
@@ -167,7 +165,7 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if _miller_rabin(m):
+        if _proved_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             f = _brent_factor(m)
@@ -175,11 +173,13 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def _miller_rabin(n: int) -> bool:
-    """Primality of n >= 2, n not a base, by Miller-Rabin on _MR_BASES.
+def _proved_prime(n: int) -> bool:
+    """Primality of n >= 2, n not a base.
 
-    Exact below _MR_EXACT_BELOW; a number at or above it that passes every
-    base is refused.  A composite n < 41 fails at the base that divides it.
+    Miller-Rabin on _MR_BASES is exact below _MR_EXACT_BELOW (a composite
+    n < 41 fails at the base that divides it).  A larger n that passes
+    every base is prime if _pocklington proves it and composite if rho
+    splits it; if neither succeeds it is refused.
     """
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -195,12 +195,34 @@ def _miller_rabin(n: int) -> bool:
                 break
         else:
             return False
-    if n >= _MR_EXACT_BELOW:
+    if n < _MR_EXACT_BELOW or _pocklington(n):
+        return True
+    try:
+        _brent_factor(n)
+    except UnsupportedError:
         raise UnsupportedError(
-            f"cannot prove {n} prime: Miller-Rabin on bases 2..41 is exact "
-            f"only below {_MR_EXACT_BELOW}"
-        )
-    return True
+            f"cannot prove {n} prime: it is above the Miller-Rabin bound "
+            f"{_MR_EXACT_BELOW}, with no Pocklington certificate or rho split"
+        ) from None
+    return False
+
+
+def _pocklington(n: int) -> bool:
+    """Whether a Pocklington-Lehmer certificate proves n prime.
+
+    n - 1 is factored, and every prime q | n - 1 needs a base a among
+    _MR_BASES with gcd(a^((n-1)/q) - 1, n) = 1; a^(n-1) = 1 (mod n) holds
+    already, as n passed Miller-Rabin on them.  Then q^v_q(n-1) divides the
+    order of a mod every prime factor f of n, so n - 1 | f - 1 and f = n.
+    False when n - 1 cannot be factored or some q has no such base.
+    """
+    try:
+        primes = factorize(n - 1)
+    except UnsupportedError:
+        return False
+    return all(
+        any(gcd(pow(a, (n - 1) // q, n) - 1, n) == 1 for a in _MR_BASES) for q in primes
+    )
 
 
 def _brent_factor(n: int) -> int:
@@ -242,7 +264,7 @@ def _brent_factor(n: int) -> int:
 
 @lru_cache(maxsize=256)  # Cyc.make asks about the same few primes many times
 def is_prime(n: int) -> bool:
-    return n >= 2 and (n in _MR_BASES or _miller_rabin(n))
+    return n >= 2 and (n in _MR_BASES or _proved_prime(n))
 
 
 def bareiss(M) -> tuple[int, int]:

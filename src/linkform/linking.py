@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .arith import ext_gcd, p_part
+from .arith import p_part
 from .errors import InvalidDataError
 from .seifert import SeifertData, _memo
 from .torsion import local_orders, unsupported_r1_pairing
@@ -120,31 +120,26 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
     Requires r >= 2.  Generators with trivial p-order are dropped, so the
     result is nonsingular; the trivial pairing (no generators) is returned
     when the p-torsion vanishes.  Independent of genus.  The generators are
-    those of ``local_orders(S, p).orders``: the kept q_i' are the pairs
-    after the second, in order, and s comes last.
+    those of ``local_orders(S, p).orders``: its ``kept`` q_i', then s.
     """
     unsupported_r1_pairing(S)
     decomp = local_orders(S, p)
     if not decomp.orders:
         return GramPairing(p, (), (), ())
-    pairs, eps = decomp.pairs, decomp.eps
     labels, orders = zip(*decomp.orders)
     N = max(orders)
-    a2, b2 = pairs[1]
-    m = len(orders) - (labels[-1] == "s")  # the number of kept q_i'
+    (a1, _), (a2, b2) = decomp.pairs[:2]
+    kept, m = decomp.kept, len(decomp.kept)
     A = [[0] * len(orders) for _ in orders]
-    for i in range(m):
-        ai, bi = pairs[i + 2]
+    for i, (ai, bi) in enumerate(kept):
         A[i][i] = p_part(-b2 * bi * (ai * b2 + a2 * bi), ai * ai, p, N)
-        for j in range(i + 1, m):
-            aj, bj = pairs[j + 2]
+        for j, (aj, bj) in enumerate(kept[i + 1 :], i + 1):
             A[i][j] = A[j][i] = p_part(-b2 * bi * bj * a2, ai * aj, p, N)
-        if m < len(orders):
+        if decomp.bezout:
             A[i][m] = A[m][i] = p_part(bi, ai, p, N)
-    if m < len(orders):  # l(s, s), both terms times the denominator of eps
-        a1 = pairs[0][0]
-        _, _, n = ext_gcd(a2, b2)
-        en, ed = eps.numerator, eps.denominator
+    if decomp.bezout:  # l(s, s), both terms times the denominator of eps
+        n = decomp.bezout[1]
+        en, ed = decomp.eps.numerator, decomp.eps.denominator
         A[m][m] = p_part(-(a1 * ed + n * a1 * a2 * en), a1 * a2 * a2 * en, p, N)
     return GramPairing(p, labels, orders, tuple(map(tuple, A)))
 

@@ -27,7 +27,6 @@ from math import prod
 
 from .arith import (
     bareiss,
-    ext_gcd,
     is_prime,
     least_nonresidue,
     legendre,
@@ -43,7 +42,7 @@ from .linking import (
     gram_matrix,
     image,
 )
-from .seifert import SeifertData, _memo, json_int, relevant_primes
+from .seifert import SeifertData, _memo, json_int, json_keys, relevant_primes
 from .torsion import local_orders, unsupported_r1_pairing
 
 
@@ -107,6 +106,14 @@ def _atom_prime(atom: Atom) -> int:
     return atom.p if isinstance(atom, Cyc) else 2
 
 
+def _atoms_json(atoms) -> list[dict]:
+    """{"cyc": [p, k, a]}, {"E0": k} or {"E1": k} for each atom, in order."""
+    return [
+        {"cyc": [a.p, a.k, a.a]} if isinstance(a, Cyc) else {type(a).__name__: a.k}
+        for a in atoms
+    ]
+
+
 @dataclass(frozen=True)
 class StandardForm:
     """Orthogonal sum of classification atoms, kept in canonical order."""
@@ -167,15 +174,14 @@ class StandardForm:
     @_memo
     def gauss(self) -> tuple:
         """gauss_invariant(self), read once and kept like ``SeifertData.eps``."""
-        levels: dict[int, list] = {}  # atoms come by prime, then by decreasing k
-        for (p, k), group in groupby(self.atoms, lambda a: (_atom_prime(a), a.k)):
-            group = list(group)
-            units = [a.a for a in group if isinstance(a, Cyc)]
-            e1 = sum(isinstance(a, E1) for a in group)
-            d = 1 if p == 2 else prod(legendre(a, p) for a in units)
-            rank = 2 * len(group) - len(units)
-            levels.setdefault(p, []).append(_level(p, k, rank, units, e1, d))
-        return tuple((p, _prime_invariant(found)) for p, found in levels.items())
+        out = []
+        for p in self.primes():
+            levels = []
+            for k, units, e0, e1 in self.levels(p):
+                d = 1 if p == 2 else prod(legendre(a, p) for a in units)
+                levels.append(_level(p, k, len(units) + 2 * (e0 + e1), units, e1, d))
+            out.append((p, _prime_invariant(levels)))
+        return tuple(out)
 
     def group_structure(self) -> tuple[tuple[int, int], ...]:
         """Multiset of (p, k) of cyclic summands of the underlying group."""
@@ -188,21 +194,15 @@ class StandardForm:
         return tuple(sorted(out))
 
     def to_json(self) -> dict:
-        atoms = []
-        for a in self.atoms:
-            if isinstance(a, Cyc):
-                atoms.append({"cyc": [a.p, a.k, a.a]})
-            elif isinstance(a, E0):
-                atoms.append({"E0": a.k})
-            else:
-                atoms.append({"E1": a.k})
-        return {"atoms": atoms}
+        return {"atoms": _atoms_json(self.atoms)}
 
     @classmethod
     def from_json(cls, obj) -> "StandardForm":
         try:
             atoms: list[Atom] = []
-            for item in obj["atoms"]:
+            items = obj["atoms"]
+            json_keys(obj, ("atoms",))
+            for item in items:
                 # one key per atom: a second key would be dropped unread
                 if not isinstance(item, dict) or len(item) != 1:
                     raise InvalidDataError(f"an atom has exactly one key, got {item!r}")
@@ -318,12 +318,17 @@ def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
     Components come out in strictly decreasing exponent.  At each stage the
     generators of maximal order are split off: their scaled Gram block has
     unit determinant mod p (else the pairing is singular and we raise), and
-    the lower-order generators are corrected to be orthogonal to them.
+    the lower-order generators are corrected to be orthogonal to them.  The
+    correction e_l -= sum_t C_lt e_t with W_tt C^T = W_tl leaves the Schur
+    complement W_rr - C W_tr (mod N), which is exact for symmetric W only,
+    so a non-symmetric matrix raises InvalidDataError.
     """
     p, N = G.prime, G.modulus
     idx = sorted(range(G.rank), key=lambda i: -G.orders[i])
     orders = [G.orders[i] for i in idx]
     W = [[G.matrix[i][j] % N for j in idx] for i in idx]  # N * values
+    if any(W[i][j] != W[j][i] for i in range(len(W)) for j in range(i)):
+        raise InvalidDataError("pairing matrix is not symmetric")
     components: list[HomogeneousComponent] = []
     while orders:
         q = orders[0]
@@ -347,19 +352,10 @@ def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
         assert not any(W[l][i] % s for l in rest for i in top)
         B = [[W[l][i] // s for i in top] for l in rest]
         coeffs = _solve_mod(A, B, q, p)
-        new_W = []
-        for a, l in enumerate(rest):
-            row = []
-            for b, m in enumerate(rest):
-                v = W[l][m]
-                for t_pos, t in enumerate(top):
-                    v -= coeffs[b][t_pos] * W[l][t]
-                    v -= coeffs[a][t_pos] * W[t][m]
-                for t_pos, t in enumerate(top):
-                    for s_pos, u in enumerate(top):
-                        v += coeffs[a][t_pos] * coeffs[b][s_pos] * W[t][u]
-                row.append(v % N)
-            new_W.append(row)
+        new_W = [
+            [(W[l][m] - sum(c * W[t][m] for c, t in zip(coeffs[a], top))) % N for m in rest]
+            for a, l in enumerate(rest)
+        ]
         # corrected generators keep their order: coefficients are divisible
         # by q / order_l, so this is a genuine basis change
         for a, l in enumerate(rest):
@@ -488,27 +484,21 @@ def div4_diagonal_count(S: SeifertData) -> int:
     with the rank this count decides hyperbolicity.
     """
     local = local_orders(S, 2)
-    pairs, eps = local.pairs, local.eps
-    r2 = sum(1 for a, _ in pairs if a % 2 == 0)
+    vals, eps = local.vals, local.eps
+    r2 = sum(v > 0 for v in vals)
     if r2 < 3:
         raise UnsupportedError("need at least three even cone point orders")
-    k = padic_val(pairs[0][0], 2)
+    k = vals[0]
     if k < 2:
         raise UnsupportedError("valuation k > 1 required")
-    for a, _ in pairs[:r2]:
-        if padic_val(a, 2) != k:
-            raise UnsupportedError("even cone point orders must share their valuation")
-    a1 = pairs[0][0]
-    if eps != 0 and padic_val(a1 * eps.numerator, 2) != padic_val(eps.denominator, 2):
+    if vals[r2 - 1] != k:
+        raise UnsupportedError("even cone point orders must share their valuation")
+    # alpha_1 * eps is odd exactly when s is kept with order 2^k
+    if eps != 0 and local.orders[-1] != ("s", 2**k):
         raise UnsupportedError("alpha_1 * eps must vanish or be odd")
-    a2, b2 = pairs[1]
-    t = 0
-    for i in range(2, r2):
-        ai, bi = pairs[i]
-        val = Fraction(a2 * bi + ai * b2, 2**k)
-        assert val.denominator == 1
-        if val.numerator % 4 == 0:
-            t += 1
+    a2, b2 = local.pairs[1]
+    # a2 bi + ai b2 is 2^k times an integer, as every alpha has valuation k
+    t = sum((a2 * bi + ai * b2) % 2 ** (k + 2) == 0 for ai, bi in local.kept)
     if eps != 0:
         x = b2 + a2 * eps
         if x == 0 or padic_val(x, 2) >= 2:
@@ -555,7 +545,7 @@ class ComponentSummary:
             out["parity"] = self.parity
         if self.d is not None:
             out["d"] = square_class_name(self.d)
-        out["atoms"] = StandardForm.of(self.atoms).to_json()["atoms"]
+        out["atoms"] = _atoms_json(sorted(self.atoms, key=_atom_key))
         return out
 
 
@@ -758,19 +748,16 @@ def local_invariant_from_data(S: SeifertData, p: int) -> tuple:
     """
     unsupported_r1_pairing(S)
     decomp = local_orders(S, p)
-    pairs, eps = decomp.pairs, decomp.eps
-    a2, b2 = pairs[1]
-    # (order, F numerator, F denominator, x numerator, x denominator); the
-    # kept q_i' are the first pairs after the second, in pair order
-    gens = []
-    for i, (label, order) in enumerate(decomp.orders):
-        if label == "s":
-            _, m, _ = ext_gcd(a2, b2)
-            en, ed = eps.numerator, eps.denominator
-            gens.append((order, -1, a2 * a2 * b2 * en, b2 * en, b2 * ed - m * a2 * a2 * en))
-        else:
-            a, b = pairs[i + 2]
-            gens.append((order, -b2 * b2 * b, a * a, b, a))
+    a2, b2 = decomp.pairs[1]
+    # (order, F numerator, F denominator, x numerator, x denominator)
+    gens = [
+        (order, -b2 * b2 * b, a * a, b, a)
+        for (_, order), (a, b) in zip(decomp.orders, decomp.kept)
+    ]
+    if decomp.bezout:  # s, the last generator
+        m, en, ed = decomp.bezout[0], decomp.eps.numerator, decomp.eps.denominator
+        order = decomp.orders[-1][1]
+        gens.append((order, -1, a2 * a2 * b2 * en, b2 * en, b2 * ed - m * a2 * a2 * en))
     gens.sort(key=lambda g: -g[0])  # stable: s follows the q_i' of its order
     tn, td = b2, a2
     levels = []
@@ -927,32 +914,19 @@ def d_formula_case(S: SeifertData, p: int) -> str | None:
     The branches need the p-torsion to be homogeneous of exponent p^k with
     unit cofactors: for eps = 0, all of alpha_1..alpha_{r_p} must have
     valuation exactly k and r_p >= 3; for eps != 0, alpha_2..alpha_{r_p}
-    must have valuation k and alpha_1 * eps must be a p-adic unit.
+    must have valuation k and alpha_1 * eps must be a p-adic unit, which
+    holds exactly when s is kept with order p^k.
     """
     if p == 2 or S.r < 2:
         return None
     dec = local_orders(S, p)
-    if not dec.orders:
-        return None
-    exps = {n for _, n in dec.orders}
-    if len(exps) != 1:
-        return None
-    k = padic_val(exps.pop(), p)
-    pairs, eps = dec.pairs, dec.eps
-    rp = sum(1 for a, _ in pairs if a % p == 0)
-    if eps == 0:
-        if rp < 3:
-            return None
-        if any(padic_val(pairs[i][0], p) != k for i in range(rp)):
-            return None
-        return "flat"
-    if rp < 2:
-        return None
-    if any(padic_val(pairs[i][0], p) != k for i in range(1, rp)):
-        return None
-    if padic_val(pairs[0][0] * eps.numerator, p) != padic_val(eps.denominator, p):
-        return None
-    return "sphere"
+    vals = dec.vals
+    rp = sum(v > 0 for v in vals)
+    if dec.eps == 0:
+        return "flat" if rp >= 3 and vals[0] == vals[rp - 1] else None
+    if rp >= 2 and vals[1] == vals[rp - 1] and dec.orders[-1] == ("s", p ** vals[1]):
+        return "sphere"
+    return None
 
 
 def d_class_from_data(S: SeifertData, p: int) -> int:
@@ -967,22 +941,13 @@ def d_class_from_data(S: SeifertData, p: int) -> int:
         raise UnsupportedError("closed-form determinant class does not apply")
     dec = local_orders(S, p)
     pairs, eps = dec.pairs, dec.eps
-    rp = sum(1 for a, _ in pairs if a % p == 0)
-    k = padic_val(dec.orders[0][1], p)
-    pk = p**k
-    cls = 1
-    for i in range(rp):
-        cls *= legendre(pairs[i][1], p)
-    if case == "flat":
-        if (rp - 1) % 2:
-            cls *= legendre(-1, p)
-        cls *= square_class(Fraction(pairs[0][0], pairs[1][0]), p)
-        for j in range(2, rp):
-            cls *= square_class(Fraction(pairs[j][0], pk), p)
-        return cls
-    if rp % 2:
-        cls *= legendre(-1, p)
-    for j in range(1, rp):
-        cls *= square_class(Fraction(pairs[j][0], pk), p)
-    cls *= square_class(Fraction(pairs[0][0]) * eps, p)
-    return cls
+    rp = sum(v > 0 for v in dec.vals)
+    pk = p ** dec.vals[rp - 1]
+    flat = case == "flat"
+    cls = legendre(-1, p) if (rp - flat) % 2 else 1
+    for j, (a, b) in enumerate(pairs[:rp]):
+        cls *= legendre(b, p)
+        if j > flat:  # the unit parts of alpha_2.. (sphere) or alpha_3.. (flat)
+            cls *= square_class(Fraction(a, pk), p)
+    head = Fraction(pairs[0][0], pairs[1][0]) if flat else pairs[0][0] * eps
+    return cls * square_class(head, p)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .arith import factorize, padic_val
+from .arith import factorize
 from .errors import InvalidDataError
 
 
@@ -97,6 +97,7 @@ class SeifertData:
     def from_json(cls, obj) -> "SeifertData":
         try:
             genus = json_int(obj.get("genus", 0))
+            json_keys(obj, ("genus", "pairs"))
             pairs = tuple((json_int(a), json_int(b)) for a, b in obj["pairs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDataError(f"bad Seifert data: {obj!r}") from exc
@@ -108,6 +109,14 @@ def json_int(x) -> int:
     if type(x) is not int:
         raise InvalidDataError(f"expected an integer, got {x!r}")
     return x
+
+
+def json_keys(obj: dict, known) -> None:
+    """Refuse a key of a JSON object that is not among ``known``: it would
+    be dropped unread."""
+    for key in obj:
+        if key not in known:
+            raise InvalidDataError(f"unknown key {key!r}; expected {', '.join(known)}")
 
 
 def seifert(*pairs: tuple[int, int], genus: int = 0) -> SeifertData:
@@ -133,15 +142,6 @@ def validate(S: SeifertData) -> list[str]:
 def euler_invariant(S: SeifertData) -> Fraction:
     """Generalized Euler number of S: the value cached as ``S.eps``."""
     return S.eps
-
-
-def valuation_order(pairs, p: int) -> tuple[int, ...]:
-    """Stable sort of the pairs by descending p-adic valuation of alpha.
-
-    After reordering, alpha_{i+1} divides alpha_i in the localization at p.
-    The permutation maps new positions to original 0-based indices.
-    """
-    return tuple(sorted(range(len(pairs)), key=lambda i: -padic_val(pairs[i][0], p)))
 
 
 def fibre_sum(S: SeifertData, T: SeifertData) -> SeifertData:

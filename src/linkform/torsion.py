@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import bareiss, padic_val
+from .arith import bareiss, ext_gcd, padic_val
 from .errors import UnsupportedError
-from .seifert import SeifertData, euler_invariant, relevant_primes, valuation_order
+from .seifert import SeifertData, _memo, euler_invariant, relevant_primes
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,21 @@ class LocalDecomposition:
     orders: tuple[tuple[str, int], ...]  # (generator label, p-power order > 1)
     free_rank: int  # contribution on top of the 2g from the base surface
     pairs: tuple[tuple[int, int], ...]  # the Seifert pairs reordered at prime
+    vals: tuple[int, ...]  # v_p(alpha_i) of the reordered pairs, descending
+    kept: tuple[tuple[int, int], ...]  # the pairs of the kept q_i', in label order
     eps: Fraction  # the Euler number
 
     def order_multiset(self) -> tuple[int, ...]:
         return tuple(sorted((n for _, n in self.orders), reverse=True))
+
+    @_memo
+    def bezout(self) -> tuple[int, int] | None:
+        """(m, n) with m alpha_2 + n beta_2 = 1 from ext_gcd when s is kept,
+        else None; computed on first read and kept like ``SeifertData.eps``,
+        so a record that no pairing reads costs no ext_gcd."""
+        if self.orders and self.orders[-1][0] == "s":
+            return ext_gcd(*self.pairs[1])[1:]
+        return None
 
 
 def presentation_matrix(S: SeifertData) -> Presentation:
@@ -126,12 +137,12 @@ def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
     """Cyclic decomposition of the p-primary torsion, with generator labels.
 
     This is the one per-prime record of M(g;S), computed once per (S, p)
-    and kept in ``S.local``: besides the orders and the free rank it
-    carries ``pairs``, the Seifert pairs reordered at p (see
-    valuation_order), and ``eps``, the Euler number, which the closed
-    forms at p read instead of re-deriving them.  Labels refer to positions
-    after reordering at p.  For r = 1 the group is cyclic, generated by the
-    image of the regular fibre h.
+    and kept in ``S.local``; the closed forms at p read its fields instead
+    of re-deriving them.  ``pairs`` are the Seifert pairs stably sorted by
+    descending ``vals``, so alpha_{i+1} divides alpha_i p-locally; the q_i'
+    of ``orders`` are the ``kept`` pairs after the second, and s comes last.
+    Labels refer to positions after reordering at p.  For r = 1 the group
+    is cyclic, generated by the image of the regular fibre h.
     """
     found = S.local.get(p)
     if found is None:
@@ -140,27 +151,21 @@ def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
 
 
 def _local_record(S: SeifertData, p: int) -> LocalDecomposition:
-    pairs = tuple(S.pairs[i] for i in valuation_order(S.pairs, p))
+    ranked = sorted(((padic_val(a, p), (a, b)) for a, b in S.pairs), key=lambda t: -t[0])
+    vals, pairs = zip(*ranked)
     eps = euler_invariant(S)
     if S.r == 1:
-        a1, b1 = S.pairs[0]
+        b1 = pairs[0][1]
         e = padic_val(b1, p) if b1 % p == 0 else 0
         orders = ((("h", p**e),) if e > 0 else ())
-        return LocalDecomposition(p, orders, 0, pairs, eps)
-    orders = []
-    for i in range(2, len(pairs)):
-        e = padic_val(pairs[i][0], p)
-        if e > 0:
-            orders.append((f"q{i + 1}'", p**e))
-    free = 1
+        return LocalDecomposition(p, orders, 0, pairs, vals, (), eps)
+    rp = S.r - vals.count(0)
+    orders = [(f"q{i + 1}'", p ** vals[i]) for i in range(2, rp)]
     if eps != 0:
-        free = 0
-        a1 = pairs[0][0]
-        a2 = pairs[1][0]
-        vs = padic_val(a1 * a2 * eps.numerator, p) - padic_val(eps.denominator, p)
+        vs = vals[0] + vals[1] + padic_val(eps.numerator, p) - padic_val(eps.denominator, p)
         if vs > 0:
             orders.append(("s", p**vs))
-    return LocalDecomposition(p, tuple(orders), free, pairs, eps)
+    return LocalDecomposition(p, tuple(orders), int(eps == 0), pairs, vals, pairs[2:rp], eps)
 
 
 def structure_check(S: SeifertData) -> dict:

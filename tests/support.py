@@ -1,9 +1,9 @@
 """Helpers used only by the tests: a random change of basis, the value of
 the pairing on two elements, the elements of a finite abelian group, Seifert
 data reordered at a prime, a data-level evenness predicate, random
-Seifert data with large cone orders, the piece-by-piece realization
-selection and a Smith normal form with divisibility repair, both kept as
-references."""
+Seifert data with large cone orders, and, kept as references, the
+piece-by-piece realization selection, the three-term orthogonalisation of
+the block decomposition and a Smith normal form with divisibility repair."""
 
 import importlib
 import itertools
@@ -12,11 +12,16 @@ from fractions import Fraction
 from math import gcd, prod
 
 from linkform.arith import bareiss, ext_gcd, padic_val
-from linkform.errors import UnrealizableError, UnsupportedError, VerificationError
+from linkform.errors import (
+    InvalidDataError,
+    UnrealizableError,
+    UnsupportedError,
+    VerificationError,
+)
 from linkform.linking import GramPairing, dot, image
 from linkform.pairing import Cyc, StandardForm, canonical_form, gauss_invariant
-from linkform.pairing import local_invariant_from_data
-from linkform.seifert import SeifertData, valuation_order
+from linkform.pairing import _int_det, _solve_mod, local_invariant_from_data
+from linkform.seifert import SeifertData
 from linkform.torsion import local_orders
 
 # the package re-exports the function realize under the submodule's name
@@ -61,6 +66,15 @@ def eval_pair(G: GramPairing, x, y) -> Fraction:
 def elements(orders):
     """All elements of the group +Z/n_i, as coefficient tuples."""
     return itertools.product(*(range(n) for n in orders))
+
+
+def valuation_order(pairs, p: int) -> tuple[int, ...]:
+    """Stable sort of the pairs by descending p-adic valuation of alpha.
+
+    After reordering, alpha_{i+1} divides alpha_i in the localization at p.
+    The permutation maps new positions to original 0-based indices.
+    """
+    return tuple(sorted(range(len(pairs)), key=lambda i: -padic_val(pairs[i][0], p)))
 
 
 def reorder_at_prime(S: SeifertData, p: int) -> tuple[SeifertData, tuple[int, ...]]:
@@ -202,6 +216,64 @@ def _reference_balanced(form: StandardForm) -> SeifertData:
         else:
             raise VerificationError(f"no tail variant matched at p={p}")
     return assemble(tails)
+
+
+def reference_block_diagonalize(p, orders, gram):
+    """block_diagonalize on Fraction Gram entries, with the three-term update
+    of each corrected pair that it replaced by the Schur complement, as it
+    was before the pairing values were stored as integers; returns
+    [(k, rank, matrix)]."""
+    idx = sorted(range(len(orders)), key=lambda i: -orders[i])
+    orders = [orders[i] for i in idx]
+    gram = [[gram[i][j] for j in idx] for i in idx]
+    components = []
+    while orders:
+        q = orders[0]
+        top = [i for i, o in enumerate(orders) if o == q]
+        rest = [i for i, o in enumerate(orders) if o != q]
+        A = []
+        for i in top:
+            row = []
+            for j in top:
+                v = gram[i][j] * q
+                if v.denominator != 1:
+                    raise InvalidDataError("pairing value incompatible with orders")
+                row.append(v.numerator % q)
+            A.append(row)
+        if _int_det(A) % p == 0:
+            raise InvalidDataError("singular pairing")
+        components.append((padic_val(q, p), len(top), tuple(map(tuple, A))))
+        if not rest:
+            break
+        B = []
+        for l in rest:
+            col = []
+            for i in top:
+                v = gram[l][i] * q
+                assert v.denominator == 1
+                col.append(v.numerator % q)
+            B.append(col)
+        coeffs = _solve_mod(A, B, q, p)
+        new_gram = []
+        for a, l in enumerate(rest):
+            row = []
+            for b, m in enumerate(rest):
+                v = gram[l][m]
+                for t_pos, t in enumerate(top):
+                    v -= coeffs[b][t_pos] * gram[l][t]
+                    v -= coeffs[a][t_pos] * gram[t][m]
+                for t_pos, t in enumerate(top):
+                    for s_pos, s in enumerate(top):
+                        v += coeffs[a][t_pos] * coeffs[b][s_pos] * gram[t][s]
+                row.append(v % 1)
+            new_gram.append(row)
+        for a, l in enumerate(rest):
+            for t_pos in range(len(top)):
+                if coeffs[a][t_pos] % (q // orders[l]) != 0:
+                    raise InvalidDataError("orthogonalization broke generator orders")
+        orders = [orders[l] for l in rest]
+        gram = new_gram
+    return components
 
 
 def reference_smith_normal_form(matrix) -> tuple[int, ...]:

@@ -216,14 +216,23 @@ def test_is_prime_agrees_with_sympy():
         assert is_prime(n) == sympy.isprime(n), n
 
 
-def test_unprovable_primes_are_refused():
+def test_unprovable_primes_are_refused(monkeypatch):
     # 3317044064679887385961981 is the least composite passing Miller-Rabin on
-    # every base 2..41, so nothing at or above it may be called prime
-    with pytest.raises(UnsupportedError, match="cannot prove"):
-        factorize(2 * 3317044064679887385961981)
-    with pytest.raises(UnsupportedError, match="cannot prove"):
-        is_prime(10**30 + 57)
-    assert not is_prime(3317044064679887385961981 * 3)  # composite is still exact
+    # every base 2..41: at and above it a prime needs a Pocklington
+    # certificate and a composite a rho split
+    psp = 3317044064679887385961981
+    assert factorize(2 * psp) == {2: 1, 1287836182261: 1, 2575672364521: 1}
+    # 10^30 + 57 is prime, certified by 10^30 + 56 = 2^3 3 79043 3998741 290240017 454197539
+    assert factorize(10**30 + 56) == {
+        2: 3, 3: 1, 79043: 1, 3998741: 1, 290240017: 1, 454197539: 1
+    }
+    assert is_prime(10**30 + 57) and factorize(10**30 + 57) == {10**30 + 57: 1}
+    assert not is_prime(psp * 3)  # composite is still exact
+    # with too small a rho budget neither can be shown: a refusal, not a guess
+    monkeypatch.setattr(arith, "_RHO_STEPS", 16)
+    for n in (2 * psp, 10**30 + 57):
+        with pytest.raises(UnsupportedError, match="cannot prove"):
+            factorize(n)
 
 
 def test_rho_refuses_past_its_step_budget(monkeypatch):

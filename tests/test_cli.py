@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linkform import cli
+from linkform import arith, cli
 from linkform.cli import main
 
 NIL = {"genus": 0, "pairs": [[2, 1], [2, 1], [2, 1], [2, -1]]}
@@ -84,11 +84,17 @@ def test_prime_option_accepts_large_primes(tmp_path, capsys, time_budget):
     assert local["prime"] == 2**61 - 1 and local["orders"] == []
 
 
-def test_prime_option_refuses_unprovable_primes(tmp_path, capsys, time_budget):
-    # a 31-digit prime is beyond deterministic Miller-Rabin: a loud refusal
+def test_prime_option_refuses_unprovable_primes(tmp_path, capsys, time_budget, monkeypatch):
+    # a 31-digit prime is beyond deterministic Miller-Rabin; 10^30 + 57 has a
+    # Pocklington certificate, and 10^31 + 33 none once rho cannot factor
+    # 10^31 + 32 = 2^5 3 7^2 569 743 55807 90103763225619307: a loud refusal
     nil = write(tmp_path, "nil.json", NIL)
     with time_budget(5):
-        code, out, err = run_cli(capsys, "compute", nil, "--prime", str(10**30 + 57))
+        code, out, _ = run_cli(capsys, "compute", nil, "--prime", str(10**30 + 57))
+    assert code == 0 and json.loads(out)["local"][0]["orders"] == []
+    monkeypatch.setattr(arith, "_RHO_STEPS", 16)
+    with time_budget(5):
+        code, out, err = run_cli(capsys, "compute", nil, "--prime", str(10**31 + 33))
     assert code == 2
     assert out == "" and "cannot prove" in err and "Traceback" not in err
 
@@ -96,11 +102,12 @@ def test_prime_option_refuses_unprovable_primes(tmp_path, capsys, time_budget):
 @pytest.mark.parametrize(
     "argv, why",
     [
-        (["compute", "{nil}", "--prime", "1000000000000000000000000000057"], "cannot prove"),
+        (["compute", "{nil}", "--prime", "10000000000000000000000000000033"], "cannot prove"),
         (["classify", "{r1}"], "needs r >= 2"),
     ],
 )
-def test_unsupported_input_has_its_own_prefix(tmp_path, capsys, argv, why):
+def test_unsupported_input_has_its_own_prefix(tmp_path, capsys, monkeypatch, argv, why):
+    monkeypatch.setattr(arith, "_RHO_STEPS", 16)  # 10^31 + 33 then has no certificate
     files = {
         "{nil}": write(tmp_path, "nil.json", NIL),
         "{r1}": write(tmp_path, "lens.json", {"genus": 0, "pairs": [[5, 2]]}),
@@ -494,6 +501,7 @@ def test_an_unwritable_realize_target_is_refused_at_once(tmp_path, capsys, time_
         {"atoms": [{"E1": 2, "E0": 2}]},  # was read as E0(2)
         {"atoms": [{"cyc": [3, 1, 1], "x": 1}]},  # x was dropped unread
         {"atoms": [{}]},
+        {"atoms": [{"cyc": [3, 1, 1]}], "atom": [{"E0": 1}]},  # atom was dropped unread
     ],
 )
 def test_an_atom_needs_exactly_one_key(tmp_path, capsys, command, doc):
@@ -502,6 +510,15 @@ def test_an_atom_needs_exactly_one_key(tmp_path, capsys, command, doc):
         argv += ["--max-r", "2", "--max-alpha", "3", "--max-beta", "2"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("invalid data: ")
+
+
+@pytest.mark.parametrize("command", ["compute", "classify", "witt"])
+def test_an_unknown_seifert_key_is_refused_by_name(tmp_path, capsys, command):
+    # "gnus" was dropped unread, and the data run as genus 0
+    doc = {"gnus": 2, "pairs": [[2, 1], [2, 1], [2, 1], [2, -1]]}
+    code, out, err = run_cli(capsys, command, write(tmp_path, "s.json", doc))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid data: unknown key 'gnus'")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-import linkform.linking as linking
+import linkform.torsion as torsion
 from linkform.arith import ext_gcd, fmt_rational
 from linkform.errors import UnsupportedError
 from linkform.linking import (
@@ -68,7 +68,7 @@ def test_trivial_prime_gives_the_empty_pairing_without_a_bezout_pair(monkeypatch
     def refuse(a, b):
         raise AssertionError("ext_gcd called")
 
-    monkeypatch.setattr(linking, "ext_gcd", refuse)
+    monkeypatch.setattr(torsion, "ext_gcd", refuse)  # the record computes it
     S = seifert((2, 1), (3, 1))  # H_1 = Z/5: 2 and 3 are relevant, with trivial parts
     for p in (2, 3):
         G = gram_matrix(S, p)

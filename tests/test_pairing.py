@@ -4,7 +4,7 @@ import random
 import pytest
 
 from linkform.errors import InvalidDataError, UnsupportedError
-from linkform.linking import GramPairing, gram_matrix
+from linkform.linking import GramPairing, gram_matrix, welldefined_check
 from linkform.pairing import (
     Cyc,
     E0,
@@ -30,12 +30,13 @@ from linkform.pairing import (
     standard_form_gram,
     standard_form_of,
 )
-from linkform.seifert import seifert
+from linkform.seifert import relevant_primes, seifert
 from support import (
     elements,
     eval_pair,
     even_predicate_from_data,
     rand_block_seifert,
+    reference_block_diagonalize,
     reorder_at_prime,
     shuffle_basis,
 )
@@ -98,63 +99,26 @@ def test_block_diagonalize_preserves_class_under_scramble():
                 assert is_isomorphic(got, form.restrict(p)), (form, p)
 
 
-def ref_block_diagonalize(p, orders, gram):
-    """block_diagonalize on Fraction Gram entries, as it was before the
-    pairing values were stored as integers; returns [(k, rank, matrix)]."""
-    from linkform.arith import padic_val
-    from linkform.pairing import _int_det, _solve_mod
+def test_block_diagonalize_refuses_a_non_symmetric_matrix():
+    # the Schur complement update is exact only for symmetric matrices; this
+    # one used to be reduced silently
+    G = GramPairing(3, ("x", "y"), (9, 3), ((1, 3), (6, 3)))
+    with pytest.raises(InvalidDataError, match="not symmetric"):
+        block_diagonalize(G)
+    assert welldefined_check(G) == ["gram not symmetric at (0,1)", "gram not symmetric at (1,0)"]
 
-    idx = sorted(range(len(orders)), key=lambda i: -orders[i])
-    orders = [orders[i] for i in idx]
-    gram = [[gram[i][j] for j in idx] for i in idx]
-    components = []
-    while orders:
-        q = orders[0]
-        top = [i for i, o in enumerate(orders) if o == q]
-        rest = [i for i, o in enumerate(orders) if o != q]
-        A = []
-        for i in top:
-            row = []
-            for j in top:
-                v = gram[i][j] * q
-                if v.denominator != 1:
-                    raise InvalidDataError("pairing value incompatible with orders")
-                row.append(v.numerator % q)
-            A.append(row)
-        if _int_det(A) % p == 0:
-            raise InvalidDataError("singular pairing")
-        components.append((padic_val(q, p), len(top), tuple(map(tuple, A))))
-        if not rest:
-            break
-        B = []
-        for l in rest:
-            col = []
-            for i in top:
-                v = gram[l][i] * q
-                assert v.denominator == 1
-                col.append(v.numerator % q)
-            B.append(col)
-        coeffs = _solve_mod(A, B, q, p)
-        new_gram = []
-        for a, l in enumerate(rest):
-            row = []
-            for b, m in enumerate(rest):
-                v = gram[l][m]
-                for t_pos, t in enumerate(top):
-                    v -= coeffs[b][t_pos] * gram[l][t]
-                    v -= coeffs[a][t_pos] * gram[t][m]
-                for t_pos, t in enumerate(top):
-                    for s_pos, s in enumerate(top):
-                        v += coeffs[a][t_pos] * coeffs[b][s_pos] * gram[t][s]
-                row.append(v % 1)
-            new_gram.append(row)
-        for a, l in enumerate(rest):
-            for t_pos in range(len(top)):
-                if coeffs[a][t_pos] % (q // orders[l]) != 0:
-                    raise InvalidDataError("orthogonalization broke generator orders")
-        orders = [orders[l] for l in rest]
-        gram = new_gram
-    return components
+
+def test_block_diagonalize_matches_the_reference_on_seifert_pairings():
+    rng = random.Random(4343)
+    mixed = 0
+    for n in range(300):
+        S = rand_block_seifert(rng, flat=n % 2 == 0, max_r=8, max_alpha=200)
+        for p in relevant_primes(S):
+            G = gram_matrix(S, p)
+            want = reference_block_diagonalize(p, G.orders, G.gram)
+            assert [(C.k, C.rank, C.matrix) for C in block_diagonalize(G)] == want, (S, p)
+            mixed += len(want) > 1
+    assert mixed >= 40, mixed
 
 
 def _random_atom(rng, p):
@@ -195,7 +159,7 @@ def test_block_diagonalize_matches_the_fraction_reference():
             G = GramPairing(p, labels, tuple(p**k for k in ks), matrix)
             assert G.gram == tuple(map(tuple, gram))
         try:
-            want = ref_block_diagonalize(p, G.orders, gram)
+            want = reference_block_diagonalize(p, G.orders, gram)
         except InvalidDataError:
             want = None
         try:

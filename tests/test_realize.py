@@ -26,6 +26,7 @@ from linkform.pairing import (
     E1,
     StandardForm,
     brute_force_isomorphic,
+    canonical_form,
     is_isomorphic,
     standard_form_gram,
     standard_form_of,
@@ -337,6 +338,27 @@ def test_flat_and_auto_realize_every_target_with_a_homogeneous_two_part():
             r = realize(target, mode)
             assert r.verified and r.euler == 0, (target.to_json(), mode)
             assert verify_realization(r.seifert, target)
+
+
+def test_sphere_mode_realizes_or_names_the_even_two_part():
+    # item 1's gate in sphere mode: verified data with eps != 0, or a refusal
+    # that names the even 2-part (no construction for it yet), never a
+    # VerificationError
+    rng = random.Random(17)
+    seen = {"realized": 0, "refused": 0}
+    for _ in range(600):
+        target = _homogeneous_two_target(rng)
+        try:
+            r = realize(target, "sphere")
+        except UnrealizableError as exc:
+            assert "even 2-part" in str(exc), target.to_json()
+            assert not all(isinstance(a, Cyc) for a in canonical_form(target.restrict(2)).atoms)
+            seen["refused"] += 1
+            continue
+        assert r.verified and r.euler != 0, target.to_json()
+        assert verify_realization(r.seifert, target)
+        seen["realized"] += 1
+    assert min(seen.values()) >= 150, seen
 
 
 # candidates are built lazily: a target whose first candidate verifies builds
