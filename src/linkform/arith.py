@@ -168,7 +168,7 @@ def factorize(n: int) -> dict[int, int]:
         if _proved_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
-            f = _brent_factor(m)
+            f = _brent_factor(m, _RHO_STEPS)
             stack += [f, m // f]
     return dict(sorted(out.items()))
 
@@ -198,7 +198,7 @@ def _proved_prime(n: int) -> bool:
     if n < _MR_EXACT_BELOW or _pocklington(n):
         return True
     try:
-        _brent_factor(n)
+        _brent_factor(n, _RHO_STEPS)
     except UnsupportedError:
         raise UnsupportedError(
             f"cannot prove {n} prime: it is above the Miller-Rabin bound "
@@ -225,12 +225,13 @@ def _pocklington(n: int) -> bool:
     )
 
 
-def _brent_factor(n: int) -> int:
+@lru_cache(maxsize=64)  # factorize reuses the split _proved_prime found
+def _brent_factor(n: int, steps: int) -> int:
     """A proper factor of an odd composite n, by Pollard-Brent rho.
 
     Deterministic: the start point is 2 and the polynomial x^2 + c is
     retried with c = 1, 2, ... until the factor is proper.  Refuses with
-    UnsupportedError when a polynomial's rounds of length up to _RHO_STEPS
+    UnsupportedError when a polynomial's rounds of length up to ``steps``
     all end without a factor.
     """
     for c in itertools.count(1):
@@ -248,10 +249,10 @@ def _brent_factor(n: int) -> int:
                 g = gcd(q, n)
                 k += 128
             r *= 2
-            if g == 1 and r > _RHO_STEPS:
+            if g == 1 and r > steps:
                 raise UnsupportedError(
                     f"cannot factor {n}: Pollard rho found no factor "
-                    f"within {_RHO_STEPS} steps"
+                    f"within {steps} steps"
                 )
         if g == n:  # the batch overshot: step through it one term at a time
             g = 1

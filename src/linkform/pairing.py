@@ -68,12 +68,19 @@ class Cyc:
         mod = min(2**k, 8) if p == 2 else p**k
         return cls(p, k, a % mod)
 
+    @property
+    def block(self) -> tuple[tuple[int, ...], ...]:
+        """Gram matrix scaled by p^k."""
+        return ((self.a,),)
+
 
 @dataclass(frozen=True)
 class E0:
     """Hyperbolic rank-2 even pairing on (Z/2^k)^2, Gram [[0,1],[1,0]]/2^k."""
 
     k: int
+    p = 2  # class attributes, not fields: the prime and the scaled Gram matrix
+    block = ((0, 1), (1, 0))
 
     def __post_init__(self):
         if self.k < 1:
@@ -85,6 +92,8 @@ class E1:
     """Even, non-hyperbolic rank-2 pairing on (Z/2^k)^2, Gram [[2,1],[1,2]]/2^k."""
 
     k: int
+    p = 2
+    block = ((2, 1), (1, 2))
 
     def __post_init__(self):
         if self.k < 2:
@@ -100,10 +109,6 @@ def _atom_key(atom: Atom):
     if isinstance(atom, E0):
         return (2, -atom.k, 1, 0)
     return (2, -atom.k, 2, 0)
-
-
-def _atom_prime(atom: Atom) -> int:
-    return atom.p if isinstance(atom, Cyc) else 2
 
 
 def _atoms_json(atoms) -> list[dict]:
@@ -132,34 +137,25 @@ class StandardForm:
         return StandardForm.of(self.atoms + other.atoms)
 
     def primes(self) -> tuple[int, ...]:
-        return tuple(sorted({_atom_prime(a) for a in self.atoms}))
+        return tuple(sorted({a.p for a in self.atoms}))
 
     def restrict(self, p: int) -> "StandardForm":
-        return StandardForm.of(a for a in self.atoms if _atom_prime(a) == p)
+        return StandardForm.of(a for a in self.atoms if a.p == p)
 
     def group_order(self) -> int:
-        total = 1
-        for a in self.atoms:
-            if isinstance(a, Cyc):
-                total *= a.p**a.k
-            else:
-                total *= 4**a.k
-        return total
+        return prod(a.p ** (a.k * len(a.block)) for a in self.atoms)
 
     def negated(self) -> "StandardForm":
-        out = []
-        for a in self.atoms:
-            if isinstance(a, Cyc):
-                out.append(Cyc.make(a.p, a.k, -a.a))
-            else:
-                out.append(a)  # E0 and E1 are isomorphic to their negatives
-        return StandardForm.of(out)
+        # E0 and E1 are isomorphic to their negatives
+        return StandardForm.of(
+            Cyc.make(a.p, a.k, -a.a) if isinstance(a, Cyc) else a for a in self.atoms
+        )
 
     def levels(self, p: int) -> list[tuple[int, list[int], int, int]]:
         """[(k, sorted units, #E0, #E1)] of the atoms at p, by strictly decreasing k."""
         by_k: dict[int, list[Atom]] = {}
         for a in self.atoms:
-            if _atom_prime(a) == p:
+            if a.p == p:
                 by_k.setdefault(a.k, []).append(a)
         return [
             (
@@ -185,13 +181,7 @@ class StandardForm:
 
     def group_structure(self) -> tuple[tuple[int, int], ...]:
         """Multiset of (p, k) of cyclic summands of the underlying group."""
-        out = []
-        for a in self.atoms:
-            if isinstance(a, Cyc):
-                out.append((a.p, a.k))
-            else:
-                out.extend([(2, a.k), (2, a.k)])
-        return tuple(sorted(out))
+        return tuple(sorted((a.p, a.k) for a in self.atoms for _ in a.block))
 
     def to_json(self) -> dict:
         return {"atoms": _atoms_json(self.atoms)}
@@ -223,14 +213,7 @@ class StandardForm:
 
 def standard_form_gram(sf: StandardForm, p: int) -> GramPairing:
     """Gram pairing of the p-part of a standard form."""
-    blocks = []  # (order q, block of q * pairing values)
-    for a in sf.restrict(p).atoms:
-        if isinstance(a, Cyc):
-            blocks.append((a.p**a.k, [[a.a]]))
-        elif isinstance(a, E0):
-            blocks.append((2**a.k, [[0, 1], [1, 0]]))
-        else:
-            blocks.append((2**a.k, [[2, 1], [1, 2]]))
+    blocks = [(a.p**a.k, a.block) for a in sf.restrict(p).atoms]  # (order, block)
     N = max((q for q, _ in blocks), default=1)
     orders: list[int] = []
     rows: list[list[int]] = []
@@ -616,9 +599,8 @@ def _canonical_level_2(k: int, cycs: list[int], e0: int, e1: int) -> list[Atom]:
         # odd level: absorb E-blocks by re-diagonalizing the whole level
         sf = StandardForm.of([Cyc.make(2, k, a) for a in cycs] + _e_atoms(k, e0, e1))
         G = standard_form_gram(sf, 2)
-        comps = block_diagonalize(G)
-        assert len(comps) == 1
-        cycs = [at.a for at in diagonalize_odd(comps[0])]
+        C = HomogeneousComponent(2, k, G.rank, G.matrix)
+        cycs = [at.a for at in diagonalize_odd(C)]
         e0 = e1 = 0
     if cycs:
         mod = min(2**k, 8)
@@ -819,29 +801,18 @@ def gauss_invariant(obj) -> tuple:
     return obj.gauss
 
 
-def _negated(invariant: tuple) -> tuple:
-    """The invariant of the negated pairing: every Gauss sum is conjugated."""
-    return tuple(
-        (p, (ranks, tuple(None if a is None else -a % 8 for a in args)))
-        for p, (ranks, args) in invariant
-    )
-
-
-def is_isomorphic(f, g, *, allow_negation: bool = False) -> bool:
+def is_isomorphic(f, g) -> bool:
     """Exact isomorphism test between standard forms, Gram pairings or the
     linking pairings of Seifert data.
 
     Compares the complete invariants of gauss_invariant, at every group
-    order.  With ``allow_negation`` the negated pairing is accepted as well.
+    order.
     """
-    return isomorphism_report(f, g, allow_negation=allow_negation)["isomorphic"]
+    return isomorphism_report(f, g)["isomorphic"]
 
 
-def isomorphism_report(f, g, *, allow_negation=False) -> dict:
-    want, got = gauss_invariant(f), gauss_invariant(g)
-    targets = [got] + ([_negated(got)] if allow_negation else [])
-    hit = next((i for i, t in enumerate(targets) if t == want), None)
-    return {"isomorphic": hit is not None, "method": "invariants", "negated": hit == 1}
+def isomorphism_report(f, g) -> dict:
+    return {"isomorphic": gauss_invariant(f) == gauss_invariant(g), "method": "invariants"}
 
 
 def brute_force_isomorphic(

@@ -479,7 +479,7 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
         pairs = ((2, 1), (3, -1)) if mode == "sphere" else ((2, 1), (2, -1))
         label = "trivial-sphere" if mode == "sphere" else "trivial-flat"
         return _first_verified({}, target, lambda _: (label, SeifertData(0, pairs)))
-    odd = StandardForm.of(a for a in target.atoms if isinstance(a, Cyc) and a.p != 2)
+    odd = StandardForm.of(a for a in target.atoms if a.p != 2)
     if not odd.atoms:
         return _first_verified({2: _two_candidates(target, mode)}, target)
     two = target.restrict(2)

@@ -6,13 +6,15 @@ over primes of the Witt groups of F_p:
 
     p = 2:          Z/2
     p = 3 mod 4:    Z/4   (generated by <1>; <nonsquare> is its inverse)
-    p = 1 mod 4:    Z/2 x Z/2   (coordinates over the basis <1>, <u>)
+    p = 1 mod 4:    Z/2 x Z/2   (coordinates (x, y) over the basis <1>, <u>)
 
-Here u is the least positive nonresidue mod p.  The class of a cyclic
-pairing a -> [a^2 b / p^k] vanishes for even k and equals the class of
-<b mod p> for odd k; E0 and E1 are metabolic.  For a Seifert manifold the
-class of the full pairing has a closed form in the Seifert invariants,
-which witt_seifert evaluates.
+Here u is the least positive nonresidue mod p.  A local class is one int:
+its residue in Z/2 or Z/4, and x + 2y at p = 1 mod 4, so the group law is
+addition mod 4 at p = 3 mod 4 and exclusive or at every other prime.  The
+class of a cyclic pairing a -> [a^2 b / p^k] vanishes for even k and equals
+the class of <b mod p> for odd k; E0 and E1 are metabolic.  For a Seifert
+manifold the class of the full pairing has a closed form in the Seifert
+invariants, which witt_seifert evaluates.
 """
 
 from __future__ import annotations
@@ -27,45 +29,19 @@ from .pairing import Cyc, StandardForm
 from .seifert import SeifertData, euler_invariant
 
 
-def _zero_local(p: int):
-    return (0, 0) if p % 4 == 1 else 0
+def _local_add(p: int, a: int, b: int) -> int:
+    return (a + b) % 4 if p % 4 == 3 else a ^ b
 
 
-def _local_add(p: int, a, b):
-    if p == 2:
-        return (a + b) % 2
-    if p % 4 == 3:
-        return (a + b) % 4
-    return ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
-
-
-def _local_neg(p: int, a):
-    if p == 2:
-        return a % 2
-    if p % 4 == 3:
-        return (-a) % 4
-    return a
-
-
-def _local_str(p: int, a) -> str:
-    if p % 4 == 1:
-        return f"({a[0]},{a[1]})"
-    return str(a)
-
-
-def _local_parse(p: int, s: str):
-    if p % 4 == 1:
-        body = s.strip().strip("()")
-        x, y = (int(t) for t in body.split(","))
-        return (x % 2, y % 2)
-    return int(s) % (2 if p == 2 else 4)
+def _local_neg(p: int, a: int) -> int:
+    return -a % 4 if p % 4 == 3 else a
 
 
 @dataclass(frozen=True)
 class WittElement:
     """Element of the direct sum over primes of W(F_p); zero locals omitted."""
 
-    entries: tuple[tuple[int, object], ...]
+    entries: tuple[tuple[int, int], ...]
 
     @classmethod
     def zero(cls) -> "WittElement":
@@ -73,16 +49,13 @@ class WittElement:
 
     @classmethod
     def of(cls, locals_: dict) -> "WittElement":
-        cleaned = tuple(
-            sorted((p, v) for p, v in locals_.items() if v != _zero_local(p))
-        )
-        return cls(cleaned)
+        return cls(tuple(sorted((p, v) for p, v in locals_.items() if v)))
 
-    def local(self, p: int):
+    def local(self, p: int) -> int:
         for q, v in self.entries:
             if q == p:
                 return v
-        return _zero_local(p)
+        return 0
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -96,29 +69,21 @@ class WittElement:
     def __neg__(self) -> "WittElement":
         return WittElement.of({p: _local_neg(p, v) for p, v in self.entries})
 
-    def __sub__(self, other: "WittElement") -> "WittElement":
-        return self + (-other)
-
     def to_json(self) -> dict:
-        return {str(p): _local_str(p, v) for p, v in self.entries}
-
-    @classmethod
-    def from_json(cls, obj) -> "WittElement":
-        try:
-            return cls.of({int(p): _local_parse(int(p), v) for p, v in obj.items()})
-        except (TypeError, ValueError) as exc:
-            raise InvalidDataError(f"bad Witt element: {obj!r}") from exc
+        # at p = 1 mod 4 the class x + 2y is written as its coordinates (x,y)
+        return {
+            str(p): f"({v & 1},{v >> 1})" if p % 4 == 1 else str(v)
+            for p, v in self.entries
+        }
 
 
-def _unit_local(p: int, b: int):
+def _unit_local(p: int, b: int) -> int:
     """Local class in W(F_p) of the rank-1 pairing <b>."""
     if b % p == 0:
         raise InvalidDataError(f"{b} is not a unit mod {p}")
-    if p == 2:
+    if p == 2 or legendre(b, p) == 1:
         return 1
-    if p % 4 == 3:
-        return 1 if legendre(b, p) == 1 else 3
-    return (1, 0) if legendre(b, p) == 1 else (0, 1)
+    return 3 if p % 4 == 3 else 2
 
 
 def unit_class_witt(p: int, b: int) -> WittElement:
@@ -148,8 +113,7 @@ def _add_rational(locals_: dict, b: int, a: int) -> None:
     """
     for p, v in factorize(a).items():
         if v % 2:
-            unit = _unit_local(p, b * (a // p**v))
-            locals_[p] = _local_add(p, locals_[p], unit) if p in locals_ else unit
+            locals_[p] = _local_add(p, locals_.get(p, 0), _unit_local(p, b * (a // p**v)))
 
 
 def witt_rational(w) -> WittElement:

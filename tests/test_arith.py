@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -233,6 +235,25 @@ def test_unprovable_primes_are_refused(monkeypatch):
     for n in (2 * psp, 10**30 + 57):
         with pytest.raises(UnsupportedError, match="cannot prove"):
             factorize(n)
+
+
+def test_a_pseudoprime_above_the_bound_is_split_once():
+    # _proved_prime splits it to show it composite; factorize reuses that split
+    psp = 3317044064679887385961981
+    rho = inspect.unwrap(arith._brent_factor).__code__
+    split = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is rho:
+            split.append(frame.f_locals["n"])
+
+    arith._brent_factor.cache_clear()
+    sys.setprofile(profile)
+    try:
+        assert factorize(2 * psp) == {2: 1, 1287836182261: 1, 2575672364521: 1}
+    finally:
+        sys.setprofile(None)
+    assert split.count(psp) == 1
 
 
 def test_rho_refuses_past_its_step_budget(monkeypatch):

@@ -521,11 +521,19 @@ def test_self_isomorphic():
     assert is_isomorphic(form, form)
 
 
-def test_negation_flag():
+def _conjugated(invariant):
+    """The invariant with every Gauss-sum argument conjugated."""
+    return tuple(
+        (p, (ranks, tuple(None if a is None else -a % 8 for a in args)))
+        for p, (ranks, args) in invariant
+    )
+
+
+def test_negation_conjugates_the_gauss_sums():
     a = sf(Cyc.make(3, 1, 1))
     b = sf(Cyc.make(3, 1, 2))
     assert not is_isomorphic(a, b)
-    assert is_isomorphic(a, b, allow_negation=True)
+    assert gauss_invariant(b) == _conjugated(gauss_invariant(a))
 
 
 def test_brute_force_reorder_witness():
@@ -601,13 +609,13 @@ def test_isomorphism_report_above_oracle_bound():
     big1 = sf(*(Cyc.make(2, 3, 1) for _ in range(4)))
     big2 = sf(*(Cyc.make(2, 3, 5) for _ in range(4)))
     rep = isomorphism_report(big1, big1 + StandardForm.empty())
-    assert rep == {"isomorphic": True, "method": "invariants", "negated": False}
+    assert rep == {"isomorphic": True, "method": "invariants"}
     rep = isomorphism_report(big1, big2)
     assert rep["isomorphic"]
     # <1,1,1,1>/8 and <3,3,3,3>/8 are isomorphic
     big3 = sf(*(Cyc.make(2, 3, 3) for _ in range(4)))
     rep = isomorphism_report(big1, big3)
-    assert rep == {"isomorphic": True, "method": "invariants", "negated": False}
+    assert rep == {"isomorphic": True, "method": "invariants"}
     _assert_isometry(big1, big3, [(0, 1, 1, 1), (1, 0, 1, 7), (1, 1, 3, 4), (1, 7, 4, 5)])
     # 4 <1>/4 + <1>/8 and 4 <3>/4 + <1>/8 (the <1>/8 atom comes first)
     four = sf(*(Cyc.make(2, 2, 1) for _ in range(4)), Cyc.make(2, 3, 1))
@@ -690,9 +698,7 @@ def _gram_pairings():
 
 def test_gram_invariant_is_kept_by_a_change_of_basis():
     # the invariant of a Gram pairing is that of its class: a change of basis
-    # keeps it, and the report on Gram pairings finds the negated pairing
-    from linkform.pairing import isomorphism_report
-
+    # keeps it, and negating the pairing conjugates every Gauss sum
     rng = random.Random(19)
     seen = 0
     for G in _gram_pairings():
@@ -700,8 +706,7 @@ def test_gram_invariant_is_kept_by_a_change_of_basis():
         if G.orders:
             seen += 1
             neg = standard_form_gram(classify(G).standard_form.negated(), G.prime)
-            rep = isomorphism_report(G, neg, allow_negation=True)
-            assert rep["isomorphic"] and rep["negated"] == (not is_isomorphic(G, neg))
+            assert gauss_invariant(neg) == _conjugated(gauss_invariant(G)), G
     assert seen > 500
 
 
@@ -716,7 +721,7 @@ def test_singular_gram_pairing_raises_rather_than_reads_false():
         for call in (
             lambda: gauss_invariant(singular),
             lambda: is_isomorphic(singular, fine),
-            lambda: is_isomorphic(fine, singular, allow_negation=True),
+            lambda: is_isomorphic(fine, singular),
         ):
             with pytest.raises(InvalidDataError, match="singular"):
                 call()

