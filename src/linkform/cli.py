@@ -99,10 +99,7 @@ def _write(o, nl, append) -> None:
     if t is str:
         append(_encode_str(o))
     elif t is int:
-        try:
-            append(int.__repr__(o))
-        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-            raise UnsupportedError(f"cannot write the report: {exc}") from exc
+        append(int.__repr__(o))
     elif t is list or t is tuple:
         if not o:
             append("[]")
@@ -350,6 +347,13 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except UnsupportedError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ValueError as exc:
+        # an int with more digits than sys.get_int_max_str_digits(), met
+        # while the report is built (fmt_rational) or written (_write)
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"unsupported: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except UnrealizableError as exc:
         print(f"not realizable: {exc}", file=sys.stderr)

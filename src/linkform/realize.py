@@ -1,14 +1,15 @@
 """Constructive realization of linking pairings by Seifert data.
 
-Every construction is recipe-first, verify-always.  Candidates come lazily
-from explicit recipes (plus orientation variants and small repairs), in one
-stream per prime of the target.  _first_verified assembles the whole from
-each stream's current candidate, checks it once by complete invariants
-(verify_realization), and on a mismatch advances only the streams of the
-primes that differ.  An exhausted stream raises VerificationError; a target
-outside the implemented constructions raises UnrealizableError up front.
-Target shapes are read level by level via StandardForm.levels, the
-2-primary ones from the canonical form.
+Every construction is recipe-first, verify-always.  Each odd prime of the
+target gets one piece derived from its levels, and so does the 2-part of a
+mixed target; only a 2-primary target has a stream of candidates
+(_two_candidates: orientation variants and small repairs).
+_first_verified checks each whole candidate once by complete invariants
+(verify_realization) and returns the first that verifies; running out of
+candidates raises VerificationError.  A target outside the implemented
+constructions raises UnrealizableError up front.  Target shapes are read
+level by level via StandardForm.levels, the 2-primary ones from the
+canonical form.
 
 realize is the one dispatcher.  It reads whether the target has a 2-part,
 whether that 2-part is homogeneous ("gapped" if not), and its odd primes.
@@ -19,7 +20,7 @@ whether that 2-part is homogeneous ("gapped" if not), and its odd primes.
     lower levels stacked under the top one, under the gap condition
     (exponent drops >= 2 between consecutive levels, lower levels odd);
   * odd primes, flat or auto mode: a flat piece per odd prime and the
-    flat candidates of _two_candidates for the 2-part, joined by a fibre sum
+    flat candidate of _two_candidates for the 2-part, joined by a fibre sum
     (mixed-flat[...]).  Coprime cone orders and eps = 0 make the pairings
     add orthogonally (Lemma 1).  A gapped 2-part is joined to the fibre sum
     of the odd pieces;
@@ -96,28 +97,16 @@ def _balanced(alpha: int, c: int, rest) -> SeifertData:
     return SeifertData(0, ((alpha, c - sum(alpha // a * b for a, b in rest)), *rest))
 
 
-def _first_verified(streams: dict, target: StandardForm, build=None) -> RealizationResult:
-    """The first realization that verifies, assembled by ``build`` from
-    one candidate stream per prime (default: the one stream's candidate).
+def _first_verified(candidates, target: StandardForm) -> RealizationResult:
+    """The first (label, data) candidate that verifies, each checked once.
 
-    Each whole is checked once.  Only on a mismatch is gauss_invariant(S)
-    read prime by prime, and each prime that differs advances its stream.
-    That the invariant at p depends on p's candidate alone (Lemma 1, the
-    locality of balancing) only picks the streams to advance: a wrong
-    assumption costs a refusal, never a wrong answer.  An exhausted stream,
-    or a mismatch at a prime with no stream, raises VerificationError.
+    Exhausting the candidates raises VerificationError.
     """
-    streams = {p: iter(s) for p, s in streams.items()}
-    current = {p: next(s, None) for p, s in streams.items()}
     tried = []
-    while None not in current.values():
-        label, S = build(current) if build else next(iter(current.values()))
+    for label, S in candidates:
         if verify_realization(S, target):
             return RealizationResult(S, True, label, euler_invariant(S))
         tried.append(label)
-        got, want = dict(gauss_invariant(S)), dict(gauss_invariant(target))
-        for p in {p for p in got.keys() | want.keys() if got.get(p) != want.get(p)}:
-            current[p] = next(streams[p], None) if p in streams else None
     shown = tried if len(tried) <= 12 else tried[:12] + [f"... {len(tried) - 12} more"]
     raise VerificationError(
         f"no construction candidate verified for {target.to_json()}; tried {shown}"
@@ -128,8 +117,8 @@ def _first_verified(streams: dict, target: StandardForm, build=None) -> Realizat
 # odd p, eps = 0
 
 
-def _sum_zero_unit_tuples(p: int, m: int, want_cls: int):
-    """Yield tuples of m units mod p with exact sum 0 and given class of product.
+def _sum_zero_unit_tuple(p: int, m: int, want_cls: int) -> tuple[int, ...]:
+    """The first tuple of m units mod p with exact sum 0 and given class of product.
 
     Deterministic order; used for the top block of the flat odd-p recipe.
     Each tail of m - 2 units is completed by a pair (b1, b2).  The
@@ -146,11 +135,7 @@ def _sum_zero_unit_tuples(p: int, m: int, want_cls: int):
             tails.append((v,) + base[1:])
     nonres = -1 if legendre(-1, p) == -1 else least_nonresidue(p)
     tails += [(nonres,) * j + (1,) * (m - 2 - j) for j in range(m - 1)]
-    seen = set()
     for tail in tails:
-        if tail in seen:
-            continue
-        seen.add(tail)
         if any(b % p == 0 for b in tail):
             continue
         t = sum(tail)
@@ -162,12 +147,13 @@ def _sum_zero_unit_tuples(p: int, m: int, want_cls: int):
             if b1 == 0 or b1 % p == 0:
                 continue
             if legendre(b1, p) * legendre(b2, p) * cls_tail == want_cls:
-                yield (b1, b2) + tail
+                return (b1, b2) + tail
+    raise VerificationError(f"no sum-zero unit tuple of length {m} and class {want_cls} mod {p}")
 
 
-def _odd_flat_candidates(target: StandardForm, p: int):
-    """(label, data) candidates realizing the p-part of target (p odd) with
-    all cone orders powers of p and eps = 0 exactly (genus 0)."""
+def _odd_flat_piece(target: StandardForm, p: int) -> tuple[str, SeifertData]:
+    """(label, data) realizing the p-part of target (p odd) with all cone
+    orders powers of p and eps = 0 exactly (genus 0)."""
     blocks = target.levels(p)
     k1, units1, _, _ = blocks[0]
     m1 = len(units1) + 2
@@ -186,14 +172,11 @@ def _odd_flat_candidates(target: StandardForm, p: int):
         # class is reachable; bump the first two cone orders instead
         big = 3 ** (k1 + 1)
         bump = _balanced(big, 0, [(big, 5), (3**k1, -1), (3**k1, -1), *lower])
-        return [("odd-flat/base-order-bump", bump)]
+        return "odd-flat/base-order-bump", bump
     # the top betas sum to 0, so balancing the first against the rest keeps it
     q1 = p**k1
-    tuples = itertools.islice(_sum_zero_unit_tuples(p, m1, want), 25)
-    return (
-        (f"odd-flat/sum-zero[{i}]", _balanced(q1, 0, [(q1, b) for b in betas[1:]] + lower))
-        for i, betas in enumerate(tuples)
-    )
+    betas = _sum_zero_unit_tuple(p, m1, want)
+    return "odd-flat/sum-zero[0]", _balanced(q1, 0, [(q1, b) for b in betas[1:]] + lower)
 
 
 # ---------------------------------------------------------------------------
@@ -206,72 +189,36 @@ def _small_unit_rep(a: int, mod: int) -> int:
     return a if a <= mod - a else a - mod
 
 
-def _odd_prime_tails(p: int, blocks):
-    """Candidate tail variants for one odd prime in the balanced construction.
-
-    A variant negates all units and/or the leading unit of each block; for
-    p = 3 mod 4 these toggles flip the per-block determinant classes, which
-    absorbs any orientation mismatch of the construction.
-    """
-    nblocks = len(blocks)
-    for rest_sign in (-1, 1):
-        for toggles in itertools.product((1, -1), repeat=nblocks):
-            tail = []
-            for (k, units, _, _), tog in zip(blocks, toggles):
-                pk = p**k
-                for pos, a in enumerate(units):
-                    sgn = rest_sign * (tog if pos == 0 else 1)
-                    tail.append((pk, _small_unit_rep(sgn * a, pk)))
-            yield tail
+def _odd_prime_tail(p: int, blocks) -> list[tuple[int, int]]:
+    """The tail of one odd prime in the balanced construction: a cone point
+    (p^k, -a) for each unit a of each level k."""
+    return [(p**k, _small_unit_rep(-a, p**k)) for k, units, _, _ in blocks for a in units]
 
 
-def _two_tails_for_sphere(k: int, units: list[int], alpha_big: int):
-    """Candidate 2-primary tails for the balanced construction.
+def _two_tail_for_sphere(k: int, units: list[int], alpha_big: int) -> list[tuple[int, int]]:
+    """The 2-primary tail for the balanced construction.
 
-    The extra generator coming from the balancing pair carries one of the
-    target units x; its value is -(2m + beta_2^{-1}) mod 8 where m is the
-    odd part of alpha_big, which pins beta_2.  The remaining numerators are
-    solved slot by slot mod 8.  Because m is odd, the cross terms between
-    the corrected generators sit in 2 + 4Z, so each diagonalization pivot
+    The extra generator coming from the balancing pair carries the least
+    target unit x; its value is -(2m + beta_2^{-1}) mod 8 where m is the
+    odd part of alpha_big, which pins beta_2 (-x - 2m is odd, so it is
+    invertible).  The remaining numerators are solved slot by slot mod 8,
+    in sorted order.  Because m is odd, the cross terms between the
+    corrected generators sit in 2 + 4Z, so each diagonalization pivot
     shifts the still-open slots by 4; slot j is therefore solved against
-    b_j + 4j.
+    b_j + 4j.  A numerator c gives the slot the value -c - beta_2 - x^{-1}
+    mod 8 (c^2 = beta_2^2 = 1 mod 8), which takes every odd class as c
+    does: every slot has a solution, so there is one tail and no search.
     """
     q = 2**k
     mod = min(q, 8)
     m = alpha_big >> (k + 1)
     assert m % 2 == 1
-    res = sorted(a % mod for a in units)
-    for x in sorted(set(res)):
-        rest = list(res)
-        rest.remove(x)
-        y_inv = (-x - 2 * m) % 8
-        if y_inv % 2 == 0:
-            continue
-        beta2 = pow(y_inv, -1, 8)
-        x_inv = pow(x % mod, -1, mod)
-        for perm in itertools.islice(_unique_permutations(rest), 24):
-            tail = [(q, _small_unit_rep(beta2, 8))]
-            ok = True
-            for j, b in enumerate(perm):
-                want_val = (b + 4 * j) % mod
-                for cand in (1, -1, 3, -3, 5, -5, 7, -7):
-                    val = (-beta2 * cand * (beta2 + cand) - x_inv * cand * cand) % mod
-                    if val == want_val:
-                        tail.append((q, cand))
-                        break
-                else:
-                    ok = False
-                    break
-            if ok:
-                yield tail
-
-
-def _unique_permutations(items):
-    seen = set()
-    for perm in itertools.permutations(items):
-        if perm not in seen:
-            seen.add(perm)
-            yield perm
+    x, *rest = sorted(a % mod for a in units)
+    beta2 = pow((-x - 2 * m) % 8, -1, 8)
+    x_inv = pow(x, -1, mod)
+    return [(q, _small_unit_rep(beta2, 8))] + [
+        (q, _small_unit_rep(-b - 4 * j - beta2 - x_inv, mod)) for j, b in enumerate(rest)
+    ]
 
 
 def _balanced_sphere(form: StandardForm, label: str, target: StandardForm) -> RealizationResult:
@@ -281,22 +228,19 @@ def _balanced_sphere(form: StandardForm, label: str, target: StandardForm) -> Re
     S = ((A, B)) + per-prime tails with B = -1 - A * sum(beta/alpha), so
     eps = 1/A exactly (see _balanced).  p^(k+1) divides A for the top
     exponent k at p, so the p-part of the pairing depends only on A and the
-    p-tail: each prime has its own stream of tail variants.
+    p-tail: each prime has one tail, derived from its levels.
     """
     primes = form.primes()
     per_prime = {p: form.levels(p) for p in primes}
     alpha_big = prod(p ** (per_prime[p][0][0] + 1) for p in primes)
-    streams = {
-        p: _two_tails_for_sphere(per_prime[2][0][0], per_prime[2][0][1], alpha_big)
+    tails = [
+        _two_tail_for_sphere(per_prime[2][0][0], per_prime[2][0][1], alpha_big)
         if p == 2
-        else _odd_prime_tails(p, per_prime[p])
+        else _odd_prime_tail(p, per_prime[p])
         for p in primes
-    }
-
-    def build(current):
-        return label, _balanced(alpha_big, -1, [pair for p in primes for pair in current[p]])
-
-    return _first_verified(streams, target, build)
+    ]
+    S = _balanced(alpha_big, -1, [pair for tail in tails for pair in tail])
+    return _first_verified([(label, S)], target)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +253,6 @@ def _even_beta_pattern(rho: int, has_e1: bool, r: int) -> list[int]:
     if rho % 4 == 2:
         return [-3, 1, 1] + [(-1) ** i for i in range(4, r + 1)]
     return [-5, 1, 1, 1, 1] + [(-1) ** i for i in range(6, r + 1)]
-
-
-def _with_flips(label: str, S: SeifertData):
-    """The candidate, then its orientation-reversed twin."""
-    yield label, S
-    yield label + "/flipped", _negate_betas(S)
 
 
 def _sphere2_candidates(k: int, residues, lower_targets, tag: str):
@@ -363,11 +301,8 @@ def _sphere2_candidates(k: int, residues, lower_targets, tag: str):
         if mk == 8 and top == [1, 7]:
             yield f"odd-sphere-pm1[{j}]", _balanced(2 * q, 1, [(q, 1), (q, -1), *low])
         if len(top) == 1:
-            for extra in (2, 3, 1):
-                for b2 in (1, -1, 3, -3, 5, -5, 7, -7):
-                    for w in (1, -1):
-                        S = _balanced(q * 2**extra, w, [(q, b2), *low])
-                        yield f"lens[{extra},{b2},{w},{j}]", S
+            for b2 in (1, -1, 3, -3, 5, -5, 7, -7):
+                yield f"lens[2,{b2},1,{j}]", _balanced(4 * q, 1, [(q, b2), *low])
 
     for flipped in (False, True):
         top = sorted(((-b) % mk if flipped else b % mk) for b in residues)
@@ -432,13 +367,11 @@ def _two_candidates(target: StandardForm, mode: str):
                 r = rho1 + 2 if m == "flat" else rho1 + 1
                 pattern = _even_beta_pattern(rho1, e1_1 > 0, r)
                 rest = [(q, b) for b in pattern[1:]] + lower_pairs(q)
-                S = _balanced(q, sum(pattern), rest)
                 kind = ("e1-" if e1_1 else "hyperbolic-") if len(blocks) == 1 else ""
-                yield from _with_flips(f"{tag}/even-{kind}{m}", S)
+                yield f"{tag}/even-{kind}{m}", _balanced(q, sum(pattern), rest)
             elif m == "flat":
                 rest = [(4 * q, 1)] + [(q, _small_unit_rep(3 * b, 8)) for b in cycs1]
-                S = _balanced(4 * q, 0, rest + lower_pairs(4 * q))
-                yield from _with_flips(f"{tag}/odd-flat", S)
+                yield f"{tag}/odd-flat", _balanced(4 * q, 0, rest + lower_pairs(4 * q))
             else:
                 lower = [(kj, b) for kj, cycsj, _, _ in blocks[1:] for b in cycsj]
                 yield from _sphere2_candidates(k1, cycs1, lower, tag)
@@ -466,7 +399,7 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
       target                  flat, auto                        sphere
       trivial                 trivial-flat                      trivial-sphere
       2-primary               _two_candidates                   _two_candidates
-      one odd prime           _odd_flat_candidates              odd-sphere/balanced
+      one odd prime           _odd_flat_piece                   odd-sphere/balanced
       odd primes              mixed-flat[odd pieces]            odd-sphere/balanced
       odd + homogeneous 2     mixed-flat[odd pieces + two]      mixed-sphere/balanced,
                                                                 refused if the 2-part is even
@@ -478,10 +411,10 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
     if not target.atoms:
         pairs = ((2, 1), (3, -1)) if mode == "sphere" else ((2, 1), (2, -1))
         label = "trivial-sphere" if mode == "sphere" else "trivial-flat"
-        return _first_verified({}, target, lambda _: (label, SeifertData(0, pairs)))
+        return _first_verified([(label, SeifertData(0, pairs))], target)
     odd = StandardForm.of(a for a in target.atoms if a.p != 2)
     if not odd.atoms:
-        return _first_verified({2: _two_candidates(target, mode)}, target)
+        return _first_verified(_two_candidates(target, mode), target)
     two = target.restrict(2)
     gapped = len(two.levels(2)) > 1  # canonical_form keeps every level
     if mode == "sphere":
@@ -499,20 +432,14 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
         # balance the 2-part's canonical diagonal
         label = "mixed-sphere/balanced" if two_atoms else "odd-sphere/balanced"
         return _balanced_sphere(odd + StandardForm.of(two_atoms), label, target)
-    # one flat stream per prime, the 2-part's first: a gapped one may be refused
-    streams = {2: _two_candidates(two, "flat")} if two.atoms else {}
-    primes = odd.primes()
-    streams.update((p, _odd_flat_candidates(odd, p)) for p in primes)
-
-    def build(current):
-        pieces = [current[p] for p in primes]
-        if gapped:  # the 2-part is joined to the fibre sum of the odd pieces
-            pieces = [current[2], _fibre_sum_of(pieces)]
-        elif two.atoms:
-            pieces.append(current[2])
-        return _fibre_sum_of(pieces) if len(pieces) > 1 else pieces[0]
-
-    return _first_verified(streams, target, build)
+    # one flat piece per prime, the 2-part's first: a gapped one may be refused
+    two_piece = next(_two_candidates(two, "flat")) if two.atoms else None
+    pieces = [_odd_flat_piece(odd, p) for p in odd.primes()]
+    if gapped:  # the 2-part is joined to the fibre sum of the odd pieces
+        pieces = [two_piece, _fibre_sum_of(pieces)]
+    elif two_piece:
+        pieces.append(two_piece)
+    return _first_verified([_fibre_sum_of(pieces) if len(pieces) > 1 else pieces[0]], target)
 
 
 # ---------------------------------------------------------------------------

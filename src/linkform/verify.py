@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import factorize
-from .errors import LinkformError
+from .errors import InvalidDataError, LinkformError
 from .linking import gram_matrix
 from .pairing import (
     Cyc,
@@ -60,7 +60,11 @@ class RunConfig:
     def from_env(cls, **overrides) -> "RunConfig":
         seed = overrides.pop("seed", None)
         if seed is None:
-            seed = int(os.environ.get(SEED_ENV, "0"))
+            text = os.environ.get(SEED_ENV, "0")
+            try:
+                seed = int(text)
+            except ValueError as exc:
+                raise InvalidDataError(f"{SEED_ENV}={text!r} is not an integer") from exc
         return cls(seed=seed, **overrides)
 
 

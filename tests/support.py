@@ -137,14 +137,14 @@ def rand_block_seifert(rng: random.Random, flat: bool, max_r: int = 10, max_alph
 
 def reference_realize(target: StandardForm, mode: str = "auto") -> tuple[str, SeifertData]:
     """(construction, data) chosen piece by piece, as realize chose before it
-    assembled one candidate stream per prime and checked only the whole.
+    derived one piece per odd prime and checked only the whole.
 
-    Each flat piece is the first candidate of its stream that verifies
-    against its own part of the target, and the fibre sum of the pieces is
-    then checked; in sphere mode each prime's first tail variant whose
-    invariant at p matches is kept (later primes start at their default
-    tails) before the whole is checked.  The candidate streams are
-    realize's own, so this pins the selection, not the recipes.
+    Each flat piece must verify against its own part of the target (the
+    2-part's is the first candidate of its stream that does), and the fibre
+    sum of the pieces is then checked; in sphere mode each prime's tail must
+    match the invariant at p (later primes start at their default tails)
+    before the whole is checked.  The pieces and tails are realize's own, so
+    this pins the selection, not the recipes.
     """
 
     def first(candidates, form):
@@ -175,7 +175,7 @@ def reference_realize(target: StandardForm, mode: str = "auto") -> tuple[str, Se
 
     def piece(p):
         part = two if p == 2 else odd.restrict(p)
-        stream = R._two_candidates(two, "flat") if p == 2 else R._odd_flat_candidates(part, p)
+        stream = R._two_candidates(two, "flat") if p == 2 else [R._odd_flat_piece(part, p)]
         return first(stream, part)
 
     if gapped:
@@ -204,17 +204,14 @@ def _reference_balanced(form: StandardForm) -> SeifertData:
 
     for p in primes:
         ((_, want),) = gauss_invariant(form.restrict(p))
-        variants = (
-            R._two_tails_for_sphere(per_prime[2][0][0], per_prime[2][0][1], alpha_big)
+        tail = (
+            R._two_tail_for_sphere(per_prime[2][0][0], per_prime[2][0][1], alpha_big)
             if p == 2
-            else R._odd_prime_tails(p, per_prime[p])
+            else R._odd_prime_tail(p, per_prime[p])
         )
-        for variant in variants:
-            if local_invariant_from_data(assemble({**tails, p: variant}), p) == want:
-                tails[p] = variant
-                break
-        else:
-            raise VerificationError(f"no tail variant matched at p={p}")
+        if local_invariant_from_data(assemble({**tails, p: tail}), p) != want:
+            raise VerificationError(f"the tail at p={p} does not match")
+        tails[p] = tail
     return assemble(tails)
 
 

@@ -257,6 +257,13 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["seed"] == 99
 
 
+def test_a_seed_env_that_is_not_an_integer_is_invalid_data(capsys, monkeypatch):
+    monkeypatch.setenv("LINKFORM_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "thm3")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid data: ") and "LINKFORM_SEED" in err
+
+
 def test_json_out_flag(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -469,6 +476,18 @@ def test_a_report_past_the_digit_limit_is_unsupported(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("unsupported: cannot write the report: ") and "digits" in err
     assert not out_path.exists()
+
+
+def test_a_balancing_order_past_the_digit_limit_is_unsupported(tmp_path, capsys):
+    # each atom passes realize's digit check, but the sphere-mode balancing
+    # order 3^5001 * 5^3001 (and so eps) has more digits than int.__repr__
+    # writes; flat mode has no balancing order and writes its report
+    target = write(tmp_path, "t.json", {"atoms": [{"cyc": [3, 5000, 1]}, {"cyc": [5, 3000, 1]}]})
+    code, out, err = run_cli(capsys, "realize", target, "--mode", "sphere")
+    assert code == 2 and out == ""
+    assert err.startswith("unsupported: cannot write the report: ") and "digits" in err
+    code, out, _ = run_cli(capsys, "realize", target, "--mode", "flat")
+    assert code == 0 and json.loads(out)["verified"] is True
 
 
 @pytest.mark.parametrize(

@@ -474,7 +474,7 @@ def test_gap_plus_odd_flat_checks_the_whole_sum_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one candidate stream per prime, the whole checked once
+# one piece per odd prime, the whole checked once
 
 
 ONE_CHECK_TARGETS = {
@@ -504,65 +504,39 @@ def test_one_check_per_realization(monkeypatch, name):
     assert r.verified and (r.construction, r.seifert) == reference_realize(target, mode)
 
 
-def _wrong_first(monkeypatch, mode, wrong_only=False):
-    """Make the stream of p = 7 yield a candidate of the other determinant
-    class first (or only that); returns the number of draws per prime."""
-    other = sf(C(7, 2, 1))  # 1 is a square mod 7, the target's 3 is not
-    name = "_odd_flat_candidates" if mode == "flat" else "_odd_prime_tails"
+PIECE_TARGET = (C(3, 1, 1), C(5, 1, 2), C(7, 2, 3))
+
+
+@pytest.mark.parametrize("mode", ["flat", "sphere"])
+def test_a_wrong_odd_piece_is_a_verification_failure(monkeypatch, tmp_path, capsys, mode):
+    # the piece (flat) or tail (sphere) of p = 7 is patched to the other
+    # determinant class: 1 is a square mod 7, the target's 3 is not
+    other = sf(C(7, 2, 1))
+    name = "_odd_flat_piece" if mode == "flat" else "_odd_prime_tail"
     make = getattr(realize_module, name)
-    wrong = next(iter(make(other, 7) if mode == "flat" else make(7, other.levels(7))))
-    drawn = Counter()
-
-    def patched(*args):
-        p = args[1] if mode == "flat" else args[0]
-        first = [wrong] if p == 7 else []
-        for candidate in first + ([] if wrong_only and p == 7 else list(make(*args))):
-            drawn[p] += 1
-            yield candidate
-
-    monkeypatch.setattr(realize_module, name, patched)
-    return drawn
-
-
-STREAM_TARGET = (C(3, 1, 1), C(5, 1, 2), C(7, 2, 3))
-
-
-@pytest.mark.parametrize("mode", ["flat", "sphere"])
-def test_a_missed_prime_advances_only_its_stream(monkeypatch, mode):
-    target = sf(*STREAM_TARGET)
-    want = realize(target, mode)
-    drawn = _wrong_first(monkeypatch, mode)
+    wrong = make(other, 7) if mode == "flat" else make(7, other.levels(7))
+    monkeypatch.setattr(
+        realize_module,
+        name,
+        lambda *args: wrong if (args[1] if mode == "flat" else args[0]) == 7 else make(*args),
+    )
     verify_calls = _counting(monkeypatch, "verify_realization")
-    got = realize(target, mode)
-    assert (got.construction, got.seifert) == (want.construction, want.seifert)
-    assert drawn == {3: 1, 5: 1, 7: 2}
-    assert len(verify_calls) == 2
-
-
-@pytest.mark.parametrize("mode", ["flat", "sphere"])
-def test_an_exhausted_stream_is_a_verification_failure(monkeypatch, tmp_path, capsys, mode):
-    drawn = _wrong_first(monkeypatch, mode, wrong_only=True)
     with pytest.raises(VerificationError, match="no construction candidate verified"):
-        realize(sf(*STREAM_TARGET), mode)
-    assert drawn == {3: 1, 5: 1, 7: 1}
+        realize(sf(*PIECE_TARGET), mode)
+    assert len(verify_calls) == 1
     path = tmp_path / "t.json"
-    path.write_text(json.dumps(sf(*STREAM_TARGET).to_json()))
+    path.write_text(json.dumps(sf(*PIECE_TARGET).to_json()))
     assert cli_main(["realize", str(path), "--mode", mode]) == 4
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("verification failure: ")
 
 
 def test_torsion_at_a_prime_without_a_stream_is_refused():
-    # the candidate realizes the 3-part but has 5-torsion too: no stream can
-    # repair 5, and the 3-stream is not advanced
+    # the candidate realizes the 3-part but has 5-torsion too
     three, five = realize(sf(C(3, 1, 1))).seifert, realize(sf(C(5, 1, 1))).seifert
-
-    def stream():
-        yield "with 5-torsion", fibre_sum(three, five)
-        raise AssertionError("the 3-stream advanced")
-
+    candidates = [("with 5-torsion", fibre_sum(three, five))]
     with pytest.raises(VerificationError):
-        realize_module._first_verified({3: stream()}, sf(C(3, 1, 1)))
+        realize_module._first_verified(candidates, sf(C(3, 1, 1)))
 
 
 def _random_multi_prime_target(rng):
@@ -593,9 +567,25 @@ def test_stream_selection_matches_the_piece_by_piece_reference():
         for mode in ("flat", "auto", "sphere"):
             got = _outcome(realize, target, mode)
             assert got == _outcome(reference_realize, target, mode), (target, mode)
+            assert got != "VerificationError", (target, mode)
             realized[mode, isinstance(got, tuple)] += 1
     # 300 targets in each mode; most of them are realized
     assert all(realized[mode, True] > 150 for mode in ("flat", "auto", "sphere"))
+
+
+@pytest.mark.parametrize("odd", [(C(3, 1, 2),), (C(7, 1, 3), C(3, 2, 1))])
+def test_sphere_mode_verifies_every_small_odd_diagonal_two_part(odd):
+    # _two_tail_for_sphere derives one tail with no search: every odd
+    # diagonal 2-part of exponent k <= 5 and rank <= 4 must verify with it
+    count = 0
+    for k in range(1, 6):
+        units = [u for u in (1, 3, 5, 7) if u < min(2**k, 8)]
+        for rank in range(1, 5):
+            for us in itertools.combinations_with_replacement(units, rank):
+                r = realize(sf(*odd, *(C(2, k, u) for u in us)), "sphere")
+                assert r.verified and r.construction == "mixed-sphere/balanced"
+                count += 1
+    assert count == 225
 
 
 def test_target_invariant_is_read_once_per_form(monkeypatch):
