@@ -2,9 +2,9 @@
 
 Subcommands: compute, classify, realize, witt, verify, search.  Exit
 codes: 0 success, 1 usage error, 2 invalid input data or input outside the
-supported range, 3 target not realizable by the implemented constructions,
-4 internal verification failure (a failing suite or an unverifiable
-construction).
+supported range (a brute-force bound included), 3 target not realizable by
+the implemented constructions, 4 internal verification failure (a failing
+suite or an unverifiable construction).
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _seifert_report(S: SeifertData, prime: int | None) -> dict:
         "structure": structure_check(S),
         "local": [],
     }
-    total = StandardForm.empty()
+    atoms = []
     for p in primes:
         dec = local_orders(S, p)
         entry = {
@@ -171,10 +171,10 @@ def _seifert_report(S: SeifertData, prime: int | None) -> dict:
             entry["welldefined"] = welldefined_check(G)
             rep = classify(G)
             entry["classification"] = rep.to_json()
-            total = total + rep.standard_form
+            atoms += rep.standard_form.atoms
         out["local"].append(entry)
     if S.r >= 2:
-        out["standard_form"] = total.to_json()
+        out["standard_form"] = StandardForm.of(atoms).to_json()
         out["witt"] = witt_seifert(S).to_json()
     return out
 
@@ -191,9 +191,7 @@ def cmd_classify(args) -> int:
         raise UnsupportedError("classification needs r >= 2")
     primes = [args.prime] if args.prime else None
     reports = classify_seifert(S, primes)
-    total = StandardForm.empty()
-    for rep in reports.values():
-        total = total + rep.standard_form
+    total = StandardForm.of(a for rep in reports.values() for a in rep.standard_form.atoms)
     _emit(
         {
             "seifert": S.to_json(),
@@ -207,7 +205,7 @@ def cmd_classify(args) -> int:
 
 def cmd_realize(args) -> int:
     target = StandardForm.from_json(_read_json(args.input))
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     for a in target.atoms:  # p^k has floor(k log10 p) + 1 digits
         if limit and a.k * math.log10(a.p) >= limit:
             raise UnsupportedError(f"cannot write the report: {a.p}^{a.k} has over {limit} digits")

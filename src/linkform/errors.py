@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto distinct exit codes, so keep the split coarse:
-bad user data, targets outside the implemented constructions, and
-internal consistency failures.
+bad user data or input outside the supported range (a brute-force bound
+the user chose included), targets outside the implemented constructions,
+and internal consistency failures.
 """
 
 
@@ -26,5 +27,5 @@ class VerificationError(LinkformError):
     """An internal cross-check failed; indicates a bug, not a user error."""
 
 
-class SearchBoundExceeded(LinkformError):
+class SearchBoundExceeded(UnsupportedError):
     """A brute-force oracle refused because its size bound was exceeded."""

@@ -95,9 +95,6 @@ class GramPairing:
     def group_order(self) -> int:
         return prod(self.orders) if self.orders else 1
 
-    def is_trivial(self) -> bool:
-        return not self.orders
-
     def to_json(self) -> dict:
         N = self.modulus
         return {

@@ -129,10 +129,6 @@ class StandardForm:
     def of(cls, atoms) -> "StandardForm":
         return cls(tuple(sorted(atoms, key=_atom_key)))
 
-    @classmethod
-    def empty(cls) -> "StandardForm":
-        return cls(())
-
     def __add__(self, other: "StandardForm") -> "StandardForm":
         return StandardForm.of(self.atoms + other.atoms)
 
@@ -548,24 +544,16 @@ class ClassificationReport:
 
 def classify(G: GramPairing) -> ClassificationReport:
     """Full classification of a Gram pairing into standard atoms."""
-    if G.is_trivial():
-        return ClassificationReport(G.prime, (), StandardForm.empty())
     summaries = []
-    atoms: list[Atom] = []
     for C in G.components:
-        if G.prime == 2:
-            par = parity(C)
-            if par == "even":
-                n0, n1 = even_decompose(C)
-                catoms: tuple[Atom, ...] = tuple(_e_atoms(C.k, n0, n1))
-            else:
-                catoms = tuple(diagonalize_odd(C))
-            summaries.append(ComponentSummary(C.k, C.rank, par, None, catoms))
+        par = parity(C) if G.prime == 2 else None
+        d = None if G.prime == 2 else d_invariant(C)
+        if par == "even":
+            catoms: tuple[Atom, ...] = tuple(_e_atoms(C.k, *even_decompose(C)))
         else:
-            d = d_invariant(C)
             catoms = tuple(diagonalize_odd(C))
-            summaries.append(ComponentSummary(C.k, C.rank, None, d, catoms))
-        atoms.extend(catoms)
+        summaries.append(ComponentSummary(C.k, C.rank, par, d, catoms))
+    atoms = (a for c in summaries for a in c.atoms)
     return ClassificationReport(G.prime, tuple(summaries), StandardForm.of(atoms))
 
 
@@ -578,10 +566,8 @@ def classify_seifert(S: SeifertData, primes=None) -> dict[int, ClassificationRep
 
 def standard_form_of(S: SeifertData) -> StandardForm:
     """Standard form of the full linking pairing of M(g;S)."""
-    total = StandardForm.empty()
-    for report in classify_seifert(S).values():
-        total = total + report.standard_form
-    return total
+    reports = classify_seifert(S).values()
+    return StandardForm.of(a for rep in reports for a in rep.standard_form.atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import bareiss, ext_gcd, padic_val
-from .errors import UnsupportedError
+from .arith import bareiss, ext_gcd, is_prime, padic_val
+from .errors import InvalidDataError, UnsupportedError
 from .seifert import SeifertData, _memo, euler_invariant, relevant_primes
-
-
-@dataclass(frozen=True)
-class Presentation:
-    labels: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -55,26 +49,21 @@ class LocalDecomposition:
         return None
 
 
-def presentation_matrix(S: SeifertData) -> Presentation:
-    """Relation matrix of H = H_1 / Z^{2g} over q_1..q_r, h."""
+def presentation_matrix(S: SeifertData) -> tuple[tuple[int, ...], ...]:
+    """Relation matrix of H = H_1 / Z^{2g}: rows over the columns q_1..q_r, h."""
     r = S.r
-    labels = tuple(f"q{i}" for i in range(1, r + 1)) + ("h",)
     rows = [tuple([1] * r + [0])]
     for i, (a, b) in enumerate(S.pairs):
         row = [0] * (r + 1)
         row[i] = a
         row[r] = b
         rows.append(tuple(row))
-    return Presentation(labels, tuple(rows))
+    return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    diagonal: tuple[int, ...]  # d_1 | d_2 | ... | d_k >= 0, padded with 0s
-
-
-def smith_normal_form(matrix) -> SmithForm:
-    """Diagonal of the Smith normal form, computed modulo a determinant.
+def smith_normal_form(matrix) -> tuple[int, ...]:
+    """Diagonal d_1 | d_2 | ... of the Smith normal form, padded with 0s,
+    computed modulo a determinant.
 
     A Bareiss pass gives the rank rho and a nonzero rho x rho minor D.  The
     invariant factors d_1 | ... | d_rho divide D (their product is the gcd
@@ -130,7 +119,7 @@ def smith_normal_form(matrix) -> SmithForm:
                 chain[s] = g = gcd(x, y)
                 chain[t] = x // g * y
     diag = (1,) * (len(orders) - len(chain)) + tuple(chain)
-    return SmithForm(diag[:rank] + (0,) * (size - rank))
+    return diag[:rank] + (0,) * (size - rank)
 
 
 def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
@@ -151,6 +140,8 @@ def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
 
 
 def _local_record(S: SeifertData, p: int) -> LocalDecomposition:
+    if not is_prime(p):  # every p-local function reaches this record
+        raise InvalidDataError(f"{p} is not a prime")
     ranked = sorted(((padic_val(a, p), (a, b)) for a, b in S.pairs), key=lambda t: -t[0])
     vals, pairs = zip(*ranked)
     eps = euler_invariant(S)
@@ -175,16 +166,15 @@ def structure_check(S: SeifertData) -> dict:
     the localized presentation must match the p-parts of the SNF diagonal,
     and the free rank of H_1 must be 2g + 1 exactly when eps = 0.
     """
-    pres = presentation_matrix(S)
-    snf = smith_normal_form(pres.matrix)
+    diagonal = smith_normal_form(presentation_matrix(S))
     eps = euler_invariant(S)
-    free_snf = 2 * S.genus + sum(1 for d in snf.diagonal if d == 0)
+    free_snf = 2 * S.genus + diagonal.count(0)
     free_expected = 2 * S.genus + (1 if eps == 0 else 0)
     primes = []
     ok = free_snf == free_expected
     for p in relevant_primes(S):
         from_snf = sorted(
-            (p ** padic_val(d, p) for d in snf.diagonal if d != 0 and d % p == 0),
+            (p ** padic_val(d, p) for d in diagonal if d != 0 and d % p == 0),
             reverse=True,
         )
         local = local_orders(S, p)

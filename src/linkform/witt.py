@@ -77,31 +77,16 @@ class WittElement:
         }
 
 
-def _unit_local(p: int, b: int) -> int:
-    """Local class in W(F_p) of the rank-1 pairing <b>."""
+def _add_unit(locals_: dict, p: int, b: int) -> None:
+    """Add the class in W(F_p) of the rank-1 pairing <b> into ``locals_``.
+
+    This is the one per-prime fold: witt_pairing adds one class per cyclic
+    atom of odd k, witt_seifert one per term of odd valuation.
+    """
     if b % p == 0:
         raise InvalidDataError(f"{b} is not a unit mod {p}")
-    if p == 2 or legendre(b, p) == 1:
-        return 1
-    return 3 if p % 4 == 3 else 2
-
-
-def unit_class_witt(p: int, b: int) -> WittElement:
-    """Witt class of the rank-1 pairing <b> over F_p."""
-    return WittElement.of({p: _unit_local(p, b)})
-
-
-def witt_cyclic(p: int, k: int, b: int) -> WittElement:
-    """Witt class of the cyclic pairing <b / p^k> on Z/p^k.
-
-    Even k gives zero (p^{k/2} Z/p^k is a metabolizer); odd k reduces to
-    the class of <b> over F_p.
-    """
-    if k < 1 or b % p == 0:
-        raise InvalidDataError(f"bad cyclic pairing ({p},{k},{b})")
-    if k % 2 == 0:
-        return WittElement.zero()
-    return unit_class_witt(p, b)
+    v = 1 if p == 2 or legendre(b, p) == 1 else 3 if p % 4 == 3 else 2
+    locals_[p] = _local_add(p, locals_.get(p, 0), v)
 
 
 def _add_rational(locals_: dict, b: int, a: int) -> None:
@@ -113,7 +98,7 @@ def _add_rational(locals_: dict, b: int, a: int) -> None:
     """
     for p, v in factorize(a).items():
         if v % 2:
-            locals_[p] = _local_add(p, locals_.get(p, 0), _unit_local(p, b * (a // p**v)))
+            _add_unit(locals_, p, b * (a // p**v))
 
 
 def witt_rational(w) -> WittElement:
@@ -127,12 +112,13 @@ def witt_rational(w) -> WittElement:
 
 
 def witt_pairing(sf: StandardForm) -> WittElement:
-    """Witt class of a standard form (E0 and E1 are metabolic, hence zero)."""
-    total = WittElement.zero()
+    """Witt class of a standard form: a cyclic atom of odd k adds the class
+    of <a> over F_p; even k, E0 and E1 are metabolic and add nothing."""
+    locals_ = {}
     for atom in sf.atoms:
-        if isinstance(atom, Cyc):
-            total = total + witt_cyclic(atom.p, atom.k, atom.a)
-    return total
+        if isinstance(atom, Cyc) and atom.k % 2:
+            _add_unit(locals_, atom.p, atom.a)
+    return WittElement.of(locals_)
 
 
 def witt_seifert(S: SeifertData) -> WittElement:

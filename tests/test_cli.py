@@ -215,6 +215,13 @@ def test_verify_rejects_out_of_range_bounds(capsys, time_budget, suite, flag, va
     assert out == "" and "usage error" in err
 
 
+def test_an_oracle_bound_the_user_chose_is_unsupported(capsys):
+    # a group of order 256 is past the bound 1: a refusal, not a failed check
+    code, out, err = run_cli(capsys, "verify", "thm7", "--oracle-bound", "1", "--trials", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("unsupported: ") and "exceeds the brute-force bound 1" in err
+
+
 def test_search_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -457,7 +464,20 @@ def test_help_is_unchanged(capsys):
 # ---------------------------------------------------------------------------
 # Python's limit on the digits of an int: refused with a named message
 
+# Python added the limit in 3.11 and 3.10.7; before that no int is refused
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int digit limit"
+)
 
+
+def test_realize_runs_on_a_python_without_a_digit_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    target = write(tmp_path, "t.json", {"atoms": [{"cyc": [3, 1, 1]}]})
+    code, out, _ = run_cli(capsys, "realize", target)
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
+@needs_digit_limit
 def test_a_json_number_past_the_digit_limit_is_invalid_data(capsys, monkeypatch):
     digits = "1" * (sys.get_int_max_str_digits() + 1)
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"genus": 0, "pairs": [[2, %s]]}' % digits))
@@ -466,6 +486,7 @@ def test_a_json_number_past_the_digit_limit_is_invalid_data(capsys, monkeypatch)
     assert err.startswith("invalid data: cannot read JSON from -: ") and "digits" in err
 
 
+@needs_digit_limit
 def test_a_report_past_the_digit_limit_is_unsupported(tmp_path, capsys):
     # the realization exists, but its cone orders 2^20000 and up have more
     # digits than int.__repr__ writes
@@ -478,6 +499,7 @@ def test_a_report_past_the_digit_limit_is_unsupported(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@needs_digit_limit
 def test_a_balancing_order_past_the_digit_limit_is_unsupported(tmp_path, capsys):
     # each atom passes realize's digit check, but the sphere-mode balancing
     # order 3^5001 * 5^3001 (and so eps) has more digits than int.__repr__
@@ -503,6 +525,7 @@ def test_an_infinite_json_number_is_invalid_data(tmp_path, capsys, command, doc)
     assert code == 2 and out == "" and err.startswith("invalid data: ")
 
 
+@needs_digit_limit
 def test_an_unwritable_realize_target_is_refused_at_once(tmp_path, capsys, time_budget):
     # cone orders 3^50000 have more digits than int.__repr__ writes; the
     # realization used to be computed (about 15 s) before the refusal

@@ -472,7 +472,7 @@ def test_classify_e02():
 
 def test_classify_trivial():
     rep = classify(gram_matrix(seifert((3, 1), (3, -1)), 3))
-    assert rep.standard_form == StandardForm.empty()
+    assert rep.standard_form == StandardForm.of(())
     assert rep.components == ()
 
 
@@ -608,7 +608,7 @@ def test_isomorphism_report_above_oracle_bound():
 
     big1 = sf(*(Cyc.make(2, 3, 1) for _ in range(4)))
     big2 = sf(*(Cyc.make(2, 3, 5) for _ in range(4)))
-    rep = isomorphism_report(big1, big1 + StandardForm.empty())
+    rep = isomorphism_report(big1, big1 + StandardForm.of(()))
     assert rep == {"isomorphic": True, "method": "invariants"}
     rep = isomorphism_report(big1, big2)
     assert rep["isomorphic"]

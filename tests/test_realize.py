@@ -434,9 +434,9 @@ def test_mixed_sphere_even_two_part_refused():
 
 
 def test_dispatcher_trivial_target():
-    r = realize(StandardForm.empty())
-    assert r.verified and standard_form_of(r.seifert) == StandardForm.empty()
-    r = realize(StandardForm.empty(), "sphere")
+    r = realize(StandardForm.of(()))
+    assert r.verified and standard_form_of(r.seifert) == StandardForm.of(())
+    r = realize(StandardForm.of(()), "sphere")
     assert r.verified and euler_invariant(r.seifert) != 0
 
 
@@ -612,7 +612,7 @@ def test_negated_target_realized_by_negated_betas():
 
 
 def test_exhaustive_search_trivial_target():
-    hits = exhaustive_search(StandardForm.empty(), max_r=2, alphas=(2, 3), max_beta=2)
+    hits = exhaustive_search(StandardForm.of(()), max_r=2, alphas=(2, 3), max_beta=2)
     found = {tuple(sorted(S.pairs)) for S in hits}
     assert ((2, -1), (2, 1)) in found
     assert ((2, 1),) in found  # r=1 with |beta| = 1 has trivial homology
@@ -664,7 +664,7 @@ def test_verify_realization_agrees_with_classification():
             "own": form,
             "negated": form.negated(),
             "extra prime": form + sf(Cyc.make(extra, 1, 1)),
-            "trivial": StandardForm.empty(),
+            "trivial": StandardForm.of(()),
         }
         if form.atoms:
             targets["changed"] = _changed_at_one_prime(form, rng)
@@ -788,7 +788,7 @@ def _unfiltered_search(target, *, max_r, alphas, max_beta):
 
 
 PREFILTER_TARGETS = {
-    "trivial": StandardForm.empty(),
+    "trivial": StandardForm.of(()),
     "nil-class": sf(Cyc.make(2, 2, 3), E0(1)),
     "even-even": sf(E0(2), E0(1)),
     "3-group": standard_form_of(seifert((3, 1), (3, 1), (3, 1))),
@@ -845,7 +845,7 @@ def test_exhaustive_search_matches_reference_on_random_bounds(monkeypatch):
             if b and gcd(a, b) == 1
         ]
         if case % 10 == 0:
-            target = StandardForm.empty()
+            target = StandardForm.of(())
         elif case % 3 == 0:
             half = [rng.choice(pool) for _ in range(max(1, max_r // 2))]
             target = standard_form_of(seifert(*half, *((a, -b) for a, b in half)))
@@ -876,7 +876,7 @@ def test_exhaustive_search_matches_reference_on_many_alphas(monkeypatch):
         bounds = {"max_r": 2 + case % 4, "alphas": tuple(alphas), "max_beta": 1}
         pool = [(a, b) for a in alphas for b in (-1, 1)]
         if case % 5 == 0:
-            target = StandardForm.empty()
+            target = StandardForm.of(())
         else:
             target = standard_form_of(seifert(*rng.choices(pool, k=bounds["max_r"])))
         verify_calls.clear()
@@ -933,7 +933,7 @@ def test_search_memo_key_names_one_pairing(data):
 def test_exhaustive_search_rejects_bad_bounds(bounds):
     # refused up front, not answered by an empty list or a late failure
     with pytest.raises(InvalidDataError, match="search bounds"):
-        exhaustive_search(StandardForm.empty(), **bounds)
+        exhaustive_search(StandardForm.of(()), **bounds)
 
 
 def _counting(monkeypatch, name):

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from linkform.cli import main
 from linkform.errors import InvalidDataError, UnsupportedError
+from linkform.linking import gram_matrix
+from linkform.pairing import local_invariant_from_data
 from linkform.seifert import SeifertData, euler_invariant, seifert
 from linkform.torsion import (
     local_orders,
@@ -50,34 +52,34 @@ def _det(M):
 
 def test_presentation_examples():
     P = presentation_matrix(seifert((2, 1), (2, 1)))
-    assert P.matrix == ((1, 1, 0), (2, 0, 1), (0, 2, 1))
+    assert P == ((1, 1, 0), (2, 0, 1), (0, 2, 1))
     P = presentation_matrix(seifert((5, 2)))
-    assert P.matrix == ((1, 0), (5, 2))
+    assert P == ((1, 0), (5, 2))
     P = presentation_matrix(seifert((3, 1), (3, 1), (3, -2)))
-    assert len(P.matrix) == 4 and len(P.matrix[0]) == 4
+    assert len(P) == 4 and len(P[0]) == 4
 
 
 def test_snf_examples():
-    assert smith_normal_form([[2, 0], [0, 3]]).diagonal == (1, 6)
-    assert smith_normal_form([[1, 0], [0, 1]]).diagonal == (1, 1)
-    assert smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
+    assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
+    assert smith_normal_form([[1, 0], [0, 1]]) == (1, 1)
+    assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
 
 
 def test_snf_last_factor_equal_to_the_minor():
     # the factor is D itself, so the diagonal entry is 0 mod D
-    assert smith_normal_form([[5]]).diagonal == (5,)
-    assert smith_normal_form([[0, 5]]).diagonal == (5,)
-    assert smith_normal_form([[5], [0]]).diagonal == (5,)
-    assert smith_normal_form([[1, 0], [0, 6]]).diagonal == (1, 6)
-    assert smith_normal_form([[0]]).diagonal == (0,)
-    assert smith_normal_form([[0, 0, 0], [0, 0, 0]]).diagonal == (0, 0)
+    assert smith_normal_form([[5]]) == (5,)
+    assert smith_normal_form([[0, 5]]) == (5,)
+    assert smith_normal_form([[5], [0]]) == (5,)
+    assert smith_normal_form([[1, 0], [0, 6]]) == (1, 6)
+    assert smith_normal_form([[0]]) == (0,)
+    assert smith_normal_form([[0, 0, 0], [0, 0, 0]]) == (0, 0)
 
 
 def _catalogue_presentations():
     for line in CATALOGUE.read_text().splitlines():
         doc = json.loads(line)["input"]
         try:
-            yield presentation_matrix(SeifertData.from_json(doc)).matrix
+            yield presentation_matrix(SeifertData.from_json(doc))
         except (InvalidDataError, AttributeError):  # malformed entries
             continue
 
@@ -97,11 +99,11 @@ def test_snf_matches_the_reference_algorithm():
     for flat in (True, False):
         for _ in range(200):
             S = rand_block_seifert(rng, flat, max_r=12, max_alpha=10**4)
-            matrices.append(presentation_matrix(S).matrix)
+            matrices.append(presentation_matrix(S))
     for _ in range(1500):
         matrices.append(_sparse_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)))
     for matrix in matrices:
-        assert smith_normal_form(matrix).diagonal == reference_smith_normal_form(matrix), matrix
+        assert smith_normal_form(matrix) == reference_smith_normal_form(matrix), matrix
 
 
 def _determinantal_divisors_snf(matrix):
@@ -140,8 +142,8 @@ def test_snf_transforms_random(m, n, data):
         c = data.draw(st.integers(-3, 3))
         matrix[-1] = [x + c * y for x, y in zip(matrix[0], matrix[1 % (m - 1)])]
     snf = smith_normal_form(matrix)
-    assert snf.diagonal == _determinantal_divisors_snf(matrix)
-    _check_chain(snf.diagonal)
+    assert snf == _determinantal_divisors_snf(matrix)
+    _check_chain(snf)
 
 
 def _coprime_pairs(rng, count, max_alpha):
@@ -185,7 +187,7 @@ def test_snf_large_presentations(r, time_budget):
         if eps == 0:
             continue
         with time_budget(20):
-            diag = smith_normal_form(presentation_matrix(S).matrix).diagonal
+            diag = smith_normal_form(presentation_matrix(S))
         assert prod(diag) == abs(prod(a for a, _ in S.pairs) * eps)
         _check_chain(diag)
 
@@ -298,6 +300,17 @@ def test_homogeneity_cross_check_flat_case():
         assert len({n for _, n in dec.orders}) == 1, S
 
 
+@pytest.mark.parametrize("p", [1, 0, -3, 6, 9])
+@pytest.mark.parametrize("read", [local_orders, gram_matrix, local_invariant_from_data])
+def test_a_non_prime_is_refused_by_every_p_local_function(p, read, time_budget):
+    # p = 1 used to hang in padic_val, p = 0 to divide by zero, p = -3 to
+    # give negative orders and p = 6, 9 to give records with composite orders
+    for S in (seifert((6, 1), (6, 1), (6, -1)), seifert((9, 1), (9, 1), (9, -2))):
+        with time_budget(5), pytest.raises(InvalidDataError, match="not a prime"):
+            read(S, p)
+        assert p not in S.local
+
+
 def test_homogeneity_cross_check_two_cone_points():
     # r_p <= 2 with eps != 0: the torsion is the single cyclic piece from
     # the extra generator, homogeneous by definition
@@ -308,9 +321,9 @@ def test_homogeneity_cross_check_two_cone_points():
 
 def test_torsion_order_matches_snf():
     S = seifert((4, 1), (6, 1), (9, 2), (8, 3), (5, -4))
-    snf = smith_normal_form(presentation_matrix(S).matrix)
+    snf = smith_normal_form(presentation_matrix(S))
     prod = 1
-    for d in snf.diagonal:
+    for d in snf:
         if d:
             prod *= d
     assert torsion_order(S) == prod
@@ -330,7 +343,7 @@ def test_torsion_order_is_the_euler_numerator(pairs):
     # the quantity exhaustive_search prefilters by: for eps != 0 the torsion
     # order is |det P| = |prod(alpha) * eps|
     S = seifert(*pairs)
-    snf = smith_normal_form(presentation_matrix(S).matrix)
-    from_snf = prod(d for d in snf.diagonal if d)
+    snf = smith_normal_form(presentation_matrix(S))
+    from_snf = prod(d for d in snf if d)
     from_euler = abs(prod(a for a, _ in pairs) * euler_invariant(S))
     assert torsion_order(S) == from_euler == from_snf

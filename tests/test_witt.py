@@ -1,19 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 
-from linkform.arith import factorize
+from linkform.arith import factorize, legendre
 from linkform.errors import InvalidDataError, SearchBoundExceeded, UnsupportedError
 from linkform.pairing import Cyc, E0, E1, StandardForm, standard_form_gram, standard_form_of
 from linkform.seifert import SeifertData, euler_invariant, seifert
 from linkform.witt import (
     WittElement,
     metabolic_oracle,
-    unit_class_witt,
-    witt_cyclic,
     witt_pairing,
     witt_rational,
     witt_seifert,
@@ -24,25 +23,30 @@ def sf(*atoms):
     return StandardForm.of(atoms)
 
 
+def cyclic(p, k, b):
+    """Witt class of the cyclic pairing <b / p^k> on Z/p^k."""
+    return witt_pairing(sf(Cyc.make(p, k, b)))
+
+
 def test_witt_cyclic_even_level_vanishes():
-    assert witt_cyclic(3, 2, 1).is_zero()
-    assert witt_cyclic(2, 4, 7).is_zero()
+    assert cyclic(3, 2, 1).is_zero()
+    assert cyclic(2, 4, 7).is_zero()
 
 
 def test_witt_cyclic_examples():
-    assert witt_cyclic(2, 1, 1) == WittElement.of({2: 1})
-    w = witt_cyclic(3, 1, 1)
+    assert cyclic(2, 1, 1) == WittElement.of({2: 1})
+    w = cyclic(3, 1, 1)
     assert w == WittElement.of({3: 1})
     assert not (w + w).is_zero()  # order 4 in the p=3 local group
     assert (w + w + w + w).is_zero()
-    u = witt_cyclic(5, 1, 2)  # 2 is a nonresidue mod 5
+    u = cyclic(5, 1, 2)  # 2 is a nonresidue mod 5
     assert u == WittElement.of({5: 2})  # x + 2y for (x, y) = (0, 1)
     assert (u + u).is_zero()
 
 
-def test_witt_cyclic_rejects_nonunit():
+def test_a_cyclic_atom_rejects_a_nonunit():
     with pytest.raises(InvalidDataError):
-        witt_cyclic(3, 1, 6)
+        Cyc.make(3, 1, 6)
 
 
 def test_witt_rational_examples():
@@ -55,7 +59,7 @@ def test_witt_rational_examples():
 def test_witt_rational_matches_restriction():
     # the 3-part of 1/6 on Z/6 is <2/3> since the order-3 subgroup is 2*Z/6
     w = witt_rational(Fraction(1, 6))
-    assert w.local(3) == witt_cyclic(3, 1, 2).local(3)
+    assert w.local(3) == cyclic(3, 1, 2).local(3)
 
 
 def test_witt_pairing_atoms():
@@ -182,20 +186,53 @@ def test_witt_rational_is_the_sum_of_its_cyclic_parts():
         a, b = w.denominator, w.numerator
         want = WittElement.zero()
         for p, v in factorize(a).items():
-            want = want + witt_cyclic(p, v, (b * (a // p**v)) % p**v)
+            want = want + cyclic(p, v, (b * (a // p**v)) % p**v)
         assert witt_rational(w) == want, w
 
 
 def test_local_group_shapes():
-    assert unit_class_witt(2, 5) == WittElement.of({2: 1})
-    assert unit_class_witt(7, 3) == WittElement.of({7: 3})  # 3 is a nonresidue mod 7
-    assert unit_class_witt(13, 2) == WittElement.of({13: 2})
+    assert cyclic(2, 1, 5) == WittElement.of({2: 1})
+    assert cyclic(7, 1, 3) == WittElement.of({7: 3})  # 3 is a nonresidue mod 7
+    assert cyclic(13, 1, 2) == WittElement.of({13: 2})
 
 
 def test_witt_json():
-    w = witt_cyclic(3, 1, 1) + witt_cyclic(2, 1, 1) + witt_cyclic(5, 1, 2)
+    w = witt_pairing(sf(Cyc.make(3, 1, 1), Cyc.make(2, 1, 1), Cyc.make(5, 1, 2)))
     blob = w.to_json()
     assert blob == {"2": "1", "3": "1", "5": "(0,1)"}
+
+
+def _witt_pairing_by_atoms(form):
+    """The per-atom sum witt_pairing replaced: one WittElement per cyclic
+    atom of odd k, each added with WittElement.__add__."""
+    total = WittElement.zero()
+    for atom in form.atoms:
+        if isinstance(atom, Cyc) and atom.k % 2:
+            p, a = atom.p, atom.a
+            square = p == 2 or legendre(a, p) == 1
+            total = total + WittElement.of({p: 1 if square else 3 if p % 4 == 3 else 2})
+    return total
+
+
+def test_witt_pairing_fold_matches_the_per_atom_sum():
+    rng = random.Random(23)
+    seen = Counter()  # the atoms that add nothing: Cyc of even k, E0, E1
+    for _ in range(2000):
+        atoms = []
+        for _ in range(rng.randint(0, 7)):
+            p, k = rng.choice((2, 3, 5, 7, 11, 13)), rng.randint(1, 4)
+            shape = rng.random()
+            if p == 2 and shape < 0.2:
+                atoms.append(E0(k))
+            elif p == 2 and shape < 0.4 and k >= 2:
+                atoms.append(E1(k))
+            else:
+                a = rng.randrange(1, p**k)
+                atoms.append(Cyc.make(p, k, a + (a % p == 0)))
+        form = sf(*atoms)
+        seen.update(type(a).__name__ for a in form.atoms if type(a) is not Cyc or a.k % 2 == 0)
+        assert witt_pairing(form) == _witt_pairing_by_atoms(form), form
+    assert min(seen[name] for name in ("Cyc", "E0", "E1")) > 100
 
 
 def _small_cyclic_forms(p):
