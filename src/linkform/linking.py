@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .arith import p_part
+from .arith import is_prime, p_part
 from .errors import InvalidDataError
 from .seifert import SeifertData, _memo
 from .torsion import local_orders, unsupported_r1_pairing
@@ -59,12 +59,33 @@ class GramPairing:
     ``matrix[i][j]`` is N l(e_i, e_j) mod N, an integer in [0, N), where
     N = ``modulus`` is the largest generator order; row/column order
     follows ``labels``.
+
+    Construction refuses (InvalidDataError) a p that is not prime, an
+    order that is not a power of p (1 is p^0), and labels or rows that are
+    not one full row per order; ``welldefined_check`` checks the values.
     """
 
     prime: int
     labels: tuple[str, ...]
     orders: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        p, n = self.prime, len(self.orders)
+        if not is_prime(p):
+            raise InvalidDataError(f"pairing prime {p} is not a prime")
+        for order in self.orders:
+            q = order
+            while q > 1 and q % p == 0:
+                q //= p
+            if q != 1:
+                raise InvalidDataError(f"generator order {order} is not a power of {p}")
+        rows = list(map(len, self.matrix))
+        if len(self.labels) != n or rows != [n] * n:
+            raise InvalidDataError(
+                f"orders {self.orders} need one label and one row of {n} entries each; "
+                f"got {len(self.labels)} labels and rows of lengths {rows}"
+            )
 
     @property
     def rank(self) -> int:

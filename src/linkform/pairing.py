@@ -773,13 +773,13 @@ def gauss_invariant(obj) -> tuple:
     (Kawauchi-Kojima, Math. Ann. 253, 1980).  A Gram pairing is classified
     and read as its standard form, Seifert data by local_invariant_from_data
     at every relevant prime, and a standard form from its atoms, level by
-    level.  A singular Gram pairing raises InvalidDataError.
+    level; the last two keep it on the instance (``gauss``).  A singular
+    pairing raises InvalidDataError.
     """
     if isinstance(obj, GramPairing):
         return classify(obj).standard_form.gauss
     if isinstance(obj, SeifertData):
-        found = [(p, local_invariant_from_data(obj, p)) for p in relevant_primes(obj)]
-        return tuple((p, inv) for p, inv in found if inv[0])
+        return obj.gauss
     if not isinstance(obj, StandardForm):
         raise InvalidDataError(
             f"expected StandardForm, GramPairing or SeifertData, got {obj!r}"

@@ -498,6 +498,11 @@ def exhaustive_search(
     fix A, so (sorted (a_i, b_i mod a_i), D) names it.  verify_realization
     runs on the first SeifertData of each key in the order of the result; a
     later candidate reuses the verdict and is built only when reported.
+    That SeifertData decides the orientation reversal too: b_i -> -b_i
+    negates the pairing, so the key (sorted (a_i, -b_i mod a_i), -D)
+    realizes target iff S realizes target.negated(), a comparison with the
+    invariant kept on S.  The survivors are closed under reversal, so each
+    manifold is still checked once.
     """
     alphas = sorted(alphas)
     if max_r < 1 or max_beta < 1 or not alphas or alphas[0] < 2:
@@ -581,7 +586,7 @@ def exhaustive_search(
 
     walk(0, 0, 1, [()] * len(primes), [])
     survivors.sort(key=lambda s: (len(s[0]), s[0]))  # by r, then by pool position
-    verdicts = {}
+    verdicts, negated = {}, target.negated()
     for js, d in survivors:
         path = tuple(pool[j] for j in js)
         key = (tuple(sorted((a, b % a) for a, b in path)), d)
@@ -589,6 +594,9 @@ def exhaustive_search(
         if key not in verdicts:
             S = SeifertData(0, path)
             verdicts[key] = verify_realization(S, target)
+            flipped = (tuple(sorted((a, -b % a) for a, b in path)), -d)
+            if flipped not in verdicts:
+                verdicts[flipped] = verify_realization(S, negated)
         if verdicts[key]:
             hits.append(S or SeifertData(0, path))
     return hits

@@ -3,9 +3,11 @@
 S is an ordered list of coprime pairs (alpha_i, beta_i) with alpha_i >= 2
 describing the exceptional fibres; g is the genus of the orientable base.
 The generalized Euler number eps = -sum(beta_i/alpha_i) is kept exact and
-computed once per instance (``SeifertData.eps``), as does each per-prime
-record of ``torsion.local_orders``; beta_i are deliberately not normalized
-mod alpha_i since eps depends on the actual integers.
+computed once per instance (``SeifertData.eps``), as are the relevant
+primes (``relevant``), each per-prime record of ``torsion.local_orders``
+(``local``) and the complete invariant of the linking pairing
+(``gauss``); beta_i are deliberately not normalized mod alpha_i since eps
+depends on the actual integers.
 
 Data is validated once, at construction: ``SeifertData`` raises
 InvalidDataError on a violated invariant, so every function taking one may
@@ -89,6 +91,18 @@ class SeifertData:
         if self.eps != 0:
             primes.update(factorize(self.eps.numerator))
         return tuple(sorted(primes))
+
+    @_memo
+    def gauss(self) -> tuple:
+        """``pairing.gauss_invariant(self)``, kept in ``__dict__`` like ``eps``.
+
+        Every relevant prime is read before the trivial ones are dropped, so
+        r = 1 and a singular pairing raise, on every read.
+        """
+        from .pairing import local_invariant_from_data  # late import avoids a cycle
+
+        found = [(p, local_invariant_from_data(self, p)) for p in relevant_primes(self)]
+        return tuple((p, inv) for p, inv in found if inv[0])
 
     def to_json(self) -> dict:
         return {"genus": self.genus, "pairs": [list(p) for p in self.pairs]}

@@ -104,6 +104,11 @@ def even_predicate_from_data(S: SeifertData) -> bool:
     return padic_val(pairs[0][0] * eps.numerator, 2) == padic_val(eps.denominator, 2)
 
 
+def reversed_orientation(S: SeifertData) -> SeifertData:
+    """M(g; S) with its orientation reversed, b_i -> -b_i: the pairing negates."""
+    return SeifertData(S.genus, tuple((a, -b) for a, b in S.pairs))
+
+
 def rand_block_seifert(rng: random.Random, flat: bool, max_r: int = 10, max_alpha: int = 1000):
     """Random Seifert data with 2 <= r <= max_r and alphas <= max_alpha,
     with eps = 0 exactly if ``flat`` and eps != 0 otherwise.

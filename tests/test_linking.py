@@ -5,7 +5,7 @@ import pytest
 
 import linkform.torsion as torsion
 from linkform.arith import ext_gcd, fmt_rational
-from linkform.errors import UnsupportedError
+from linkform.errors import InvalidDataError, UnsupportedError
 from linkform.linking import (
     GramPairing,
     element_table,
@@ -106,6 +106,36 @@ def test_welldefined_violation_detected():
     # l(x, x) = 1/4 on a generator x of order 2: N = 4 holds it, 2 * 1/4 does not vanish
     bad = GramPairing(2, ("x", "y"), (2, 4), ((1, 0), (0, 1)))
     assert "order 2 * entry (0,0) = 1/2 is not an integer" in welldefined_check(bad)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # order 6 at p = 2: read as Z/2, it classified as Cyc(2,1,1)
+        ((2, ("x",), (6,), ((1,),)), "order 6 is not a power of 2"),
+        # two rows and labels for one order: it classified as a rank-1 form
+        ((3, ("x", "y"), (9,), ((1, 0), (0, 1))), "one label and one row"),
+        # a short row: block_diagonalize escaped with an IndexError
+        ((3, ("x", "y"), (9, 3), ((1, 0), (0,))), "one label and one row"),
+        ((3, ("x", "y"), (9, 9), ((1,), (0, 1))), "one label and one row"),
+        ((3, ("x",), (9,), ((1,), (0,))), "one label and one row"),
+        ((3, ("x", "y"), (9, 3), ((1, 0),)), "one label and one row"),
+        ((3, ("x",), (9, 3), ((1, 0), (0, 1))), "one label and one row"),
+        ((4, ("x",), (4,), ((1,),)), "prime 4 is not a prime"),
+        ((1, ("x",), (1,), ((0,),)), "prime 1 is not a prime"),
+        ((3, ("x",), (0,), ((0,),)), "order 0 is not a power of 3"),
+        ((3, ("x",), (-3,), ((1,),)), "order -3 is not a power of 3"),
+    ],
+)
+def test_hand_built_pairing_validated_at_construction(args, message):
+    with pytest.raises(InvalidDataError, match=message):
+        GramPairing(*args)
+
+
+def test_pairing_shapes_that_stay_valid():
+    # the trivial pairing and generators of order 1 = p^0 keep their shape
+    assert GramPairing(5, (), (), ()).rank == 0
+    assert GramPairing(3, ("x", "y"), (1, 3), ((0, 0), (0, 1))).orders == (1, 3)
 
 
 def test_welldefined_random_batch():

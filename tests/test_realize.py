@@ -40,7 +40,7 @@ from linkform.realize import (
 from linkform.seifert import SeifertData, euler_invariant, fibre_sum, relevant_primes, seifert
 from linkform.torsion import local_orders
 from linkform.verify import RunConfig, run_suite
-from support import rand_block_seifert, reference_realize
+from support import rand_block_seifert, reference_realize, reversed_orientation
 
 
 # the package re-exports the function realize under the submodule's name
@@ -595,7 +595,10 @@ def test_target_invariant_is_read_once_per_form(monkeypatch):
     monkeypatch.setattr(memo, "func", lambda form: reads.append(form) or inner(form))
     target = sf(C(2, 2, 3), E0(1))
     hits = exhaustive_search(target, max_r=4, alphas=(2, 3, 4), max_beta=3)
-    assert hits and reads == [target]
+    # the search decides reversed manifolds against the negated target, so
+    # the target and its negation are each read once
+    assert hits and reads == [target, target.negated()]
+    assert target.negated() != target
     assert "gauss" in vars(target) and target == sf(C(2, 2, 3), E0(1))
     assert hash(target) == hash(sf(C(2, 2, 3), E0(1)))
 
@@ -819,6 +822,16 @@ def _manifold_key(S):
     return tuple(sorted((a, b % a) for a, b in S.pairs)), S.eps
 
 
+def _decided_key(call, target):
+    # the manifold that a search's verify_realization(S, form) decides: S's
+    # with the target itself, its reversal's with the negated target
+    S, form = call
+    if form is target:
+        return _manifold_key(S)
+    assert form == target.negated()
+    return _manifold_key(reversed_orientation(S))
+
+
 def test_exhaustive_search_matches_reference_on_random_bounds(monkeypatch):
     # unsorted and repeated alphas, r = 1..4; targets are the
     # trivial form or the pairing of data drawn inside the bounds, a third
@@ -866,7 +879,8 @@ def test_exhaustive_search_matches_reference_on_random_bounds(monkeypatch):
 def test_exhaustive_search_matches_reference_on_many_alphas(monkeypatch):
     # the shapes with many alpha multisets and few betas each: 5-7 distinct
     # alphas, unsorted, every other case with one repeated, max_beta = 1 and
-    # r up to 5; each manifold is still checked once
+    # r up to 5; each manifold is still checked once, a reversed one by its
+    # reversal's data against the negated target
     verify_calls = _counting(monkeypatch, "verify_realization")
     rng = random.Random(14)
     for case in range(20):
@@ -881,7 +895,7 @@ def test_exhaustive_search_matches_reference_on_many_alphas(monkeypatch):
             target = standard_form_of(seifert(*rng.choices(pool, k=bounds["max_r"])))
         verify_calls.clear()
         hits = exhaustive_search(target, **bounds)
-        checked = {_manifold_key(S) for S, _ in verify_calls}
+        checked = {_decided_key(call, target) for call in verify_calls}
         assert len(verify_calls) == len(checked), (target.to_json(), bounds)
         verify_calls.clear()
         assert hits == _unfiltered_search(target, **bounds), (target.to_json(), bounds)
@@ -968,6 +982,60 @@ def test_exhaustive_search_work_guard(monkeypatch):
     rejected = {_manifold_key(S) for S, _ in verify_calls} - {_manifold_key(S) for S in reference}
     assert len(builds) == len(reference) + len(rejected)
     assert len(builds) <= candidates / 100
+
+
+# the benchmark's search catalogue: its bound shapes and their targets
+SEARCH_SHAPES = {
+    "wide": (
+        {"max_r": 4, "alphas": range(2, 5), "max_beta": 7},
+        [
+            sf(Cyc.make(2, 2, 3), E0(1)),
+            sf(E0(2), E0(1)),
+            sf(Cyc.make(2, 1, 1), Cyc.make(2, 1, 1)),
+            sf(E1(2)),
+            sf(Cyc.make(3, 1, 1)),
+            sf(E0(2), Cyc.make(2, 1, 1)),
+        ],
+    ),
+    "deep": (
+        {"max_r": 5, "alphas": range(2, 5), "max_beta": 3},
+        [
+            sf(E0(2), E0(1)),
+            sf(E0(2), E0(2)),
+            sf(E1(2), E0(2)),
+            sf(E0(2), Cyc.make(2, 2, 1), Cyc.make(2, 2, 1)),
+            sf(E1(2), Cyc.make(2, 2, 1), Cyc.make(2, 2, 1)),
+            sf(*[Cyc.make(2, 2, 1)] * 3, Cyc.make(2, 2, 3)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape, checks, invariants", [("wide", 35, 25), ("deep", 34, 17)])
+def test_search_reads_one_invariant_per_pair_of_orientations(
+    monkeypatch, shape, checks, invariants
+):
+    # a manifold and its reversal share one data-level invariant: deciding
+    # each from its own data computed 47 (wide) and 34 (deep) invariants for
+    # the same checks
+    import linkform.pairing as pairing
+
+    verify_calls = _counting(monkeypatch, "verify_realization")
+    computed = Counter()
+    read = pairing.local_invariant_from_data
+    monkeypatch.setattr(
+        pairing,
+        "local_invariant_from_data",
+        lambda S, p: computed.update([(S.pairs, p)]) or read(S, p),
+    )
+    bounds, targets = SEARCH_SHAPES[shape]
+    total = 0
+    for target in targets:
+        computed.clear()
+        exhaustive_search(target, **bounds)
+        assert all(n == 1 for n in computed.values())  # once per datum and prime
+        total += len(computed)
+    assert len(verify_calls) == checks and total == invariants
 
 
 def test_nonrealizable_search_to_r6(monkeypatch):

@@ -9,8 +9,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linkform.pairing as pairing
 from linkform.cli import main
-from linkform.errors import InvalidDataError
+from linkform.errors import InvalidDataError, UnsupportedError
+from linkform.pairing import gauss_invariant, standard_form_of
 from linkform.seifert import (
     SeifertData,
     euler_invariant,
@@ -174,6 +176,51 @@ def test_euler_cached_once_and_outside_the_fields(S):
     assert S == fresh and hash(S) == hash(fresh)
     assert (hash(S), repr(S), S.to_json(), dataclasses.asdict(S)) == seen
     assert [f.name for f in dataclasses.fields(S)] == ["genus", "pairs"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_seifert(max_r=6).filter(lambda S: S.r >= 2))
+def test_gauss_kept_once_and_outside_the_fields(S):
+    fresh = SeifertData(S.genus, S.pairs)
+    seen = (hash(S), repr(S), S.to_json(), dataclasses.asdict(S))
+    reads = []
+    inner = pairing.local_invariant_from_data
+    with mock.patch.object(
+        pairing, "local_invariant_from_data", lambda T, p: reads.append(p) or inner(T, p)
+    ):
+        inv = gauss_invariant(S)
+        assert reads == list(relevant_primes(S))  # every relevant prime, once
+        assert gauss_invariant(S) is inv and S.gauss is inv
+        assert reads == list(relevant_primes(S))  # not read again
+    assert "gauss" in vars(S) and "gauss" not in vars(fresh)
+    assert inv == gauss_invariant(fresh) == gauss_invariant(standard_form_of(S))
+    assert S == fresh and hash(S) == hash(fresh)
+    assert (hash(S), repr(S), S.to_json(), dataclasses.asdict(S)) == seen
+
+
+def test_gauss_raises_on_every_read_for_r1_and_a_singular_pairing(monkeypatch):
+    # nothing is kept when the first read raises, so a later read raises too
+    S = seifert((5, 2))
+    for _ in range(2):
+        with pytest.raises(UnsupportedError):
+            S.gauss
+    assert "gauss" not in vars(S)
+    T = seifert((4, 1), (2, 1))
+    assert relevant_primes(T) == (2, 3)
+    read = pairing.local_invariant_from_data
+
+    def singular_at_3(S, p):
+        if p == 3:
+            raise InvalidDataError("singular pairing at 3")
+        return read(S, p)
+
+    monkeypatch.setattr(pairing, "local_invariant_from_data", singular_at_3)
+    for _ in range(2):
+        with pytest.raises(InvalidDataError, match="singular"):
+            gauss_invariant(T)
+    assert "gauss" not in vars(T)
+    monkeypatch.undo()
+    assert T.gauss == gauss_invariant(standard_form_of(T))
 
 
 @given(valid_seifert(), valid_seifert(), st.sampled_from([2, 3, 5]))
