@@ -28,10 +28,12 @@ Every p-primary value lies in (1/N)Z/Z, where N = p^K is the largest
 generator order, so a pairing is stored as the integer matrix
 N l(e_i, e_j) mod N: each closed-form value is converted once, from its
 integer numerator and denominator, by ``arith.p_part``, and a value off
-the 1/N grid is refused, never truncated.  No rescaling to pure p-power
-denominators of the underlying 1-cycles is performed.  The JSON output
-writes an entry x as x/N reduced by one gcd; ``GramPairing.gram`` is a
-Fraction view in [0, 1).
+the 1/N grid is refused, never truncated.  A ``GramPairing`` is valid by
+construction (symmetric, reduced to [0, N), and order * value integral on
+each generator), so ``welldefined_check`` decides only singularity.  No
+rescaling to pure p-power denominators of the underlying 1-cycles is
+performed.  The JSON output writes an entry x as x/N reduced by one gcd;
+``GramPairing.gram`` is a Fraction view in [0, 1).
 
 The pairing of two elements is then an integer dot product mod N, so the
 element-level oracles (self-linking profiles, brute-force isomorphism,
@@ -58,11 +60,11 @@ class GramPairing:
 
     ``matrix[i][j]`` is N l(e_i, e_j) mod N, an integer in [0, N), where
     N = ``modulus`` is the largest generator order; row/column order
-    follows ``labels``.
-
-    Construction refuses (InvalidDataError) a p that is not prime, an
-    order that is not a power of p (1 is p^0), and labels or rows that are
-    not one full row per order; ``welldefined_check`` checks the values.
+    follows ``labels``.  Construction refuses (InvalidDataError) a p that
+    is not prime, an order that is not a power of p (1 is p^0), labels or
+    rows that are not one full row per order, and a matrix that is not
+    symmetric, not reduced, or not order-compatible (some order times a
+    value in its row is not an integer).
     """
 
     prime: int
@@ -86,6 +88,15 @@ class GramPairing:
                 f"orders {self.orders} need one label and one row of {n} entries each; "
                 f"got {len(self.labels)} labels and rows of lengths {rows}"
             )
+        if not n:
+            return
+        M, N = self.matrix, max(self.orders)
+        _check_reduced_symmetric(M, N)
+        for i, order in enumerate(self.orders):  # l(e_i, -) has order dividing order
+            if order < N and gcd(*M[i]) % (N // order):
+                j = next(j for j, x in enumerate(M[i]) if x % (N // order))
+                v = Fraction(order * M[i][j], N)
+                raise InvalidDataError(f"order {order} * entry ({i},{j}) = {v} is not an integer")
 
     @property
     def rank(self) -> int:
@@ -124,6 +135,17 @@ class GramPairing:
             "orders": list(self.orders),
             "gram": [[_fmt_over(x, N) for x in row] for row in self.matrix],
         }
+
+
+def _check_reduced_symmetric(M, N: int) -> None:
+    """Refuse (InvalidDataError) a nonempty matrix that is not a symmetric
+    (so square) tuple of int tuples with entries in [0, N): one transpose
+    comparison and one min and max over the concatenated rows."""
+    if tuple(zip(*M)) != M:
+        raise InvalidDataError("pairing matrix is not a symmetric tuple of rows")
+    entries = sum(M, ())
+    if min(entries) < 0 or max(entries) >= N:
+        raise InvalidDataError(f"pairing matrix entries must lie in [0, {N})")
 
 
 def _fmt_over(x: int, N: int) -> str:
@@ -232,31 +254,14 @@ def self_link_profile(G: GramPairing) -> Counter:
 
 
 def welldefined_check(G: GramPairing) -> list[str]:
-    """Diagnostics: symmetry, order-compatibility, and nonsingularity.
+    """Diagnostics: ``[]`` for a nonsingular pairing, else one ``singular: ...`` line.
 
-    Nonsingularity is decided exactly by ``block_diagonalize``, through
-    ``G.components``, which ``classify`` then reuses: the pairing
-    is singular iff some homogeneous top block has determinant divisible
-    by p.
+    Construction guarantees every other fact.  Singularity is decided exactly
+    by ``G.components`` (``block_diagonalize``, reused by ``classify``): some
+    homogeneous top block has determinant divisible by p.
     """
-    problems = []
-    N, A = G.modulus, G.matrix
-    r = G.rank
-    for i in range(r):
-        for j in range(r):
-            if A[i][j] != A[j][i]:
-                problems.append(f"gram not symmetric at ({i},{j})")
-            if G.orders[i] * A[i][j] % N:
-                v = Fraction(G.orders[i] * A[i][j], N)
-                problems.append(
-                    f"order {G.orders[i]} * entry ({i},{j}) = {v} is not an integer"
-                )
-            if not (0 <= A[i][j] < N):
-                problems.append(f"entry ({i},{j}) not reduced to [0,1)")
-    if problems:
-        return problems
     try:
         G.components  # raises on a singular pairing
     except InvalidDataError as exc:
-        problems.append(f"singular: {exc}")
-    return problems
+        return [f"singular: {exc}"]
+    return []

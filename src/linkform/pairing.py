@@ -8,13 +8,14 @@ summand is either odd (some odd diagonal entry; diagonalizable, the units
 mattering mod min(2^k, 8)) or even, in which case it is an orthogonal sum
 of the rank-2 pairings E0(k) (hyperbolic) and at most one E1(k).
 
-This module provides the block decomposition, the per-component
-invariants, conversion to a standard form built from Cyc/E0/E1 atoms, an
-exact isomorphism test by Gauss-sum invariants at every order (read from
-the atoms of a standard form, into which a Gram pairing is classified
-first, or, without classifying, from Seifert data directly), a sound
-normal form from which realization reads target shapes, and a brute-force
-isomorphism search kept as a test oracle.
+This module provides the block decomposition into homogeneous components
+(square, symmetric, reduced and nonsingular by construction), the
+per-component invariants, conversion to a standard form built from
+Cyc/E0/E1 atoms, an exact isomorphism test by Gauss-sum invariants at
+every order (read from the atoms of a standard form, into which a Gram
+pairing is classified first, or, without classifying, from Seifert data
+directly), a sound normal form from which realization reads target
+shapes, and a brute-force isomorphism search kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .arith import (
 from .errors import InvalidDataError, SearchBoundExceeded, UnsupportedError
 from .linking import (
     GramPairing,
+    _check_reduced_symmetric,
     dot,
     element_table,
     gram_matrix,
@@ -239,19 +241,12 @@ def _solve_mod(A, B, q: int, p: int):
 
     B is a list of column vectors; returns the matching list of solutions.
     Pivots are always chosen to be units mod p, which succeeds exactly when
-    det(A) is a unit.
+    det(A) is a unit, as it is for the matrix of a HomogeneousComponent.
     """
     n = len(A)
     M = [[A[i][j] % q for j in range(n)] + [b[i] % q for b in B] for i in range(n)]
-    width = n + len(B)
     for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if M[i][col] % p != 0:
-                piv = i
-                break
-        if piv is None:
-            raise InvalidDataError("matrix is singular mod p")
+        piv = next(i for i in range(col, n) if M[i][col] % p)
         M[col], M[piv] = M[piv], M[col]
         inv = pow(M[col][col], -1, q)
         M[col] = [(x * inv) % q for x in M[col]]
@@ -268,27 +263,41 @@ def _solve_mod(A, B, q: int, p: int):
 
 @dataclass(frozen=True)
 class HomogeneousComponent:
-    """Nonsingular pairing on (Z/p^k)^rank, Gram matrix scaled by p^k."""
+    """Nonsingular pairing on (Z/p^k)^rank, Gram matrix scaled by p^k.
+
+    Construction refuses (InvalidDataError) a p that is not prime, k < 1,
+    and a matrix that is not square, symmetric, reduced to [0, p^k) and of
+    unit determinant mod p.  ``rank`` is the size of ``matrix``, and the
+    exact determinant is kept as ``det``, outside the dataclass fields.
+    """
 
     prime: int
     k: int
-    rank: int
-    matrix: tuple[tuple[int, ...], ...]  # entries mod p^k
+    matrix: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        p, k, M = self.prime, self.k, self.matrix
+        if not is_prime(p) or k < 1:
+            raise InvalidDataError(f"bad homogeneous component at p = {p}, k = {k}")
+        q = p**k
+        if M:  # a matrix equal to its transpose is square
+            _check_reduced_symmetric(M, q)
+        det = _int_det(M)
+        if det % p == 0:
+            raise InvalidDataError(
+                f"singular pairing: top block at exponent {q} has determinant "
+                f"divisible by {p}"
+            )
+        self.__dict__["det"] = det
+
+    @property
+    def rank(self) -> int:
+        return len(self.matrix)
 
     def gram(self) -> GramPairing:
         q = self.prime**self.k
         labels = tuple(f"e{i + 1}" for i in range(self.rank))
         return GramPairing(self.prime, labels, (q,) * self.rank, self.matrix)
-
-    @_memo
-    def det(self) -> int:
-        """Exact determinant of ``matrix``, computed on first use.
-
-        block_diagonalize records the one it computes.  Kept in the instance
-        ``__dict__``, outside the dataclass fields, like
-        ``GramPairing.components``.
-        """
-        return _int_det(self.matrix)
 
 
 def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
@@ -296,18 +305,16 @@ def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
 
     Components come out in strictly decreasing exponent.  At each stage the
     generators of maximal order are split off: their scaled Gram block has
-    unit determinant mod p (else the pairing is singular and we raise), and
-    the lower-order generators are corrected to be orthogonal to them.  The
-    correction e_l -= sum_t C_lt e_t with W_tt C^T = W_tl leaves the Schur
-    complement W_rr - C W_tr (mod N), which is exact for symmetric W only,
-    so a non-symmetric matrix raises InvalidDataError.
+    unit determinant mod p (else the pairing is singular, and the component
+    refuses it), and the lower-order generators are corrected to be
+    orthogonal to them.  The correction e_l -= sum_t C_lt e_t with
+    W_tt C^T = W_tl leaves the Schur complement W_rr - C W_tr (mod N),
+    which is exact because a GramPairing is symmetric.
     """
     p, N = G.prime, G.modulus
     idx = sorted(range(G.rank), key=lambda i: -G.orders[i])
     orders = [G.orders[i] for i in idx]
-    W = [[G.matrix[i][j] % N for j in idx] for i in idx]  # N * values
-    if any(W[i][j] != W[j][i] for i in range(len(W)) for j in range(i)):
-        raise InvalidDataError("pairing matrix is not symmetric")
+    W = [[G.matrix[i][j] for j in idx] for i in idx]  # N * values
     components: list[HomogeneousComponent] = []
     while orders:
         q = orders[0]
@@ -317,15 +324,7 @@ def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
         if any(W[i][j] % s for i in top for j in top):
             raise InvalidDataError("pairing value incompatible with orders")
         A = [[W[i][j] // s for j in top] for i in top]
-        det = _int_det(A)
-        if det % p == 0:
-            raise InvalidDataError(
-                f"singular pairing: top block at exponent {q} has determinant "
-                f"divisible by {p}"
-            )
-        C = HomogeneousComponent(p, padic_val(q, p), len(top), tuple(map(tuple, A)))
-        C.__dict__["det"] = det
-        components.append(C)
+        components.append(HomogeneousComponent(p, padic_val(q, p), tuple(map(tuple, A))))
         if not rest:
             break
         assert not any(W[l][i] % s for l in rest for i in top)
@@ -357,10 +356,7 @@ def d_invariant(C: HomogeneousComponent) -> int:
     """Square class (+1/-1) of det of the scaled Gram matrix mod odd p."""
     if C.prime == 2:
         raise UnsupportedError("the determinant class is defined for odd p")
-    det = C.det
-    if det % C.prime == 0:
-        raise InvalidDataError("component determinant is not a unit")
-    return legendre(det, C.prime)
+    return legendre(C.det, C.prime)
 
 
 def _split_unit_pivot(M, i, q):
@@ -419,9 +415,8 @@ def diagonalize_odd(C: HomogeneousComponent) -> list[Cyc]:
             )
             _gram_row_add(M, pos[0], pos[1], q)
             continue
-        # p = 2, fully even remainder: pull the last atom back in and mix
-        if not atoms:
-            raise InvalidDataError("even pairing reached diagonalize_odd")
+        # p = 2, fully even remainder (after a split, as C is odd): pull the
+        # last atom back in and mix
         a = atoms.pop()
         for row in M:
             row.append(0)
@@ -444,14 +439,9 @@ def even_decompose(C: HomogeneousComponent) -> tuple[int, int]:
         raise UnsupportedError("even_decompose is for p = 2")
     if parity(C) != "even":
         raise UnsupportedError("odd component: use diagonalize_odd")
-    if C.rank % 2:
-        raise InvalidDataError("even components have even rank")
     if C.k == 1:
         return (C.rank // 2, 0)
-    det = C.det
-    if det % 2 == 0:
-        raise InvalidDataError("singular even component")
-    e1 = int(det % 8 in (3, 5))
+    e1 = int(C.det % 8 in (3, 5))
     return (C.rank // 2 - e1, e1)
 
 
@@ -585,7 +575,7 @@ def _canonical_level_2(k: int, cycs: list[int], e0: int, e1: int) -> list[Atom]:
         # odd level: absorb E-blocks by re-diagonalizing the whole level
         sf = StandardForm.of([Cyc.make(2, k, a) for a in cycs] + _e_atoms(k, e0, e1))
         G = standard_form_gram(sf, 2)
-        C = HomogeneousComponent(2, k, G.rank, G.matrix)
+        C = HomogeneousComponent(2, k, G.matrix)
         cycs = [at.a for at in diagonalize_odd(C)]
         e0 = e1 = 0
     if cycs:

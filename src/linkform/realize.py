@@ -514,6 +514,7 @@ def exhaustive_search(
     order = prod(p**k for p, ks in want.items() for k in ks)
     primes = sorted(set(want).union(*map(factorize, alphas)))
     wants = [Counter(want.get(p, ())) for p in primes]
+    totals = [w.total() for w in wants]
     pool, blocks = [], []
     for a in alphas:
         betas = [b for b in range(-max_beta, max_beta + 1) if b and gcd(a, b) == 1]
@@ -564,7 +565,7 @@ def exhaustive_search(
                 e = min(v, levels[i][-2])  # the one exponent that joins the rest
                 if vs[:-2].count(e) > wants[i][e]:
                     return None
-        gaps = [w.total() - len(vs[:-2]) for w, vs in zip(wants, child)]
+        gaps = [t - len(vs[:-2]) for t, vs in zip(totals, child)]
         leaf = (-order, 0, order) if not any(gaps) else (-order, order)
         return child, leaf if max(gaps) < 2 else ()
 

@@ -87,7 +87,7 @@ class SeifertData:
     @_memo
     def relevant(self) -> tuple[int, ...]:
         """relevant_primes(self), kept in ``__dict__`` like ``eps``."""
-        primes = {p for a, _ in self.pairs for p in factorize(a)}
+        primes = {p for a in dict.fromkeys(a for a, _ in self.pairs) for p in factorize(a)}
         if self.eps != 0:
             primes.update(factorize(self.eps.numerator))
         return tuple(sorted(primes))

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .arith import bareiss, ext_gcd, is_prime, padic_val
 from .errors import InvalidDataError, UnsupportedError
@@ -142,8 +143,8 @@ def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
 def _local_record(S: SeifertData, p: int) -> LocalDecomposition:
     if not is_prime(p):  # every p-local function reaches this record
         raise InvalidDataError(f"{p} is not a prime")
-    ranked = sorted(((padic_val(a, p), (a, b)) for a, b in S.pairs), key=lambda t: -t[0])
-    vals, pairs = zip(*ranked)
+    ranked = [(padic_val(a, p), (a, b)) for a, b in S.pairs]
+    vals, pairs = zip(*sorted(ranked, key=itemgetter(0), reverse=True))
     eps = euler_invariant(S)
     if S.r == 1:
         b1 = pairs[0][1]

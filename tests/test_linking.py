@@ -89,7 +89,9 @@ def test_gram_json_is_the_fraction_view_formatted():
         matrix = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                x = rng.choice((0, rng.randrange(N)))
+                # a value of order dividing both generator orders: a multiple of N/q
+                q = p ** min(ks[i], ks[j])
+                x = rng.choice((0, rng.randrange(q))) * (N // q)
                 matrix[i][j] = matrix[j][i] = x
         G = GramPairing(p, tuple(f"g{i}" for i in range(n)), tuple(p**k for k in ks),
                         tuple(map(tuple, matrix)))
@@ -103,9 +105,16 @@ def test_rank1_refused():
 
 
 def test_welldefined_violation_detected():
-    # l(x, x) = 1/4 on a generator x of order 2: N = 4 holds it, 2 * 1/4 does not vanish
-    bad = GramPairing(2, ("x", "y"), (2, 4), ((1, 0), (0, 1)))
-    assert "order 2 * entry (0,0) = 1/2 is not an integer" in welldefined_check(bad)
+    # l(x, x) = 1/4 on a generator x of order 2: N = 4 holds it, 2 * 1/4 does
+    # not vanish, so the pairing is refused where it is built
+    message = r"order 2 \* entry \(0,0\) = 1/2 is not an integer"
+    with pytest.raises(InvalidDataError, match=message):
+        GramPairing(2, ("x", "y"), (2, 4), ((1, 0), (0, 1)))
+    # what is left to diagnose is singularity: l(x, -) = 0 on that x
+    singular = GramPairing(2, ("x", "y"), (2, 4), ((0, 0), (0, 1)))
+    assert welldefined_check(singular) == [
+        "singular: singular pairing: top block at exponent 2 has determinant divisible by 2"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -45,7 +46,7 @@ NIL = seifert((2, 1), (2, 1), (2, 1), (2, -1))
 
 
 def comp(p, k, rows):
-    return HomogeneousComponent(p, k, len(rows), tuple(tuple(r) for r in rows))
+    return HomogeneousComponent(p, k, tuple(tuple(r) for r in rows))
 
 
 def sf(*atoms):
@@ -101,11 +102,13 @@ def test_block_diagonalize_preserves_class_under_scramble():
 
 def test_block_diagonalize_refuses_a_non_symmetric_matrix():
     # the Schur complement update is exact only for symmetric matrices; this
-    # one used to be reduced silently
-    G = GramPairing(3, ("x", "y"), (9, 3), ((1, 3), (6, 3)))
-    with pytest.raises(InvalidDataError, match="not symmetric"):
-        block_diagonalize(G)
-    assert welldefined_check(G) == ["gram not symmetric at (0,1)", "gram not symmetric at (1,0)"]
+    # one used to be reduced silently.  It is refused where it is built, so
+    # neither block_diagonalize nor welldefined_check ever sees it
+    with pytest.raises(InvalidDataError, match="not a symmetric"):
+        GramPairing(3, ("x", "y"), (9, 3), ((1, 3), (6, 3)))
+    G = GramPairing(3, ("x", "y"), (9, 3), ((1, 3), (3, 3)))
+    assert welldefined_check(G) == []
+    assert [(C.k, C.matrix) for C in block_diagonalize(G)] == [(2, ((1,),)), (1, ((1,),))]
 
 
 def test_block_diagonalize_matches_the_reference_on_seifert_pairings():
@@ -728,21 +731,83 @@ def test_singular_gram_pairing_raises_rather_than_reads_false():
 
 
 def test_component_determinant_recorded_once():
-    # block_diagonalize records each component's determinant; a component
-    # built by hand computes it on first use, and the record stays outside
-    # ==, hash and repr
+    # every component computes its determinant once, at construction, and
+    # keeps it outside ==, hash, repr and the dataclass fields
+    from dataclasses import fields
+
     from linkform.pairing import _int_det
 
     for G in _gram_pairings():
         for C in G.components:
-            fresh = HomogeneousComponent(C.prime, C.k, C.rank, C.matrix)
-            assert "det" in vars(C) and "det" not in vars(fresh)
+            fresh = HomogeneousComponent(C.prime, C.k, C.matrix)
+            assert [f.name for f in fields(C)] == ["prime", "k", "matrix"]
+            assert vars(C)["det"] == vars(fresh)["det"] == _int_det(C.matrix)
             assert C == fresh and hash(C) == hash(fresh) and repr(C) == repr(fresh)
+            assert "det" not in repr(C) and C.rank == len(C.matrix)
             if C.prime != 2:
                 assert d_invariant(C) == d_invariant(fresh)
             elif parity(C) == "even":
                 assert even_decompose(C) == even_decompose(fresh)
-            assert C.det == fresh.det == _int_det(C.matrix)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        # one row of two entries (the old rank-2 claim on one row): read as one atom
+        (HomogeneousComponent, (3, 1, ((1, 0),)), "not a symmetric"),
+        # a singular block: escaped from diagonalize_odd as StopIteration
+        (HomogeneousComponent, (3, 1, ((0,),)), "divisible by 3"),
+        # p = 4 and k = 0: read as determinant class 1
+        (HomogeneousComponent, (4, 1, ((1,),)), "p = 4, k = 1"),
+        (HomogeneousComponent, (3, 0, ((1,),)), "p = 3, k = 0"),
+        (HomogeneousComponent, (3, 1, ((1, 1), (2, 1))), "not a symmetric"),
+        (HomogeneousComponent, (3, 1, ((4,),)), r"\[0, 3\)"),
+        (HomogeneousComponent, (2, 2, ((-1,),)), r"\[0, 4\)"),
+        (HomogeneousComponent, (2, 2, ((2, 0), (0, 2))), "divisible by 2"),
+        (GramPairing, (3, ("x", "y"), (3, 3), ((1, 2), (1, 1))), "not a symmetric"),
+        (GramPairing, (3, ("x",), (9,), ((9,),)), r"\[0, 9\)"),
+        (GramPairing, (5, ("x", "y"), (5, 5), ((1, -1), (-1, 1))), r"\[0, 5\)"),
+        # l(x, y) = 1/9 on x of order 3
+        (GramPairing, (3, ("x", "y"), (3, 9), ((0, 1), (1, 1))), r"order 3 \* entry \(0,1\)"),
+        # l(x, x) = 1/2 on x of order 1
+        (GramPairing, (2, ("x", "y"), (1, 2), ((1, 0), (0, 1))), r"order 1 \* entry \(0,0\)"),
+    ],
+)
+def test_malformed_pairings_refused_at_construction(build, args, message):
+    with pytest.raises(InvalidDataError, match=message):
+        build(*args)
+
+
+def _valid(G):
+    """The facts construction guarantees, checked entry by entry."""
+    N, A = G.modulus, G.matrix
+    return all(
+        A[i][j] == A[j][i] and 0 <= A[i][j] < N and G.orders[i] * A[i][j] % N == 0
+        for i in range(G.rank)
+        for j in range(G.rank)
+    )
+
+
+def test_every_built_pairing_and_component_is_valid():
+    # gram_matrix, standard_form_gram, block_diagonalize and
+    # HomogeneousComponent.gram build only pairings that construct
+    from linkform.pairing import _int_det
+
+    rng = random.Random(2525)
+    seen = Counter()
+    for n in range(200):
+        S = rand_block_seifert(rng, flat=n % 2 == 0, max_r=8, max_alpha=200)
+        for p in relevant_primes(S):
+            G = gram_matrix(S, p)
+            H = standard_form_gram(classify(G).standard_form, p)
+            for pairing in (G, H):
+                assert _valid(pairing), (S, p)
+                for C in block_diagonalize(pairing):
+                    assert C.det == _int_det(C.matrix) and C.det % p, (S, p, C)
+                    assert _valid(C.gram()) and C.gram().matrix == C.matrix
+                    seen[p == 2] += 1
+    assert min(seen.values()) > 100, seen
+
 
 TWO_UNITS = {1: (1,), 2: (1, 3), 3: (1, 3, 5, 7)}
 
