@@ -275,7 +275,7 @@ def bareiss(M) -> tuple[int, int]:
     Rows and columns are swapped to find pivots, so every entry stays a
     minor of M.  For a square matrix of full rank the minor is det(M).
     """
-    A = [list(map(int, row)) for row in M]
+    A = [list(row) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
     sign, prev = 1, 1

@@ -118,11 +118,10 @@ class GramPairing:
 
         Kept in the instance ``__dict__``, outside the dataclass fields, so
         ``welldefined_check`` and ``classify`` share one decomposition.  A
-        singular pairing raises InvalidDataError on every read.
+        singular pairing raises InvalidDataError on every read.  ``pairing``
+        is imported at the foot of this module, not on each call.
         """
-        from .pairing import block_diagonalize  # late import avoids a cycle
-
-        return tuple(block_diagonalize(self))
+        return tuple(pairing.block_diagonalize(self))
 
     def group_order(self) -> int:
         return prod(self.orders) if self.orders else 1
@@ -169,16 +168,16 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
     labels, orders = zip(*decomp.orders)
     N = max(orders)
     (a1, _), (a2, b2) = decomp.pairs[:2]
-    kept, m = decomp.kept, len(decomp.kept)
+    kept, m, bezout = decomp.kept, len(decomp.kept), decomp.bezout
     A = [[0] * len(orders) for _ in orders]
     for i, (ai, bi) in enumerate(kept):
         A[i][i] = p_part(-b2 * bi * (ai * b2 + a2 * bi), ai * ai, p, N)
         for j, (aj, bj) in enumerate(kept[i + 1 :], i + 1):
             A[i][j] = A[j][i] = p_part(-b2 * bi * bj * a2, ai * aj, p, N)
-        if decomp.bezout:
+        if bezout:
             A[i][m] = A[m][i] = p_part(bi, ai, p, N)
-    if decomp.bezout:  # l(s, s), both terms times the denominator of eps
-        n = decomp.bezout[1]
+    if bezout:  # l(s, s), both terms times the denominator of eps
+        n = bezout[1]
         en, ed = decomp.eps.numerator, decomp.eps.denominator
         A[m][m] = p_part(-(a1 * ed + n * a1 * a2 * en), a1 * a2 * a2 * en, p, N)
     return GramPairing(p, labels, orders, tuple(map(tuple, A)))
@@ -265,3 +264,7 @@ def welldefined_check(G: GramPairing) -> list[str]:
     except InvalidDataError as exc:
         return [f"singular: {exc}"]
     return []
+
+
+# last, as pairing imports this module: works whichever is imported first
+from . import pairing  # noqa: E402

@@ -285,7 +285,7 @@ class HomogeneousComponent:
         det = _int_det(M)
         if det % p == 0:
             raise InvalidDataError(
-                f"singular pairing: top block at exponent {q} has determinant "
+                f"singular pairing: top block of order {q} has determinant "
                 f"divisible by {p}"
             )
         self.__dict__["det"] = det
@@ -303,28 +303,27 @@ class HomogeneousComponent:
 def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
     """Orthogonal decomposition into homogeneous components.
 
-    Components come out in strictly decreasing exponent.  At each stage the
-    generators of maximal order are split off: their scaled Gram block has
-    unit determinant mod p (else the pairing is singular, and the component
-    refuses it), and the lower-order generators are corrected to be
-    orthogonal to them.  The correction e_l -= sum_t C_lt e_t with
-    W_tt C^T = W_tl leaves the Schur complement W_rr - C W_tr (mod N),
-    which is exact because a GramPairing is symmetric.
+    Components come out in strictly decreasing exponent.  Each round splits
+    off the generators of the largest order q left, in their order in G, so
+    nothing is sorted, and a homogeneous G passes its own matrix on.  Their
+    scaled Gram block has unit determinant mod p (else the pairing is
+    singular, and the component refuses it), and the lower-order generators
+    are corrected to be orthogonal to them.  The correction e_l -= sum_t
+    C_lt e_t with W_tt C^T = W_tl leaves the Schur complement W_rr - C W_tr
+    (mod N), exact because a GramPairing is symmetric.
     """
     p, N = G.prime, G.modulus
-    idx = sorted(range(G.rank), key=lambda i: -G.orders[i])
-    orders = [G.orders[i] for i in idx]
-    W = [[G.matrix[i][j] for j in idx] for i in idx]  # N * values
+    orders, W = G.orders, G.matrix  # N * values
     components: list[HomogeneousComponent] = []
     while orders:
-        q = orders[0]
+        q = max(orders)
         s = N // q  # a value is a multiple of 1/q iff its entry is one of s
         top = [i for i, o in enumerate(orders) if o == q]
         rest = [i for i, o in enumerate(orders) if o != q]
-        if any(W[i][j] % s for i in top for j in top):
+        if s > 1 and any(W[i][j] % s for i in top for j in top):
             raise InvalidDataError("pairing value incompatible with orders")
-        A = [[W[i][j] // s for j in top] for i in top]
-        components.append(HomogeneousComponent(p, padic_val(q, p), tuple(map(tuple, A))))
+        A = W if s == 1 and not rest else tuple(tuple(W[i][j] // s for j in top) for i in top)
+        components.append(HomogeneousComponent(p, padic_val(q, p), A))
         if not rest:
             break
         assert not any(W[l][i] % s for l in rest for i in top)
@@ -349,7 +348,7 @@ def parity(C: HomogeneousComponent) -> str:
     """Even/odd type of a 2-primary component (even iff diagonal all even)."""
     if C.prime != 2:
         raise UnsupportedError("parity is only defined at p = 2")
-    return "even" if all(C.matrix[i][i] % 2 == 0 for i in range(C.rank)) else "odd"
+    return "odd" if any(row[i] % 2 for i, row in enumerate(C.matrix)) else "even"
 
 
 def d_invariant(C: HomogeneousComponent) -> int:
@@ -364,11 +363,7 @@ def _split_unit_pivot(M, i, q):
     a = M[i][i] % q
     ainv = pow(a, -1, q)
     idx = [j for j in range(len(M)) if j != i]
-    out = [
-        [(M[l][m] - M[l][i] * ainv * M[i][m]) % q for m in idx]
-        for l in idx
-    ]
-    return a, out
+    return a, [[(M[l][m] - M[l][i] * ainv * M[i][m]) % q for m in idx] for l in idx]
 
 
 def _gram_row_add(M, i, j, q):
@@ -390,17 +385,17 @@ def diagonalize_odd(C: HomogeneousComponent) -> list[Cyc]:
     into the remainder, which restores an odd diagonal entry.
     """
     p, k = C.prime, C.k
-    q = p**k
-    M = [list(row) for row in C.matrix]
     if p == 2 and parity(C) == "even":
         raise UnsupportedError("even 2-component: use even_decompose")
+    q = p**k
+    M = [list(row) for row in C.matrix]
     atoms: list[int] = []
-    guard = 0
+    guard, limit = 0, 20 * len(M) + 20
     while M:
         guard += 1
-        if guard > 20 * C.rank + 20:
+        if guard > limit:
             raise InvalidDataError("diagonalization failed to terminate")
-        piv = next((i for i in range(len(M)) if M[i][i] % p != 0), None)
+        piv = next((i for i, row in enumerate(M) if row[i] % p), None)
         if piv is not None:
             a, M = _split_unit_pivot(M, piv, q)
             atoms.append(a)
@@ -533,18 +528,19 @@ class ClassificationReport:
 
 
 def classify(G: GramPairing) -> ClassificationReport:
-    """Full classification of a Gram pairing into standard atoms."""
-    summaries = []
+    """Full classification of a Gram pairing into standard atoms; at p = 2
+    each component's parity is read once and picks its decomposition."""
+    p, summaries, atoms = G.prime, [], []
     for C in G.components:
-        par = parity(C) if G.prime == 2 else None
-        d = None if G.prime == 2 else d_invariant(C)
-        if par == "even":
-            catoms: tuple[Atom, ...] = tuple(_e_atoms(C.k, *even_decompose(C)))
+        if p != 2:
+            par, d, catoms = None, d_invariant(C), diagonalize_odd(C)
+        elif (par := parity(C)) == "even":
+            d, catoms = None, _e_atoms(C.k, *even_decompose(C))
         else:
-            catoms = tuple(diagonalize_odd(C))
-        summaries.append(ComponentSummary(C.k, C.rank, par, d, catoms))
-    atoms = (a for c in summaries for a in c.atoms)
-    return ClassificationReport(G.prime, tuple(summaries), StandardForm.of(atoms))
+            d, catoms = None, diagonalize_odd(C)
+        summaries.append(ComponentSummary(C.k, C.rank, par, d, tuple(catoms)))
+        atoms += catoms
+    return ClassificationReport(p, tuple(summaries), StandardForm.of(atoms))
 
 
 def classify_seifert(S: SeifertData, primes=None) -> dict[int, ClassificationReport]:
@@ -742,7 +738,7 @@ def local_invariant_from_data(S: SeifertData, p: int) -> tuple:
         d = _unit_value(num * tn, den, p, -k * len(rest)) if rest else 1
         if d is None:
             raise InvalidDataError(
-                f"singular pairing: top block at exponent {order} has determinant "
+                f"singular pairing: top block of order {order} has determinant "
                 f"divisible by {p}"
             )
         if p != 2:

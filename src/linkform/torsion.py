@@ -179,12 +179,13 @@ def structure_check(S: SeifertData) -> dict:
             reverse=True,
         )
         local = local_orders(S, p)
-        match = tuple(from_snf) == local.order_multiset()
+        orders = local.order_multiset()
+        match = tuple(from_snf) == orders
         ok = ok and match
         primes.append(
             {
                 "prime": p,
-                "orders": list(local.order_multiset()),
+                "orders": list(orders),
                 "orders_snf": list(from_snf),
                 "free_rank": 2 * S.genus + local.free_rank,
                 "snf_match": match,

@@ -3,7 +3,8 @@ the pairing on two elements, the elements of a finite abelian group, Seifert
 data reordered at a prime, a data-level evenness predicate, random
 Seifert data with large cone orders, and, kept as references, the
 piece-by-piece realization selection, the three-term orthogonalisation of
-the block decomposition and a Smith normal form with divisibility repair."""
+the block decomposition, the block decomposition that sorts the generators
+by order first, and a Smith normal form with divisibility repair."""
 
 import importlib
 import itertools
@@ -19,8 +20,8 @@ from linkform.errors import (
     VerificationError,
 )
 from linkform.linking import GramPairing, dot, image
-from linkform.pairing import Cyc, StandardForm, canonical_form, gauss_invariant
-from linkform.pairing import _int_det, _solve_mod, local_invariant_from_data
+from linkform.pairing import Cyc, HomogeneousComponent, StandardForm, canonical_form
+from linkform.pairing import _int_det, _solve_mod, gauss_invariant, local_invariant_from_data
 from linkform.seifert import SeifertData
 from linkform.torsion import local_orders
 
@@ -275,6 +276,43 @@ def reference_block_diagonalize(p, orders, gram):
                     raise InvalidDataError("orthogonalization broke generator orders")
         orders = [orders[l] for l in rest]
         gram = new_gram
+    return components
+
+
+def sorting_block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
+    """block_diagonalize as it was before its rounds took the levels in
+    place: the generators are stably sorted by decreasing order and the
+    whole matrix is copied in that order first, and every block is copied
+    (divided by N/q) even when G is homogeneous."""
+    p, N = G.prime, G.modulus
+    idx = sorted(range(G.rank), key=lambda i: -G.orders[i])
+    orders = [G.orders[i] for i in idx]
+    W = [[G.matrix[i][j] for j in idx] for i in idx]  # N * values
+    components: list[HomogeneousComponent] = []
+    while orders:
+        q = orders[0]
+        s = N // q
+        top = [i for i, o in enumerate(orders) if o == q]
+        rest = [i for i, o in enumerate(orders) if o != q]
+        if any(W[i][j] % s for i in top for j in top):
+            raise InvalidDataError("pairing value incompatible with orders")
+        A = [[W[i][j] // s for j in top] for i in top]
+        components.append(HomogeneousComponent(p, padic_val(q, p), tuple(map(tuple, A))))
+        if not rest:
+            break
+        assert not any(W[l][i] % s for l in rest for i in top)
+        B = [[W[l][i] // s for i in top] for l in rest]
+        coeffs = _solve_mod(A, B, q, p)
+        new_W = [
+            [(W[l][m] - sum(c * W[t][m] for c, t in zip(coeffs[a], top))) % N for m in rest]
+            for a, l in enumerate(rest)
+        ]
+        for a, l in enumerate(rest):
+            for t_pos in range(len(top)):
+                if coeffs[a][t_pos] % (q // orders[l]) != 0:
+                    raise InvalidDataError("orthogonalization broke generator orders")
+        orders = [orders[l] for l in rest]
+        W = new_W
     return components
 
 

@@ -10,10 +10,16 @@ that each name still exists in its linkform module.
 Isomorphism is decided by exact invariants; the brute-force isomorphism
 and metabolizer searches are test oracles, called only by the verify
 suites.  The source is read with ast, so nothing is imported for that.
+
+linking and pairing import each other, so each import order is tried in a
+fresh interpreter.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +107,36 @@ def test_isomorphism_takes_no_search_knobs(module, function):
     names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
     assert not names & {"oracle_bound", "force_brute"}
     assert args.vararg is None and args.kwarg is None
+
+
+# run under -W error; with BARE set, a bare package object stands in for
+# linkform/__init__.py, whose own imports would otherwise fix the order
+IMPORT_ORDER = """
+import importlib, sys, types
+if BARE:
+    package = types.ModuleType("linkform")
+    package.__path__ = [SRC]
+    sys.modules["linkform"] = package
+for name in ORDER:
+    importlib.import_module("linkform." + name)
+from linkform.linking import gram_matrix
+from linkform.seifert import SeifertData
+G = gram_matrix(SeifertData(0, ((9, 2), (3, 1), (3, 1))), 3)
+print([(C.k, C.matrix) for C in G.components])
+print(" ".join(m[9:] for m in sys.modules if m in ("linkform.linking", "linkform.pairing")))
+"""
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["package", "bare"])
+@pytest.mark.parametrize("order", [("linking", "pairing"), ("pairing", "linking")])
+def test_linking_and_pairing_import_in_either_order(order, bare):
+    code = f"BARE, SRC, ORDER = {bare!r}, {str(SRC)!r}, {order!r}\n" + IMPORT_ORDER
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    components, loaded = done.stdout.splitlines()
+    assert components == "[(1, ((1, 1), (1, 2)))]"
+    if bare:  # sys.modules keeps finishing order: the first one asked for
+        assert loaded == " ".join(reversed(order))  # loaded the other midway

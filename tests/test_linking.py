@@ -113,7 +113,7 @@ def test_welldefined_violation_detected():
     # what is left to diagnose is singularity: l(x, -) = 0 on that x
     singular = GramPairing(2, ("x", "y"), (2, 4), ((0, 0), (0, 1)))
     assert welldefined_check(singular) == [
-        "singular: singular pairing: top block at exponent 2 has determinant divisible by 2"
+        "singular: singular pairing: top block of order 2 has determinant divisible by 2"
     ]
 
 

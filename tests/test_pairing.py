@@ -40,6 +40,7 @@ from support import (
     reference_block_diagonalize,
     reorder_at_prime,
     shuffle_basis,
+    sorting_block_diagonalize,
 )
 
 NIL = seifert((2, 1), (2, 1), (2, 1), (2, -1))
@@ -124,8 +125,8 @@ def test_block_diagonalize_matches_the_reference_on_seifert_pairings():
     assert mixed >= 40, mixed
 
 
-def _random_atom(rng, p):
-    k = rng.randint(1, 3)
+def _random_atom(rng, p, k=None):
+    k = k or rng.randint(1, 3)
     kind = rng.choice(["cyc", "cyc", "E0", "E1"]) if p == 2 else "cyc"
     if kind == "E0":
         return E0(k)
@@ -172,6 +173,70 @@ def test_block_diagonalize_matches_the_fraction_reference():
         assert got == want, G
         seen["singular" if want is None else "nonsingular"] += 1
         seen["mixed"] += want is not None and len(want) > 1
+    assert min(seen.values()) >= 30, seen
+
+
+def _listed(G, perm):
+    """G with its generators listed in the order perm."""
+    return GramPairing(
+        G.prime,
+        tuple(G.labels[i] for i in perm),
+        tuple(G.orders[i] for i in perm),
+        tuple(tuple(G.matrix[i][j] for j in perm) for i in perm),
+    )
+
+
+def _components_or_message(decompose, G):
+    try:
+        return [(C.prime, C.k, C.matrix, C.det) for C in decompose(G)]
+    except InvalidDataError as exc:
+        return str(exc)
+
+
+def test_block_diagonalize_matches_the_sorting_reference():
+    # the levels are taken in place, largest order first, without sorting
+    # the generators; the components (and their determinants) and every
+    # refusal must be those of the decomposition that sorts them first
+    rng = random.Random(2626)
+    seen = Counter()
+    for n in range(360):
+        p = rng.choice([2, 3, 5])
+        ks = rng.sample(range(1, 5), rng.randint(2, 4))  # 2-4 levels (E1(1) is E1(2))
+        if n % 3:  # nonsingular: a shuffled basis of a standard form
+            form = sf(*(_random_atom(rng, p, k) for k in ks for _ in range(rng.randint(1, 2))))
+            G = shuffle_basis(standard_form_gram(form, p), rng)
+        else:  # mostly singular: random order-compatible symmetric values
+            orders = [p**k for k in ks for _ in range(rng.randint(1, 2))]
+            N, r = max(orders), len(orders)
+            M = [[0] * r for _ in range(r)]
+            for i in range(r):
+                for j in range(i, r):
+                    q = min(orders[i], orders[j])
+                    M[i][j] = M[j][i] = N // q * rng.randrange(q)
+            labels = tuple(f"e{i + 1}" for i in range(r))
+            G = GramPairing(p, labels, tuple(orders), tuple(map(tuple, M)))
+        perm = list(range(G.rank))
+        rng.shuffle(perm)
+        if n % 2:  # a generator of the top order listed last, like s
+            top = next(i for i in perm if G.orders[i] == G.modulus)
+            perm.remove(top)
+            perm.append(top)
+        if sorted(G.orders[i] for i in perm) == [G.orders[i] for i in perm][::-1]:
+            perm.append(perm.pop(0))  # orders listed out of decreasing order
+        G = _listed(G, perm)
+        assert list(G.orders) != sorted(G.orders, reverse=True)
+        want = _components_or_message(sorting_block_diagonalize, G)
+        assert _components_or_message(block_diagonalize, G) == want, G
+        seen["refused" if isinstance(want, str) else "components"] += 1
+        seen["top last"] += G.orders[-1] == G.modulus
+    # Seifert pairings list s last, and it can have the largest order
+    for n in range(300):
+        S = rand_block_seifert(rng, flat=False, max_r=6, max_alpha=200)
+        for p in relevant_primes(S):
+            G = gram_matrix(S, p)
+            want = _components_or_message(sorting_block_diagonalize, G)
+            assert _components_or_message(block_diagonalize, G) == want, (S, p)
+            seen["s above q"] += G.labels[-1:] == ("s",) and G.orders[-1] > G.orders[0]
     assert min(seen.values()) >= 30, seen
 
 
@@ -764,6 +829,8 @@ def test_component_determinant_recorded_once():
         (HomogeneousComponent, (3, 1, ((4,),)), r"\[0, 3\)"),
         (HomogeneousComponent, (2, 2, ((-1,),)), r"\[0, 4\)"),
         (HomogeneousComponent, (2, 2, ((2, 0), (0, 2))), "divisible by 2"),
+        # the message names the block's order p^k (it read "exponent 9")
+        (HomogeneousComponent, (3, 2, ((3,),)), "top block of order 9 has determinant"),
         (GramPairing, (3, ("x", "y"), (3, 3), ((1, 2), (1, 1))), "not a symmetric"),
         (GramPairing, (3, ("x",), (9,), ((9,),)), r"\[0, 9\)"),
         (GramPairing, (5, ("x", "y"), (5, 5), ((1, -1), (-1, 1))), r"\[0, 5\)"),
