@@ -71,7 +71,8 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, too many digits
+    # bad JSON, bad UTF-8, too many digits, arrays or objects nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidDataError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -137,8 +138,11 @@ def _write(o, nl, append) -> None:
 def _emit(obj, args) -> None:
     text = _dumps(obj) + "\n"
     if getattr(args, "json_out", None):
-        with open(args.json_out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.json_out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.json_out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -1,4 +1,4 @@
-"""Closed-form evaluation of the linking pairing of M(g;S) at a prime.
+"""The linking pairing of M(g;S) at a prime, and its homogeneous split.
 
 With the Seifert data reordered so the p-valuations of the cone point
 orders descend, the p-primary torsion is generated by q_i' (3 <= i <= r)
@@ -38,6 +38,11 @@ performed.  The JSON output writes an entry x as x/N reduced by one gcd;
 The pairing of two elements is then an integer dot product mod N, so the
 element-level oracles (self-linking profiles, brute-force isomorphism,
 metabolizer search) make no Fraction per element.
+
+A nonsingular pairing splits orthogonally into homogeneous summands
+(Z/p^k)^rho: ``block_diagonalize`` builds the ``HomogeneousComponent``s
+that ``GramPairing.components`` keeps, so ``welldefined_check`` and
+``pairing.classify`` share one split.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .arith import is_prime, p_part
+from .arith import bareiss, is_prime, p_part, padic_val
 from .errors import InvalidDataError
 from .seifert import SeifertData, _memo
 from .torsion import local_orders, unsupported_r1_pairing
@@ -113,15 +118,14 @@ class GramPairing:
         return tuple(tuple(Fraction(x, N) for x in row) for row in self.matrix)
 
     @_memo
-    def components(self) -> tuple:
-        """``pairing.block_diagonalize(self)``, computed on first use.
+    def components(self) -> tuple[HomogeneousComponent, ...]:
+        """``block_diagonalize(self)``, computed on first use.
 
         Kept in the instance ``__dict__``, outside the dataclass fields, so
         ``welldefined_check`` and ``classify`` share one decomposition.  A
-        singular pairing raises InvalidDataError on every read.  ``pairing``
-        is imported at the foot of this module, not on each call.
+        singular pairing raises InvalidDataError on every read.
         """
-        return tuple(pairing.block_diagonalize(self))
+        return tuple(block_diagonalize(self))
 
     def group_order(self) -> int:
         return prod(self.orders) if self.orders else 1
@@ -181,6 +185,120 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
         en, ed = decomp.eps.numerator, decomp.eps.denominator
         A[m][m] = p_part(-(a1 * ed + n * a1 * a2 * en), a1 * a2 * a2 * en, p, N)
     return GramPairing(p, labels, orders, tuple(map(tuple, A)))
+
+
+# ---------------------------------------------------------------------------
+# homogeneous components
+
+
+def _int_det(M) -> int:
+    """Exact determinant of a square integer matrix."""
+    rank, minor = bareiss(M)
+    return minor if rank == len(M) else 0
+
+
+def _solve_mod(A, B, q: int, p: int):
+    """Solve A X = B mod q = p^k for A with unit determinant mod p.
+
+    B is a list of column vectors; returns the matching list of solutions.
+    Pivots are always chosen to be units mod p, which succeeds exactly when
+    det(A) is a unit, as it is for the matrix of a HomogeneousComponent.
+    """
+    n = len(A)
+    M = [[A[i][j] % q for j in range(n)] + [b[i] % q for b in B] for i in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if M[i][col] % p)
+        M[col], M[piv] = M[piv], M[col]
+        inv = pow(M[col][col], -1, q)
+        M[col] = [(x * inv) % q for x in M[col]]
+        for i in range(n):
+            if i != col and M[i][col]:
+                c = M[i][col]
+                M[i] = [(x - c * y) % q for x, y in zip(M[i], M[col])]
+    return [[M[i][n + b] % q for i in range(n)] for b in range(len(B))]
+
+
+@dataclass(frozen=True)
+class HomogeneousComponent:
+    """Nonsingular pairing on (Z/p^k)^rank, Gram matrix scaled by p^k.
+
+    Construction refuses (InvalidDataError) a p that is not prime, k < 1,
+    and a matrix that is not square, symmetric, reduced to [0, p^k) and of
+    unit determinant mod p.  ``rank`` is the size of ``matrix``, and the
+    exact determinant is kept as ``det``, outside the dataclass fields.
+    """
+
+    prime: int
+    k: int
+    matrix: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        p, k, M = self.prime, self.k, self.matrix
+        if not is_prime(p) or k < 1:
+            raise InvalidDataError(f"bad homogeneous component at p = {p}, k = {k}")
+        q = p**k
+        if M:  # a matrix equal to its transpose is square
+            _check_reduced_symmetric(M, q)
+        det = _int_det(M)
+        if det % p == 0:
+            raise InvalidDataError(
+                f"singular pairing: top block of order {q} has determinant "
+                f"divisible by {p}"
+            )
+        self.__dict__["det"] = det
+
+    @property
+    def rank(self) -> int:
+        return len(self.matrix)
+
+    def gram(self) -> GramPairing:
+        q = self.prime**self.k
+        labels = tuple(f"e{i + 1}" for i in range(self.rank))
+        return GramPairing(self.prime, labels, (q,) * self.rank, self.matrix)
+
+
+def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
+    """Orthogonal decomposition into homogeneous components.
+
+    Components come out in strictly decreasing exponent.  Each round splits
+    off the generators of the largest order q left, in their order in G, so
+    nothing is sorted, and a homogeneous G passes its own matrix on.  Their
+    scaled Gram block has unit determinant mod p (else the pairing is
+    singular, and the component refuses it), and the lower-order generators
+    are corrected to be orthogonal to them.  The correction e_l -= sum_t
+    C_lt e_t with W_tt C^T = W_tl leaves the Schur complement W_rr - C W_tr
+    (mod N), exact because a GramPairing is symmetric.
+    """
+    p, N = G.prime, G.modulus
+    orders, W = G.orders, G.matrix  # N * values
+    components: list[HomogeneousComponent] = []
+    while orders:
+        q = max(orders)
+        s = N // q  # a value is a multiple of 1/q iff its entry is one of s
+        top = [i for i, o in enumerate(orders) if o == q]
+        rest = [i for i, o in enumerate(orders) if o != q]
+        if s > 1 and any(W[i][j] % s for i in top for j in top):
+            raise InvalidDataError("pairing value incompatible with orders")
+        A = W if s == 1 and not rest else tuple(tuple(W[i][j] // s for j in top) for i in top)
+        components.append(HomogeneousComponent(p, padic_val(q, p), A))
+        if not rest:
+            break
+        assert not any(W[l][i] % s for l in rest for i in top)
+        B = [[W[l][i] // s for i in top] for l in rest]
+        coeffs = _solve_mod(A, B, q, p)
+        new_W = [
+            [(W[l][m] - sum(c * W[t][m] for c, t in zip(coeffs[a], top))) % N for m in rest]
+            for a, l in enumerate(rest)
+        ]
+        # corrected generators keep their order: coefficients are divisible
+        # by q / order_l, so this is a genuine basis change
+        for a, l in enumerate(rest):
+            for t_pos in range(len(top)):
+                if coeffs[a][t_pos] % (q // orders[l]) != 0:
+                    raise InvalidDataError("orthogonalization broke generator orders")
+        orders = [orders[l] for l in rest]
+        W = new_W
+    return components
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +383,3 @@ def welldefined_check(G: GramPairing) -> list[str]:
         return [f"singular: {exc}"]
     return []
 
-
-# last, as pairing imports this module: works whichever is imported first
-from . import pairing  # noqa: E402

@@ -8,37 +8,30 @@ summand is either odd (some odd diagonal entry; diagonalizable, the units
 mattering mod min(2^k, 8)) or even, in which case it is an orthogonal sum
 of the rank-2 pairings E0(k) (hyperbolic) and at most one E1(k).
 
-This module provides the block decomposition into homogeneous components
-(square, symmetric, reduced and nonsingular by construction), the
-per-component invariants, conversion to a standard form built from
-Cyc/E0/E1 atoms, an exact isomorphism test by Gauss-sum invariants at
-every order (read from the atoms of a standard form, into which a Gram
-pairing is classified first, or, without classifying, from Seifert data
-directly), a sound normal form from which realization reads target
-shapes, and a brute-force isomorphism search kept as a test oracle.
+The block decomposition into homogeneous components is in ``linking``,
+beside ``GramPairing``.  This module provides the per-component
+invariants, conversion to a standard form built from Cyc/E0/E1 atoms, an
+exact isomorphism test by Gauss-sum invariants at every order (read from
+the atoms of a standard form, into which a Gram pairing is classified
+first, or, without classifying, from Seifert data directly), a sound
+normal form from which realization reads target shapes, and a
+brute-force isomorphism search kept as a test oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from math import prod
 
-from .arith import (
-    bareiss,
-    is_prime,
-    least_nonresidue,
-    legendre,
-    padic_val,
-    square_class,
-    square_class_name,
-)
+from .arith import is_prime, least_nonresidue, legendre, padic_val, square_class_name
 from .errors import InvalidDataError, SearchBoundExceeded, UnsupportedError
 from .linking import (
     GramPairing,
-    _check_reduced_symmetric,
+    HomogeneousComponent,
+    _int_det,
+    block_diagonalize,  # noqa: F401  (public here too, and traced as pairing.block_diagonalize)
     dot,
     element_table,
     gram_matrix,
@@ -227,121 +220,7 @@ def standard_form_gram(sf: StandardForm, p: int) -> GramPairing:
 
 
 # ---------------------------------------------------------------------------
-# modular matrix helpers
-
-
-def _int_det(M) -> int:
-    """Exact determinant of a square integer matrix."""
-    rank, minor = bareiss(M)
-    return minor if rank == len(M) else 0
-
-
-def _solve_mod(A, B, q: int, p: int):
-    """Solve A X = B mod q = p^k for A with unit determinant mod p.
-
-    B is a list of column vectors; returns the matching list of solutions.
-    Pivots are always chosen to be units mod p, which succeeds exactly when
-    det(A) is a unit, as it is for the matrix of a HomogeneousComponent.
-    """
-    n = len(A)
-    M = [[A[i][j] % q for j in range(n)] + [b[i] % q for b in B] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if M[i][col] % p)
-        M[col], M[piv] = M[piv], M[col]
-        inv = pow(M[col][col], -1, q)
-        M[col] = [(x * inv) % q for x in M[col]]
-        for i in range(n):
-            if i != col and M[i][col]:
-                c = M[i][col]
-                M[i] = [(x - c * y) % q for x, y in zip(M[i], M[col])]
-    return [[M[i][n + b] % q for i in range(n)] for b in range(len(B))]
-
-
-# ---------------------------------------------------------------------------
-# homogeneous components
-
-
-@dataclass(frozen=True)
-class HomogeneousComponent:
-    """Nonsingular pairing on (Z/p^k)^rank, Gram matrix scaled by p^k.
-
-    Construction refuses (InvalidDataError) a p that is not prime, k < 1,
-    and a matrix that is not square, symmetric, reduced to [0, p^k) and of
-    unit determinant mod p.  ``rank`` is the size of ``matrix``, and the
-    exact determinant is kept as ``det``, outside the dataclass fields.
-    """
-
-    prime: int
-    k: int
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        p, k, M = self.prime, self.k, self.matrix
-        if not is_prime(p) or k < 1:
-            raise InvalidDataError(f"bad homogeneous component at p = {p}, k = {k}")
-        q = p**k
-        if M:  # a matrix equal to its transpose is square
-            _check_reduced_symmetric(M, q)
-        det = _int_det(M)
-        if det % p == 0:
-            raise InvalidDataError(
-                f"singular pairing: top block of order {q} has determinant "
-                f"divisible by {p}"
-            )
-        self.__dict__["det"] = det
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
-
-    def gram(self) -> GramPairing:
-        q = self.prime**self.k
-        labels = tuple(f"e{i + 1}" for i in range(self.rank))
-        return GramPairing(self.prime, labels, (q,) * self.rank, self.matrix)
-
-
-def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
-    """Orthogonal decomposition into homogeneous components.
-
-    Components come out in strictly decreasing exponent.  Each round splits
-    off the generators of the largest order q left, in their order in G, so
-    nothing is sorted, and a homogeneous G passes its own matrix on.  Their
-    scaled Gram block has unit determinant mod p (else the pairing is
-    singular, and the component refuses it), and the lower-order generators
-    are corrected to be orthogonal to them.  The correction e_l -= sum_t
-    C_lt e_t with W_tt C^T = W_tl leaves the Schur complement W_rr - C W_tr
-    (mod N), exact because a GramPairing is symmetric.
-    """
-    p, N = G.prime, G.modulus
-    orders, W = G.orders, G.matrix  # N * values
-    components: list[HomogeneousComponent] = []
-    while orders:
-        q = max(orders)
-        s = N // q  # a value is a multiple of 1/q iff its entry is one of s
-        top = [i for i, o in enumerate(orders) if o == q]
-        rest = [i for i, o in enumerate(orders) if o != q]
-        if s > 1 and any(W[i][j] % s for i in top for j in top):
-            raise InvalidDataError("pairing value incompatible with orders")
-        A = W if s == 1 and not rest else tuple(tuple(W[i][j] // s for j in top) for i in top)
-        components.append(HomogeneousComponent(p, padic_val(q, p), A))
-        if not rest:
-            break
-        assert not any(W[l][i] % s for l in rest for i in top)
-        B = [[W[l][i] // s for i in top] for l in rest]
-        coeffs = _solve_mod(A, B, q, p)
-        new_W = [
-            [(W[l][m] - sum(c * W[t][m] for c, t in zip(coeffs[a], top))) % N for m in rest]
-            for a, l in enumerate(rest)
-        ]
-        # corrected generators keep their order: coefficients are divisible
-        # by q / order_l, so this is a genuine basis change
-        for a, l in enumerate(rest):
-            for t_pos in range(len(top)):
-                if coeffs[a][t_pos] % (q // orders[l]) != 0:
-                    raise InvalidDataError("orthogonalization broke generator orders")
-        orders = [orders[l] for l in rest]
-        W = new_W
-    return components
+# per-component invariants
 
 
 def parity(C: HomogeneousComponent) -> str:
@@ -438,57 +317,6 @@ def even_decompose(C: HomogeneousComponent) -> tuple[int, int]:
         return (C.rank // 2, 0)
     e1 = int(C.det % 8 in (3, 5))
     return (C.rank // 2 - e1, e1)
-
-
-def div4_diagonal_count(S: SeifertData) -> int:
-    """Count of scaled diagonal entries divisible by 4 for the 2-component.
-
-    Defined when all even cone point orders share the same 2-adic valuation
-    k > 1 and the pairing is even (eps = 0 or alpha_1 * eps odd); together
-    with the rank this count decides hyperbolicity.
-    """
-    local = local_orders(S, 2)
-    vals, eps = local.vals, local.eps
-    r2 = sum(v > 0 for v in vals)
-    if r2 < 3:
-        raise UnsupportedError("need at least three even cone point orders")
-    k = vals[0]
-    if k < 2:
-        raise UnsupportedError("valuation k > 1 required")
-    if vals[r2 - 1] != k:
-        raise UnsupportedError("even cone point orders must share their valuation")
-    # alpha_1 * eps is odd exactly when s is kept with order 2^k
-    if eps != 0 and local.orders[-1] != ("s", 2**k):
-        raise UnsupportedError("alpha_1 * eps must vanish or be odd")
-    a2, b2 = local.pairs[1]
-    # a2 bi + ai b2 is 2^k times an integer, as every alpha has valuation k
-    t = sum((a2 * bi + ai * b2) % 2 ** (k + 2) == 0 for ai, bi in local.kept)
-    if eps != 0:
-        x = b2 + a2 * eps
-        if x == 0 or padic_val(x, 2) >= 2:
-            t += 1
-    return t
-
-
-def hyperbolic_from_counts(t: int, rho: int) -> bool:
-    """Hyperbolicity decision from (t, rho) for Seifert-shaped even blocks."""
-    x = t % 4
-    y = (rho - t) % 4
-    ab_odd = ((rho - x - y) // 4) % 2 == 1
-    special = (x, y) in ((1, 3), (0, 2))
-    return special if ab_odd else not special
-
-
-def hyperbolic_test(C: HomogeneousComponent) -> bool:
-    """Whether the component is hyperbolic (a sum of standard hyperbolic planes)."""
-    if C.prime == 2:
-        if parity(C) == "odd":
-            return False
-        return even_decompose(C) == (C.rank // 2, 0)
-    if C.rank % 2:
-        return False
-    want = legendre(-1, C.prime) if (C.rank // 2) % 2 else 1
-    return d_invariant(C) == want
 
 
 # ---------------------------------------------------------------------------
@@ -845,52 +673,3 @@ def brute_force_isomorphic(
         witness = {G1.labels[i]: list(assignment[i]) for i in range(G1.rank)}
         return True, witness
     return False, None
-
-
-# ---------------------------------------------------------------------------
-# closed-form determinant class from Seifert data (odd p, homogeneous case)
-
-
-def d_formula_case(S: SeifertData, p: int) -> str | None:
-    """Which closed-form branch applies, or None when preconditions fail.
-
-    The branches need the p-torsion to be homogeneous of exponent p^k with
-    unit cofactors: for eps = 0, all of alpha_1..alpha_{r_p} must have
-    valuation exactly k and r_p >= 3; for eps != 0, alpha_2..alpha_{r_p}
-    must have valuation k and alpha_1 * eps must be a p-adic unit, which
-    holds exactly when s is kept with order p^k.
-    """
-    if p == 2 or S.r < 2:
-        return None
-    dec = local_orders(S, p)
-    vals = dec.vals
-    rp = sum(v > 0 for v in vals)
-    if dec.eps == 0:
-        return "flat" if rp >= 3 and vals[0] == vals[rp - 1] else None
-    if rp >= 2 and vals[1] == vals[rp - 1] and dec.orders[-1] == ("s", p ** vals[1]):
-        return "sphere"
-    return None
-
-
-def d_class_from_data(S: SeifertData, p: int) -> int:
-    """Closed-form determinant class of a homogeneous odd-p linking pairing.
-
-    Evaluates, directly on the Seifert invariants, the square class that
-    d_invariant computes from the Gram matrix.  Preconditions as in
-    d_formula_case; raises otherwise.
-    """
-    case = d_formula_case(S, p)
-    if case is None:
-        raise UnsupportedError("closed-form determinant class does not apply")
-    dec = local_orders(S, p)
-    pairs, eps = dec.pairs, dec.eps
-    rp = sum(v > 0 for v in dec.vals)
-    pk = p ** dec.vals[rp - 1]
-    flat = case == "flat"
-    cls = legendre(-1, p) if (rp - flat) % 2 else 1
-    for j, (a, b) in enumerate(pairs[:rp]):
-        cls *= legendre(b, p)
-        if j > flat:  # the unit parts of alpha_2.. (sphere) or alpha_3.. (flat)
-            cls *= square_class(Fraction(a, pk), p)
-    head = Fraction(pairs[0][0], pairs[1][0]) if flat else pairs[0][0] * eps
-    return cls * square_class(head, p)

@@ -6,6 +6,9 @@ suites are the machine-checkable statements behind the acceptance tests:
 closed-form invariants against matrix computations, realization round
 trips, Smith-form structure checks, fibre-sum orthogonality, Witt-class
 consistency, and the bounded non-realizability search.
+
+The closed forms that only these suites check (thm3's determinant class
+and thm7's hyperbolicity rule) are defined here, beside their suites.
 """
 
 from __future__ import annotations
@@ -17,23 +20,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import factorize
-from .errors import InvalidDataError, LinkformError
-from .linking import gram_matrix
+from .arith import factorize, legendre, padic_val, square_class
+from .errors import InvalidDataError, LinkformError, UnsupportedError
+from .linking import HomogeneousComponent, block_diagonalize, gram_matrix
 from .pairing import (
     Cyc,
     E0,
     E1,
     StandardForm,
-    block_diagonalize,
     brute_force_isomorphic,
     canonical_form,
-    d_class_from_data,
-    d_formula_case,
     d_invariant,
-    div4_diagonal_count,
-    hyperbolic_from_counts,
-    hyperbolic_test,
+    even_decompose,
     is_isomorphic,
     parity,
     standard_form_gram,
@@ -41,7 +39,7 @@ from .pairing import (
 )
 from .realize import exhaustive_search, realize
 from .seifert import SeifertData, euler_invariant, fibre_sum
-from .torsion import structure_check, torsion_order
+from .torsion import local_orders, structure_check, torsion_order
 from .witt import WittElement, metabolic_oracle, witt_pairing, witt_seifert
 
 SEED_ENV = "LINKFORM_SEED"
@@ -207,6 +205,51 @@ def _report(name: str, cfg: RunConfig, trials: int, failures: list, extra=None) 
     return out
 
 
+def d_formula_case(S: SeifertData, p: int) -> str | None:
+    """Which closed-form branch applies, or None when preconditions fail.
+
+    The branches need the p-torsion to be homogeneous of exponent p^k with
+    unit cofactors: for eps = 0, all of alpha_1..alpha_{r_p} must have
+    valuation exactly k and r_p >= 3; for eps != 0, alpha_2..alpha_{r_p}
+    must have valuation k and alpha_1 * eps must be a p-adic unit, which
+    holds exactly when s is kept with order p^k.
+    """
+    if p == 2 or S.r < 2:
+        return None
+    dec = local_orders(S, p)
+    vals = dec.vals
+    rp = sum(v > 0 for v in vals)
+    if dec.eps == 0:
+        return "flat" if rp >= 3 and vals[0] == vals[rp - 1] else None
+    if rp >= 2 and vals[1] == vals[rp - 1] and dec.orders[-1] == ("s", p ** vals[1]):
+        return "sphere"
+    return None
+
+
+def d_class_from_data(S: SeifertData, p: int) -> int:
+    """Closed-form determinant class of a homogeneous odd-p linking pairing.
+
+    Evaluates, directly on the Seifert invariants, the square class that
+    d_invariant computes from the Gram matrix.  Preconditions as in
+    d_formula_case; raises otherwise.
+    """
+    case = d_formula_case(S, p)
+    if case is None:
+        raise UnsupportedError("closed-form determinant class does not apply")
+    dec = local_orders(S, p)
+    pairs, eps = dec.pairs, dec.eps
+    rp = sum(v > 0 for v in dec.vals)
+    pk = p ** dec.vals[rp - 1]
+    flat = case == "flat"
+    cls = legendre(-1, p) if (rp - flat) % 2 else 1
+    for j, (a, b) in enumerate(pairs[:rp]):
+        cls *= legendre(b, p)
+        if j > flat:  # the unit parts of alpha_2.. (sphere) or alpha_3.. (flat)
+            cls *= square_class(Fraction(a, pk), p)
+    head = Fraction(pairs[0][0], pairs[1][0]) if flat else pairs[0][0] * eps
+    return cls * square_class(head, p)
+
+
 def suite_thm3(cfg: RunConfig) -> dict:
     """Closed-form determinant class against the Gram-matrix computation."""
     per_prime = cfg.trials or 500
@@ -330,6 +373,57 @@ def suite_realize(cfg: RunConfig) -> dict:
     return _report(
         "realize", cfg, trials, failures, {"two_homogeneous_classes": len(two_forms)}
     )
+
+
+def div4_diagonal_count(S: SeifertData) -> int:
+    """Count of scaled diagonal entries divisible by 4 for the 2-component.
+
+    Defined when all even cone point orders share the same 2-adic valuation
+    k > 1 and the pairing is even (eps = 0 or alpha_1 * eps odd); together
+    with the rank this count decides hyperbolicity.
+    """
+    local = local_orders(S, 2)
+    vals, eps = local.vals, local.eps
+    r2 = sum(v > 0 for v in vals)
+    if r2 < 3:
+        raise UnsupportedError("need at least three even cone point orders")
+    k = vals[0]
+    if k < 2:
+        raise UnsupportedError("valuation k > 1 required")
+    if vals[r2 - 1] != k:
+        raise UnsupportedError("even cone point orders must share their valuation")
+    # alpha_1 * eps is odd exactly when s is kept with order 2^k
+    if eps != 0 and local.orders[-1] != ("s", 2**k):
+        raise UnsupportedError("alpha_1 * eps must vanish or be odd")
+    a2, b2 = local.pairs[1]
+    # a2 bi + ai b2 is 2^k times an integer, as every alpha has valuation k
+    t = sum((a2 * bi + ai * b2) % 2 ** (k + 2) == 0 for ai, bi in local.kept)
+    if eps != 0:
+        x = b2 + a2 * eps
+        if x == 0 or padic_val(x, 2) >= 2:
+            t += 1
+    return t
+
+
+def hyperbolic_from_counts(t: int, rho: int) -> bool:
+    """Hyperbolicity decision from (t, rho) for Seifert-shaped even blocks."""
+    x = t % 4
+    y = (rho - t) % 4
+    ab_odd = ((rho - x - y) // 4) % 2 == 1
+    special = (x, y) in ((1, 3), (0, 2))
+    return special if ab_odd else not special
+
+
+def hyperbolic_test(C: HomogeneousComponent) -> bool:
+    """Whether the component is hyperbolic (a sum of standard hyperbolic planes)."""
+    if C.prime == 2:
+        if parity(C) == "odd":
+            return False
+        return even_decompose(C) == (C.rank // 2, 0)
+    if C.rank % 2:
+        return False
+    want = legendre(-1, C.prime) if (C.rank // 2) % 2 else 1
+    return d_invariant(C) == want
 
 
 def rand_thm7_data(rng: random.Random, rho: int) -> SeifertData:

@@ -19,9 +19,9 @@ from linkform.errors import (
     UnsupportedError,
     VerificationError,
 )
-from linkform.linking import GramPairing, dot, image
-from linkform.pairing import Cyc, HomogeneousComponent, StandardForm, canonical_form
-from linkform.pairing import _int_det, _solve_mod, gauss_invariant, local_invariant_from_data
+from linkform.linking import GramPairing, HomogeneousComponent, _int_det, _solve_mod, dot, image
+from linkform.pairing import Cyc, StandardForm, canonical_form
+from linkform.pairing import gauss_invariant, local_invariant_from_data
 from linkform.seifert import SeifertData
 from linkform.torsion import local_orders
 

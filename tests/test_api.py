@@ -9,17 +9,15 @@ that each name still exists in its linkform module.
 
 Isomorphism is decided by exact invariants; the brute-force isomorphism
 and metabolizer searches are test oracles, called only by the verify
-suites.  The source is read with ast, so nothing is imported for that.
-
-linking and pairing import each other, so each import order is tried in a
-fresh interpreter.
+suites, and the closed forms that only the thm3 and thm7 suites check are
+named nowhere else.  The module-level imports between the modules of the
+package form no cycle, so each module loads with only the layers below
+it.  The source is read with ast, so nothing is imported for these.
 """
 
 import ast
 import importlib
-import os
-import subprocess
-import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -78,8 +76,19 @@ def _src_trees():
     return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+# closed forms that only suite_thm3 and suite_thm7 check, defined in verify.py
+CLOSED_FORMS = (
+    "d_formula_case",
+    "d_class_from_data",
+    "div4_diagonal_count",
+    "hyperbolic_from_counts",
+    "hyperbolic_test",
+)
+
+
 def test_search_oracles_are_called_only_by_the_verify_suites():
     callers = {"brute_force_isomorphic": set(), "metabolic_oracle": set()}
+    namers = {name: set() for name in CLOSED_FORMS}
     for name, tree in _src_trees().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
@@ -87,7 +96,12 @@ def test_search_oracles_are_called_only_by_the_verify_suites():
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if called in callers:
                     callers[called].add(name)
+            # a use, an attribute, an imported name or a definition
+            for field in ("id", "attr", "name"):
+                if getattr(node, field, None) in namers:
+                    namers[getattr(node, field)].add(name)
     assert callers == {"brute_force_isomorphic": {"verify.py"}, "metabolic_oracle": {"verify.py"}}
+    assert namers == {name: {"verify.py"} for name in CLOSED_FORMS}
 
 
 @pytest.mark.parametrize(
@@ -109,34 +123,26 @@ def test_isomorphism_takes_no_search_knobs(module, function):
     assert args.vararg is None and args.kwarg is None
 
 
-# run under -W error; with BARE set, a bare package object stands in for
-# linkform/__init__.py, whose own imports would otherwise fix the order
-IMPORT_ORDER = """
-import importlib, sys, types
-if BARE:
-    package = types.ModuleType("linkform")
-    package.__path__ = [SRC]
-    sys.modules["linkform"] = package
-for name in ORDER:
-    importlib.import_module("linkform." + name)
-from linkform.linking import gram_matrix
-from linkform.seifert import SeifertData
-G = gram_matrix(SeifertData(0, ((9, 2), (3, 1), (3, 1))), 3)
-print([(C.k, C.matrix) for C in G.components])
-print(" ".join(m[9:] for m in sys.modules if m in ("linkform.linking", "linkform.pairing")))
-"""
+def _relative_imports(tree):
+    """The modules of the package that ``tree`` imports when it is loaded:
+    relative imports anywhere but inside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:  # from .pairing import x
+                yield node.module.split(".")[0]
+            else:  # from . import pairing
+                yield from (alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
 
 
-@pytest.mark.parametrize("bare", [False, True], ids=["package", "bare"])
-@pytest.mark.parametrize("order", [("linking", "pairing"), ("pairing", "linking")])
-def test_linking_and_pairing_import_in_either_order(order, bare):
-    code = f"BARE, SRC, ORDER = {bare!r}, {str(SRC)!r}, {order!r}\n" + IMPORT_ORDER
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, env=env
-    )
-    assert done.returncode == 0, done.stderr
-    components, loaded = done.stdout.splitlines()
-    assert components == "[(1, ((1, 1), (1, 2)))]"
-    if bare:  # sys.modules keeps finishing order: the first one asked for
-        assert loaded == " ".join(reversed(order))  # loaded the other midway
+def test_module_level_imports_form_no_cycle():
+    # each module maps to the modules it imports, which load before it
+    graph = {name[:-3]: set(_relative_imports(tree)) for name, tree in _src_trees().items()}
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:  # args[1] lists the cycle against the import direction
+        raise AssertionError("import cycle: " + " -> ".join(reversed(exc.args[1]))) from None

@@ -49,11 +49,11 @@ def test_compute_flat_example(tmp_path, capsys):
 
 def test_compute_decomposes_each_prime_once(tmp_path, capsys, monkeypatch):
     # welldefined_check and classify share one block_diagonalize per (S, p)
-    import linkform.pairing as pairing
+    import linkform.linking as linking
 
     calls = []
-    inner = pairing.block_diagonalize
-    monkeypatch.setattr(pairing, "block_diagonalize", lambda G: calls.append(G) or inner(G))
+    inner = linking.block_diagonalize
+    monkeypatch.setattr(linking, "block_diagonalize", lambda G: calls.append(G) or inner(G))
     data = {"genus": 0, "pairs": [[4, 1], [6, 1], [9, 2], [10, -3]]}
     code, out, _ = run_cli(capsys, "compute", write(tmp_path, "s.json", data))
     assert code == 0
@@ -280,6 +280,21 @@ def test_json_out_flag(tmp_path, capsys):
     assert json.loads(out_path.read_text())["euler"] == "-1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "NIL"], ["verify", "structure", "--trials", "1"]],
+    ids=["compute", "verify"],
+)
+def test_an_unwritable_json_out_is_a_usage_error(tmp_path, capsys, argv):
+    # the report is built, then its path cannot be opened: one line, exit 1
+    argv = [write(tmp_path, "nil.json", NIL) if a == "NIL" else a for a in argv]
+    out_path = tmp_path / "no-such-dir" / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--json-out", str(out_path))
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"usage error: cannot write {out_path}: ")
+    assert not out_path.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 
@@ -484,6 +499,15 @@ def test_a_json_number_past_the_digit_limit_is_invalid_data(capsys, monkeypatch)
     code, out, err = run_cli(capsys, "compute", "-")
     assert code == 2 and out == ""
     assert err.startswith("invalid data: cannot read JSON from -: ") and "digits" in err
+
+
+@pytest.mark.parametrize("command", ["compute", "realize"])
+def test_json_nested_too_deep_is_invalid_data(capsys, monkeypatch, command):
+    # json.load raises RecursionError on arrays nested past the stack limit
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000 + "]" * 100000))
+    code, out, err = run_cli(capsys, command, "-")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid data: cannot read JSON from -: ") and "recursion" in err
 
 
 @needs_digit_limit

@@ -5,33 +5,40 @@ from collections import Counter
 import pytest
 
 from linkform.errors import InvalidDataError, UnsupportedError
-from linkform.linking import GramPairing, gram_matrix, welldefined_check
+from linkform.linking import (
+    GramPairing,
+    HomogeneousComponent,
+    _int_det,
+    block_diagonalize,
+    gram_matrix,
+    welldefined_check,
+)
 from linkform.pairing import (
     Cyc,
     E0,
     E1,
-    HomogeneousComponent,
     StandardForm,
-    block_diagonalize,
     brute_force_isomorphic,
     canonical_form,
     classify,
     classify_seifert,
-    d_class_from_data,
-    d_formula_case,
     d_invariant,
     diagonalize_odd,
-    div4_diagonal_count,
     even_decompose,
     gauss_invariant,
-    hyperbolic_from_counts,
-    hyperbolic_test,
     is_isomorphic,
     parity,
     standard_form_gram,
     standard_form_of,
 )
 from linkform.seifert import relevant_primes, seifert
+from linkform.verify import (
+    d_class_from_data,
+    d_formula_case,
+    div4_diagonal_count,
+    hyperbolic_from_counts,
+    hyperbolic_test,
+)
 from support import (
     elements,
     eval_pair,
@@ -800,8 +807,6 @@ def test_component_determinant_recorded_once():
     # keeps it outside ==, hash, repr and the dataclass fields
     from dataclasses import fields
 
-    from linkform.pairing import _int_det
-
     for G in _gram_pairings():
         for C in G.components:
             fresh = HomogeneousComponent(C.prime, C.k, C.matrix)
@@ -858,8 +863,6 @@ def _valid(G):
 def test_every_built_pairing_and_component_is_valid():
     # gram_matrix, standard_form_gram, block_diagonalize and
     # HomogeneousComponent.gram build only pairings that construct
-    from linkform.pairing import _int_det
-
     rng = random.Random(2525)
     seen = Counter()
     for n in range(200):
