@@ -263,7 +263,7 @@ def _brent_factor(n: int, steps: int) -> int:
             return g
 
 
-@lru_cache(maxsize=256)  # Cyc.make asks about the same few primes many times
+@lru_cache(maxsize=256)  # every Cyc asks about the same few primes many times
 def is_prime(n: int) -> bool:
     return n >= 2 and (n in _MR_BASES or _proved_prime(n))
 

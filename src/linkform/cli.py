@@ -65,12 +65,21 @@ def _at_least(low: int):
     return parse
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook``: a key given twice would be read as its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise InvalidDataError(f"duplicate key {key!r}")
+    return obj
+
+
 def _read_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     # bad JSON, bad UTF-8, too many digits, arrays or objects nested too deep
     except (OSError, ValueError, RecursionError) as exc:
         raise InvalidDataError(f"cannot read JSON from {path}: {exc}") from exc
@@ -178,7 +187,7 @@ def _seifert_report(S: SeifertData, prime: int | None) -> dict:
             atoms += rep.standard_form.atoms
         out["local"].append(entry)
     if S.r >= 2:
-        out["standard_form"] = StandardForm.of(atoms).to_json()
+        out["standard_form"] = StandardForm(atoms).to_json()
         out["witt"] = witt_seifert(S).to_json()
     return out
 
@@ -191,11 +200,9 @@ def cmd_compute(args) -> int:
 
 def cmd_classify(args) -> int:
     S = _load_seifert(args.input)
-    if S.r < 2:
-        raise UnsupportedError("classification needs r >= 2")
     primes = [args.prime] if args.prime else None
     reports = classify_seifert(S, primes)
-    total = StandardForm.of(a for rep in reports.values() for a in rep.standard_form.atoms)
+    total = StandardForm(a for rep in reports.values() for a in rep.standard_form.atoms)
     _emit(
         {
             "seifert": S.to_json(),

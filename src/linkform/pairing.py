@@ -9,13 +9,15 @@ mattering mod min(2^k, 8)) or even, in which case it is an orthogonal sum
 of the rank-2 pairings E0(k) (hyperbolic) and at most one E1(k).
 
 The block decomposition into homogeneous components is in ``linking``,
-beside ``GramPairing``.  This module provides the per-component
-invariants, conversion to a standard form built from Cyc/E0/E1 atoms, an
-exact isomorphism test by Gauss-sum invariants at every order (read from
-the atoms of a standard form, into which a Gram pairing is classified
-first, or, without classifying, from Seifert data directly), a sound
-normal form from which realization reads target shapes, and a
-brute-force isomorphism search kept as a test oracle.
+beside ``GramPairing``.  Atoms and standard forms are normal by
+construction: ``Cyc`` reduces its unit, ``StandardForm`` sorts its atoms.
+This module provides the per-component invariants, conversion to a
+standard form built from Cyc/E0/E1 atoms, an exact isomorphism test by
+Gauss-sum invariants at every order (read from the atoms of a standard
+form, into which a Gram pairing is classified first, or, without
+classifying, from Seifert data directly), a sound normal form from which
+realization reads target shapes, and a brute-force isomorphism search
+kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -47,21 +49,20 @@ from .torsion import local_orders, unsupported_r1_pairing
 
 @dataclass(frozen=True)
 class Cyc:
-    """Cyclic pairing (n, n') -> [n n' a / p^k] on Z/p^k."""
+    """Cyclic pairing (n, n') -> [n n' a / p^k] on Z/p^k; the unit a is kept
+    mod p^k for odd p and mod min(2^k, 8) for p = 2, where it matters."""
 
     p: int
     k: int
     a: int
 
-    @classmethod
-    def make(cls, p: int, k: int, a: int) -> "Cyc":
+    def __post_init__(self):
+        p, k, a = self.p, self.k, self.a
         if not is_prime(p) or k < 1:
             raise InvalidDataError(f"bad cyclic atom ({p},{k},{a})")
         if a % p == 0:
             raise InvalidDataError(f"unit {a} required mod {p}^{k}")
-        # the unit matters mod p^k for odd p and mod min(2^k, 8) for p = 2
-        mod = min(2**k, 8) if p == 2 else p**k
-        return cls(p, k, a % mod)
+        object.__setattr__(self, "a", a % (min(2**k, 8) if p == 2 else p**k))
 
     @property
     def block(self) -> tuple[tuple[int, ...], ...]:
@@ -116,34 +117,32 @@ def _atoms_json(atoms) -> list[dict]:
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Orthogonal sum of classification atoms, kept in canonical order."""
+    """Orthogonal sum of atoms, from any iterable, kept in ``_atom_key`` order."""
 
     atoms: tuple[Atom, ...]
 
-    @classmethod
-    def of(cls, atoms) -> "StandardForm":
-        return cls(tuple(sorted(atoms, key=_atom_key)))
+    def __post_init__(self):
+        object.__setattr__(self, "atoms", tuple(sorted(self.atoms, key=_atom_key)))
 
     def __add__(self, other: "StandardForm") -> "StandardForm":
-        return StandardForm.of(self.atoms + other.atoms)
+        return StandardForm(self.atoms + other.atoms)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted({a.p for a in self.atoms}))
 
     def restrict(self, p: int) -> "StandardForm":
-        return StandardForm.of(a for a in self.atoms if a.p == p)
+        return StandardForm(a for a in self.atoms if a.p == p)
 
     def group_order(self) -> int:
         return prod(a.p ** (a.k * len(a.block)) for a in self.atoms)
 
     def negated(self) -> "StandardForm":
         # E0 and E1 are isomorphic to their negatives
-        return StandardForm.of(
-            Cyc.make(a.p, a.k, -a.a) if isinstance(a, Cyc) else a for a in self.atoms
-        )
+        return StandardForm(Cyc(a.p, a.k, -a.a) if isinstance(a, Cyc) else a for a in self.atoms)
 
     def levels(self, p: int) -> list[tuple[int, list[int], int, int]]:
-        """[(k, sorted units, #E0, #E1)] of the atoms at p, by strictly decreasing k."""
+        """[(k, units, #E0, #E1)] of the atoms at p, by strictly decreasing k;
+        the units ascend, as ``_atom_key`` orders them."""
         by_k: dict[int, list[Atom]] = {}
         for a in self.atoms:
             if a.p == p:
@@ -151,7 +150,7 @@ class StandardForm:
         return [
             (
                 k,
-                sorted(a.a for a in group if isinstance(a, Cyc)),
+                [a.a for a in group if isinstance(a, Cyc)],
                 sum(1 for a in group if isinstance(a, E0)),
                 sum(1 for a in group if isinstance(a, E1)),
             )
@@ -190,7 +189,7 @@ class StandardForm:
                 ((name, value),) = item.items()
                 if name == "cyc":
                     p, k, a = (json_int(x) for x in value)
-                    atoms.append(Cyc.make(p, k, a))
+                    atoms.append(Cyc(p, k, a))
                 elif name == "E0":
                     atoms.append(E0(json_int(value)))
                 elif name == "E1":
@@ -199,7 +198,7 @@ class StandardForm:
                     raise InvalidDataError(f"unknown atom {item!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDataError(f"bad standard form: {obj!r}") from exc
-        return cls.of(atoms)
+        return cls(atoms)
 
 
 def standard_form_gram(sf: StandardForm, p: int) -> GramPairing:
@@ -298,7 +297,7 @@ def diagonalize_odd(C: HomogeneousComponent) -> list[Cyc]:
         _gram_row_add(M, 0, len(M) - 1, q)
         a2, M = _split_unit_pivot(M, 0, q)
         atoms.append(a2)
-    return [Cyc.make(p, k, a) for a in atoms]
+    return [Cyc(p, k, a) for a in atoms]
 
 
 def even_decompose(C: HomogeneousComponent) -> tuple[int, int]:
@@ -368,7 +367,7 @@ def classify(G: GramPairing) -> ClassificationReport:
             d, catoms = None, diagonalize_odd(C)
         summaries.append(ComponentSummary(C.k, C.rank, par, d, tuple(catoms)))
         atoms += catoms
-    return ClassificationReport(p, tuple(summaries), StandardForm.of(atoms))
+    return ClassificationReport(p, tuple(summaries), StandardForm(atoms))
 
 
 def classify_seifert(S: SeifertData, primes=None) -> dict[int, ClassificationReport]:
@@ -381,7 +380,7 @@ def classify_seifert(S: SeifertData, primes=None) -> dict[int, ClassificationRep
 def standard_form_of(S: SeifertData) -> StandardForm:
     """Standard form of the full linking pairing of M(g;S)."""
     reports = classify_seifert(S).values()
-    return StandardForm.of(a for rep in reports for a in rep.standard_form.atoms)
+    return StandardForm(a for rep in reports for a in rep.standard_form.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +393,20 @@ def _e_atoms(k: int, e0: int, e1: int) -> list[Atom]:
 
 
 def _canonical_level_2(k: int, cycs: list[int], e0: int, e1: int) -> list[Atom]:
+    # cycs are reduced units, as Cyc keeps them; StandardForm orders the result
     out: list[Atom] = []
     if cycs and (e0 or e1):
         # odd level: absorb E-blocks by re-diagonalizing the whole level
-        sf = StandardForm.of([Cyc.make(2, k, a) for a in cycs] + _e_atoms(k, e0, e1))
+        sf = StandardForm([Cyc(2, k, a) for a in cycs] + _e_atoms(k, e0, e1))
         G = standard_form_gram(sf, 2)
         C = HomogeneousComponent(2, k, G.matrix)
         cycs = [at.a for at in diagonalize_odd(C)]
         e0 = e1 = 0
     if cycs:
-        mod = min(2**k, 8)
-        res = [a % mod for a in cycs]
         if k >= 3:
             # the only sound rewrite kept here: shifting any two units by 4
-            n1 = res.count(1)
-            n3 = res.count(3)
-            c1 = n1 + res.count(5)
-            c3 = n3 + res.count(7)
+            n1, n3 = cycs.count(1), cycs.count(3)
+            c1, c3 = n1 + cycs.count(5), n3 + cycs.count(7)
             s = (n1 + n3) % 2
             if (c1 + c3) % 2 == s:
                 m1, m3 = c1, c3
@@ -418,10 +414,10 @@ def _canonical_level_2(k: int, cycs: list[int], e0: int, e1: int) -> list[Atom]:
                 m1, m3 = c1, c3 - 1
             else:
                 m1, m3 = c1 - 1, 0
-            out += [Cyc.make(2, k, 1)] * m1 + [Cyc.make(2, k, 5)] * (c1 - m1)
-            out += [Cyc.make(2, k, 3)] * m3 + [Cyc.make(2, k, 7)] * (c3 - m3)
+            out += [Cyc(2, k, 1)] * m1 + [Cyc(2, k, 5)] * (c1 - m1)
+            out += [Cyc(2, k, 3)] * m3 + [Cyc(2, k, 7)] * (c3 - m3)
         else:
-            out += [Cyc.make(2, k, a) for a in sorted(res)]
+            out += [Cyc(2, k, a) for a in cycs]
     e0 += 2 * (e1 // 2)
     e1 %= 2
     out += _e_atoms(k, e0, e1)
@@ -446,10 +442,10 @@ def canonical_form(sf: StandardForm) -> StandardForm:
                 for a in units:
                     cls *= legendre(a, p)
                 rep = 1 if cls == 1 else least_nonresidue(p)
-                out += [Cyc.make(p, k, 1)] * (len(units) - 1) + [Cyc.make(p, k, rep)]
+                out += [Cyc(p, k, 1)] * (len(units) - 1) + [Cyc(p, k, rep)]
             else:
                 out += _canonical_level_2(k, units, e0, e1)
-    return StandardForm.of(out)
+    return StandardForm(out)
 
 
 def _level(p: int, k: int, rank: int, units=(), e1: int = 0, d: int = 1) -> tuple:

@@ -122,18 +122,16 @@ def _sum_zero_unit_tuple(p: int, m: int, want_cls: int) -> tuple[int, ...]:
 
     Deterministic order; used for the top block of the flat odd-p recipe.
     Each tail of m - 2 units is completed by a pair (b1, b2).  The
-    alternating +-1 tails come first.  Their number of non-residues stays
-    near m/2, and at p = 3 the tail's sum fixes the class of the pair, so
-    they can miss a class.  The tails with j non-residues (j = 0..m-2)
-    follow; at p = 3 these reach every class that a sum-zero tuple has.
+    alternating +-1 tail comes first, then the same tail ending in 2.  The
+    latter sums to 2 or 3, a unit for p >= 5, and a tail with a unit sum
+    has pairs with |b2| < 4p of either class.  At p = 3 the tail's sum
+    fixes the class of the pair, so both can miss a class.  The tails with
+    j non-residues (j = 0..m-2) follow; at p = 3 these reach every class
+    that a sum-zero tuple has.
     """
     base = tuple(1 if i % 2 == 0 else -1 for i in range(m - 2))
-    tails = [base]
-    for v in (2, -2, 3, -3, 4, -4):
-        tails.append(base[:-1] + (v,))
-        if m >= 4:
-            tails.append((v,) + base[1:])
     nonres = -1 if legendre(-1, p) == -1 else least_nonresidue(p)
+    tails = [base, base[:-1] + (2,)]
     tails += [(nonres,) * j + (1,) * (m - 2 - j) for j in range(m - 1)]
     for tail in tails:
         if any(b % p == 0 for b in tail):
@@ -213,7 +211,7 @@ def _two_tail_for_sphere(k: int, units: list[int], alpha_big: int) -> list[tuple
     mod = min(q, 8)
     m = alpha_big >> (k + 1)
     assert m % 2 == 1
-    x, *rest = sorted(a % mod for a in units)
+    x, *rest = units  # reduced and sorted, as StandardForm.levels gives them
     beta2 = pow((-x - 2 * m) % 8, -1, 8)
     x_inv = pow(x, -1, mod)
     return [(q, _small_unit_rep(beta2, 8))] + [
@@ -301,7 +299,9 @@ def _sphere2_candidates(k: int, residues, lower_targets, tag: str):
         if mk == 8 and top == [1, 7]:
             yield f"odd-sphere-pm1[{j}]", _balanced(2 * q, 1, [(q, 1), (q, -1), *low])
         if len(top) == 1:
-            for b2 in (1, -1, 3, -3, 5, -5, 7, -7):
+            # l(s,s) = (4 - b2^-1)/q and lower levels see b2^2 = 1 mod 8, so
+            # the pairing depends on b2 mod 8 only: b2 -+ 8 would repeat these
+            for b2 in (1, -1, 3, -3):
                 yield f"lens[2,{b2},1,{j}]", _balanced(4 * q, 1, [(q, b2), *low])
 
     for flipped in (False, True):
@@ -412,7 +412,7 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
         pairs = ((2, 1), (3, -1)) if mode == "sphere" else ((2, 1), (2, -1))
         label = "trivial-sphere" if mode == "sphere" else "trivial-flat"
         return _first_verified([(label, SeifertData(0, pairs))], target)
-    odd = StandardForm.of(a for a in target.atoms if a.p != 2)
+    odd = StandardForm(a for a in target.atoms if a.p != 2)
     if not odd.atoms:
         return _first_verified(_two_candidates(target, mode), target)
     two = target.restrict(2)
@@ -431,7 +431,7 @@ def realize(target: StandardForm, mode: str = "auto") -> RealizationResult:
             )
         # balance the 2-part's canonical diagonal
         label = "mixed-sphere/balanced" if two_atoms else "odd-sphere/balanced"
-        return _balanced_sphere(odd + StandardForm.of(two_atoms), label, target)
+        return _balanced_sphere(odd + StandardForm(two_atoms), label, target)
     # one flat piece per prime, the 2-part's first: a gapped one may be refused
     two_piece = next(_two_candidates(two, "flat")) if two.atoms else None
     pieces = [_odd_flat_piece(odd, p) for p in odd.primes()]

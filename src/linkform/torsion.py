@@ -213,6 +213,6 @@ def torsion_order(S: SeifertData) -> int:
 def unsupported_r1_pairing(S: SeifertData) -> None:
     if S.r < 2:
         raise UnsupportedError(
-            "pairing computation needs r >= 2; r = 1 spaces are lens spaces "
-            "whose cyclic pairings are handled symbolically"
+            "pairing computation needs r >= 2; the pairing of an r = 1 space "
+            "(a lens space) is not computed"
         )

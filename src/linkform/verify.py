@@ -155,9 +155,8 @@ def rand_odd_standard_form(
     while len(atoms) < total:
         p = rng.choice(primes)
         k = rng.randint(1, kmax)
-        a = _rand_unit(rng, p, p**k)
-        atoms.append(Cyc.make(p, k, a % p**k or 1))
-    return StandardForm.of(atoms)
+        atoms.append(Cyc(p, k, _rand_unit(rng, p, p**k)))
+    return StandardForm(atoms)
 
 
 def all_two_homogeneous_forms(kmax: int = 3, rhomax: int = 4) -> list[StandardForm]:
@@ -175,14 +174,14 @@ def all_two_homogeneous_forms(kmax: int = 3, rhomax: int = 4) -> list[StandardFo
         units = [1] if k == 1 else ([1, 3] if k == 2 else [1, 3, 5, 7])
         for rho in range(1, rhomax + 1):
             for combo in itertools.combinations_with_replacement(units, rho):
-                sf = canonical_form(StandardForm.of(Cyc.make(2, k, a) for a in combo))
+                sf = canonical_form(StandardForm(Cyc(2, k, a) for a in combo))
                 if sf not in seen:
                     seen.add(sf)
                     forms.append(sf)
         for pairs in range(1, rhomax // 2 + 1):
-            forms.append(StandardForm.of([E0(k)] * pairs))
+            forms.append(StandardForm([E0(k)] * pairs))
             if k >= 2:
-                forms.append(StandardForm.of([E0(k)] * (pairs - 1) + [E1(k)]))
+                forms.append(StandardForm([E0(k)] * (pairs - 1) + [E1(k)]))
     return forms
 
 
@@ -466,7 +465,7 @@ def suite_thm7(cfg: RunConfig) -> dict:
         trials += 1
         by_matrix = hyperbolic_test(comp)
         by_counts = hyperbolic_from_counts(div4_diagonal_count(S), rho)
-        hyperbolic_form = StandardForm.of([E0(2)] * (rho // 2))
+        hyperbolic_form = StandardForm([E0(2)] * (rho // 2))
         by_force = brute_force_isomorphic(
             comp.gram(), standard_form_gram(hyperbolic_form, 2), bound=cfg.oracle_bound
         )[0]
@@ -516,7 +515,7 @@ def suite_witt(cfg: RunConfig) -> dict:
             )
     # metabolic atoms are certified metabolic and Witt-trivial
     for atom in [E0(1), E0(2), E0(3), E1(2), E1(3)]:
-        sf = StandardForm.of([atom])
+        sf = StandardForm([atom])
         trials += 1
         ok, _ = metabolic_oracle(standard_form_gram(sf, 2), bound=2**16)
         if not ok or not witt_pairing(sf).is_zero():
@@ -547,9 +546,9 @@ def suite_witt(cfg: RunConfig) -> dict:
 
 def _check_local_group(p: int, elems) -> str | None:
     def lift(v):
-        return WittElement.of({p: v})
+        return WittElement(((p, v),))
 
-    zero = WittElement.zero()
+    zero = WittElement()
     for a in elems:
         ea = lift(a)
         if ea + zero != ea or ea + (-ea) != zero:
@@ -573,12 +572,12 @@ def _check_local_group(p: int, elems) -> str | None:
 def suite_search_nonrealizable(cfg: RunConfig) -> dict:
     """Bounded corroboration that E0(2)+E0(1) is not a Seifert pairing,
     and that the search does find the known realization of its odd cousin."""
-    bad = StandardForm.of([E0(2), E0(1)])
+    bad = StandardForm([E0(2), E0(1)])
     alphas = [a for a in (2, 4, 8) if a <= cfg.max_alpha]
     hits_bad = exhaustive_search(
         bad, max_r=cfg.max_r, alphas=alphas, max_beta=cfg.max_beta
     )
-    nil_class = StandardForm.of([Cyc.make(2, 2, 3), E0(1)])
+    nil_class = StandardForm([Cyc(2, 2, 3), E0(1)])
     hits_nil = exhaustive_search(
         nil_class, max_r=min(cfg.max_r, 4), alphas=alphas, max_beta=cfg.max_beta
     )

@@ -14,7 +14,8 @@ addition mod 4 at p = 3 mod 4 and exclusive or at every other prime.  The
 class of a cyclic pairing a -> [a^2 b / p^k] vanishes for even k and equals
 the class of <b mod p> for odd k; E0 and E1 are metabolic.  For a Seifert
 manifold the class of the full pairing has a closed form in the Seifert
-invariants, which witt_seifert evaluates.
+invariants, which witt_seifert evaluates.  A ``WittElement`` is normal
+by construction: zero locals are dropped, the rest sorted by prime.
 """
 
 from __future__ import annotations
@@ -39,17 +40,13 @@ def _local_neg(p: int, a: int) -> int:
 
 @dataclass(frozen=True)
 class WittElement:
-    """Element of the direct sum over primes of W(F_p); zero locals omitted."""
+    """Element of the direct sum over primes of W(F_p), from any iterable of
+    (p, local) pairs; ``WittElement()`` is zero."""
 
-    entries: tuple[tuple[int, int], ...]
+    entries: tuple[tuple[int, int], ...] = ()
 
-    @classmethod
-    def zero(cls) -> "WittElement":
-        return cls(())
-
-    @classmethod
-    def of(cls, locals_: dict) -> "WittElement":
-        return cls(tuple(sorted((p, v) for p, v in locals_.items() if v)))
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(sorted((p, v) for p, v in self.entries if v)))
 
     def local(self, p: int) -> int:
         for q, v in self.entries:
@@ -62,12 +59,10 @@ class WittElement:
 
     def __add__(self, other: "WittElement") -> "WittElement":
         primes = {p for p, _ in self.entries} | {p for p, _ in other.entries}
-        return WittElement.of(
-            {p: _local_add(p, self.local(p), other.local(p)) for p in primes}
-        )
+        return WittElement((p, _local_add(p, self.local(p), other.local(p))) for p in primes)
 
     def __neg__(self) -> "WittElement":
-        return WittElement.of({p: _local_neg(p, v) for p, v in self.entries})
+        return WittElement((p, _local_neg(p, v)) for p, v in self.entries)
 
     def to_json(self) -> dict:
         # at p = 1 mod 4 the class x + 2y is written as its coordinates (x,y)
@@ -108,7 +103,7 @@ def witt_rational(w) -> WittElement:
         raise InvalidDataError("witt_rational needs a nonzero rational")
     locals_ = {}
     _add_rational(locals_, w.numerator, w.denominator)
-    return WittElement.of(locals_)
+    return WittElement(locals_.items())
 
 
 def witt_pairing(sf: StandardForm) -> WittElement:
@@ -118,7 +113,7 @@ def witt_pairing(sf: StandardForm) -> WittElement:
     for atom in sf.atoms:
         if isinstance(atom, Cyc) and atom.k % 2:
             _add_unit(locals_, atom.p, atom.a)
-    return WittElement.of(locals_)
+    return WittElement(locals_.items())
 
 
 def witt_seifert(S: SeifertData) -> WittElement:
@@ -135,7 +130,7 @@ def witt_seifert(S: SeifertData) -> WittElement:
         _add_rational(locals_, 1 if PQ > 0 else -1, abs(PQ))
     for a, b in S.pairs:
         _add_rational(locals_, b, a)
-    return WittElement.of({p: _local_neg(p, v) for p, v in locals_.items()})
+    return WittElement((p, _local_neg(p, v)) for p, v in locals_.items())
 
 
 def metabolic_oracle(G: GramPairing, *, bound: int = 2**16):

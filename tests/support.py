@@ -2,7 +2,8 @@
 the pairing on two elements, the elements of a finite abelian group, Seifert
 data reordered at a prime, a data-level evenness predicate, random
 Seifert data with large cone orders, and, kept as references, the
-piece-by-piece realization selection, the three-term orthogonalisation of
+piece-by-piece realization selection, the sum-zero unit tuples over the
+full list of fixed tails, the three-term orthogonalisation of
 the block decomposition, the block decomposition that sorts the generators
 by order first, and a Smith normal form with divisibility repair."""
 
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
-from linkform.arith import bareiss, ext_gcd, padic_val
+from linkform.arith import bareiss, ext_gcd, least_nonresidue, legendre, padic_val
 from linkform.errors import (
     InvalidDataError,
     UnrealizableError,
@@ -165,7 +166,7 @@ def reference_realize(target: StandardForm, mode: str = "auto") -> tuple[str, Se
         label = "trivial-sphere" if mode == "sphere" else "trivial-flat"
         pairs = ((2, 1), (3, -1)) if mode == "sphere" else ((2, 1), (2, -1))
         return first([(label, SeifertData(0, pairs))], target)
-    odd = StandardForm.of(a for a in target.atoms if isinstance(a, Cyc) and a.p != 2)
+    odd = StandardForm(a for a in target.atoms if isinstance(a, Cyc) and a.p != 2)
     if not odd.atoms:
         return first(R._two_candidates(target, mode), target)
     two = target.restrict(2)
@@ -177,7 +178,7 @@ def reference_realize(target: StandardForm, mode: str = "auto") -> tuple[str, Se
         if any(not isinstance(a, Cyc) for a in two_atoms):
             raise UnrealizableError("even 2-part in sphere mode")
         label = "mixed-sphere/balanced" if two_atoms else "odd-sphere/balanced"
-        return first([(label, _reference_balanced(odd + StandardForm.of(two_atoms)))], target)
+        return first([(label, _reference_balanced(odd + StandardForm(two_atoms)))], target)
 
     def piece(p):
         part = two if p == 2 else odd.restrict(p)
@@ -190,6 +191,34 @@ def reference_realize(target: StandardForm, mode: str = "auto") -> tuple[str, Se
         return first([R._fibre_sum_of([two_piece, odd_sum])], target)
     pieces = [piece(p) for p in odd.primes()] + ([piece(2)] if two.atoms else [])
     return pieces[0] if len(pieces) == 1 else first([R._fibre_sum_of(pieces)], target)
+
+
+def reference_sum_zero_unit_tuple(p: int, m: int, want_cls: int) -> tuple[int, ...]:
+    """realize._sum_zero_unit_tuple as it was before its fixed tails were cut
+    to ``base`` and ``base[:-1] + (2,)``: every tail ending or (m >= 4)
+    starting in +-2, +-3 or +-4 was tried after base, in this order."""
+    base = tuple(1 if i % 2 == 0 else -1 for i in range(m - 2))
+    tails = [base]
+    for v in (2, -2, 3, -3, 4, -4):
+        tails.append(base[:-1] + (v,))
+        if m >= 4:
+            tails.append((v,) + base[1:])
+    nonres = -1 if legendre(-1, p) == -1 else least_nonresidue(p)
+    tails += [(nonres,) * j + (1,) * (m - 2 - j) for j in range(m - 1)]
+    for tail in tails:
+        if any(b % p == 0 for b in tail):
+            continue
+        t = sum(tail)
+        cls_tail = prod(legendre(b, p) for b in tail) if tail else 1
+        for b2 in itertools.chain.from_iterable((v, -v) for v in range(1, 4 * p)):
+            if b2 % p == 0:
+                continue
+            b1 = -t - b2
+            if b1 == 0 or b1 % p == 0:
+                continue
+            if legendre(b1, p) * legendre(b2, p) * cls_tail == want_cls:
+                return (b1, b2) + tail
+    raise VerificationError(f"no sum-zero unit tuple of length {m} and class {want_cls} mod {p}")
 
 
 def _reference_balanced(form: StandardForm) -> SeifertData:

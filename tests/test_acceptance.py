@@ -35,8 +35,8 @@ def _announce(num, detail, t0, budget):
 def test_criterion_01_nil_classification():
     t0 = time.time()
     got = classify(gram_matrix(NIL, 2)).standard_form
-    plus = StandardForm.of([Cyc.make(2, 2, 3), E0(1)])
-    minus = StandardForm.of([Cyc.make(2, 2, 1), E0(1)])
+    plus = StandardForm([Cyc(2, 2, 3), E0(1)])
+    minus = StandardForm([Cyc(2, 2, 1), E0(1)])
     assert got in (plus, minus)
     sign = "computed orientation (+)" if got == plus else "reversed orientation (-)"
     _announce(1, f"quarter-turn Nil space is {got.to_json()['atoms']}; {sign}", t0, 1.0)
@@ -108,7 +108,7 @@ def _every_two_homogeneous_atom_list(kmax, rhomax):
             for blocks in range(rho // 2 + 1):
                 for es in itertools.combinations_with_replacement(evens, blocks):
                     for us in itertools.combinations_with_replacement(units, rho - 2 * blocks):
-                        yield StandardForm.of([Cyc.make(2, k, a) for a in us] + list(es))
+                        yield StandardForm([Cyc(2, k, a) for a in us] + list(es))
 
 
 def test_two_homogeneous_forms_cover_every_class():
@@ -192,8 +192,8 @@ def test_criterion_09_nonrealizable_search():
 def test_criterion_10_two_e1_isomorphism_witness():
     t0 = time.time()
     ok, witness = brute_force_isomorphic(
-        standard_form_gram(StandardForm.of([E1(2), E1(2)]), 2),
-        standard_form_gram(StandardForm.of([E0(2), E0(2)]), 2),
+        standard_form_gram(StandardForm([E1(2), E1(2)]), 2),
+        standard_form_gram(StandardForm([E0(2), E0(2)]), 2),
         bound=2**10,
     )
     assert ok and witness is not None

@@ -104,6 +104,7 @@ def test_prime_option_refuses_unprovable_primes(tmp_path, capsys, time_budget, m
     [
         (["compute", "{nil}", "--prime", "10000000000000000000000000000033"], "cannot prove"),
         (["classify", "{r1}"], "needs r >= 2"),
+        (["classify", "{r1}", "--prime", "3"], "needs r >= 2"),
     ],
 )
 def test_unsupported_input_has_its_own_prefix(tmp_path, capsys, monkeypatch, argv, why):
@@ -585,6 +586,33 @@ def test_an_unknown_seifert_key_is_refused_by_name(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, write(tmp_path, "s.json", doc))
     assert code == 2 and out == ""
     assert err.startswith("invalid data: unknown key 'gnus'")
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        # genus 2 was read as genus 0, and <1/3> dropped for <1/5>
+        ("compute", '{"genus": 2, "genus": 0, "pairs": [[2, 1], [2, 1], [2, 1]]}', "genus"),
+        ("witt", '{"pairs": [[2, 1], [2, 1]], "pairs": [[3, 1], [3, 1]]}', "pairs"),
+        ("realize", '{"atoms": [{"cyc": [3, 1, 1], "cyc": [5, 1, 1]}]}', "cyc"),
+        ("search", '{"atoms": [{"E0": 1}], "atoms": [{"cyc": [3, 1, 1]}]}', "atoms"),
+    ],
+)
+def test_a_duplicate_json_key_is_refused_by_name(tmp_path, capsys, command, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = [command, str(path)]
+    if command == "search":
+        argv += ["--max-r", "2", "--max-alpha", "3", "--max-beta", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"invalid data: duplicate key '{key}'")
+
+
+def test_a_duplicate_json_key_on_stdin_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"genus": 1, "genus": 1, "pairs": [[5, 2]]}'))
+    code, out, err = run_cli(capsys, "classify", "-")
+    assert code == 2 and out == "" and err.startswith("invalid data: duplicate key 'genus'")
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_matches_gram_path_on_realized_even_levels():
     seen = Counter()
     for k, e0, mode in itertools.product((2, 3, 4), (0, 1, 2), ("flat", "sphere")):
         for e1 in (0, 1):
-            target = StandardForm.of([E0(k)] * e0 + [E1(k)] * e1)
+            target = StandardForm([E0(k)] * e0 + [E1(k)] * e1)
             if not target.atoms:
                 continue
             S = realize(target, mode).seifert
@@ -164,7 +164,7 @@ def test_orientation_reversal_conjugates_the_invariant():
     # what makes that exact
     rng = random.Random(24)
     seen = Counter()
-    previous = StandardForm.of(())
+    previous = StandardForm(())
     for t in range(600):
         S = rand_block_seifert(rng, flat=t % 2 == 0, max_r=8, max_alpha=64)
         R = reversed_orientation(S)

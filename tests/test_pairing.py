@@ -58,7 +58,7 @@ def comp(p, k, rows):
 
 
 def sf(*atoms):
-    return StandardForm.of(atoms)
+    return StandardForm(atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +72,13 @@ def test_block_diagonalize_nil():
 
 
 def test_block_diagonalize_homogeneous_passthrough():
-    G = standard_form_gram(sf(Cyc.make(3, 2, 1), Cyc.make(3, 2, 2)), 3)
+    G = standard_form_gram(sf(Cyc(3, 2, 1), Cyc(3, 2, 2)), 3)
     comps = block_diagonalize(G)
     assert len(comps) == 1 and comps[0].rank == 2 and comps[0].k == 2
 
 
 def test_block_diagonalize_already_orthogonal():
-    G = standard_form_gram(sf(Cyc.make(3, 2, 1), Cyc.make(3, 1, 1)), 3)
+    G = standard_form_gram(sf(Cyc(3, 2, 1), Cyc(3, 1, 1)), 3)
     comps = block_diagonalize(G)
     assert [(c.k, c.rank) for c in comps] == [(2, 1), (1, 1)]
 
@@ -94,10 +94,10 @@ def test_block_diagonalize_rejects_singular():
 def test_block_diagonalize_preserves_class_under_scramble():
     rng = random.Random(31)
     forms = [
-        sf(Cyc.make(2, 2, 3), E0(1)),
-        sf(Cyc.make(3, 2, 1), Cyc.make(3, 1, 2), Cyc.make(3, 1, 1)),
-        sf(E1(2), Cyc.make(2, 1, 1)),
-        sf(Cyc.make(5, 2, 2), Cyc.make(5, 1, 1)),
+        sf(Cyc(2, 2, 3), E0(1)),
+        sf(Cyc(3, 2, 1), Cyc(3, 1, 2), Cyc(3, 1, 1)),
+        sf(E1(2), Cyc(2, 1, 1)),
+        sf(Cyc(5, 2, 2), Cyc(5, 1, 1)),
     ]
     for form in forms:
         for p in form.primes():
@@ -139,7 +139,7 @@ def _random_atom(rng, p, k=None):
         return E0(k)
     if kind == "E1":
         return E1(max(k, 2))
-    return Cyc.make(p, k, rng.choice([a for a in range(1, p**k) if a % p]))
+    return Cyc(p, k, rng.choice([a for a in range(1, p**k) if a % p]))
 
 
 def test_block_diagonalize_matches_the_fraction_reference():
@@ -263,13 +263,13 @@ def test_d_invariant_examples():
     assert d_invariant(comp(3, 1, [[1]])) == 1
     assert d_invariant(comp(5, 1, [[1, 0], [0, 2]])) == -1
     # rank-2 hyperbolic at p=3 has class of -1, a nonsquare mod 3
-    hyp = block_diagonalize(standard_form_gram(sf(Cyc.make(3, 1, 1), Cyc.make(3, 1, 2)), 3))
+    hyp = block_diagonalize(standard_form_gram(sf(Cyc(3, 1, 1), Cyc(3, 1, 2)), 3))
     assert d_invariant(hyp[0]) == -1 == hyperbolic_test(hyp[0]) - 2  # True and -1
 
 
 def test_d_invariant_basis_independent():
     rng = random.Random(5)
-    form = sf(Cyc.make(7, 2, 3), Cyc.make(7, 2, 1), Cyc.make(7, 2, 1))
+    form = sf(Cyc(7, 2, 3), Cyc(7, 2, 1), Cyc(7, 2, 1))
     G = standard_form_gram(form, 7)
     base = d_invariant(block_diagonalize(G)[0])
     for _ in range(6):
@@ -306,7 +306,7 @@ def test_d_formula_matches_matrix_on_known_cases():
 
 
 def test_diagonalize_rank1():
-    assert diagonalize_odd(comp(2, 3, [[3]])) == [Cyc.make(2, 3, 3)]
+    assert diagonalize_odd(comp(2, 3, [[3]])) == [Cyc(2, 3, 3)]
 
 
 def test_diagonalize_two_by_two_at_two():
@@ -317,7 +317,7 @@ def test_diagonalize_two_by_two_at_two():
     d2 = (5 - pow(3, -1, 8) * 4) % 8
     assert got == sorted([3, d2])
     ok, _ = brute_force_isomorphic(
-        C.gram(), standard_form_gram(StandardForm.of(atoms), 2), bound=2**10
+        C.gram(), standard_form_gram(StandardForm(atoms), 2), bound=2**10
     )
     assert ok
 
@@ -346,7 +346,7 @@ def test_diagonalize_absorbs_even_remainder():
     atoms = diagonalize_odd(C)
     assert len(atoms) == 3
     ok, _ = brute_force_isomorphic(
-        C.gram(), standard_form_gram(StandardForm.of(atoms), 2), bound=2**10
+        C.gram(), standard_form_gram(StandardForm(atoms), 2), bound=2**10
     )
     assert ok
 
@@ -354,11 +354,11 @@ def test_diagonalize_absorbs_even_remainder():
 def test_diagonalize_random_components_brute_checked():
     rng = random.Random(11)
     pool = [
-        sf(Cyc.make(2, 2, 1), Cyc.make(2, 2, 3), Cyc.make(2, 2, 3)),
-        sf(Cyc.make(2, 3, 1), Cyc.make(2, 3, 7)),
-        sf(Cyc.make(2, 1, 1), E0(1)),
-        sf(Cyc.make(2, 2, 51 % 4), E1(2)),
-        sf(Cyc.make(3, 1, 1), Cyc.make(3, 1, 2)),
+        sf(Cyc(2, 2, 1), Cyc(2, 2, 3), Cyc(2, 2, 3)),
+        sf(Cyc(2, 3, 1), Cyc(2, 3, 7)),
+        sf(Cyc(2, 1, 1), E0(1)),
+        sf(Cyc(2, 2, 51 % 4), E1(2)),
+        sf(Cyc(3, 1, 1), Cyc(3, 1, 2)),
     ]
     for form in pool:
         p = form.primes()[0]
@@ -372,7 +372,7 @@ def test_diagonalize_random_components_brute_checked():
                 atoms = diagonalize_odd(part)
                 ok, _ = brute_force_isomorphic(
                     part.gram(),
-                    standard_form_gram(StandardForm.of(atoms), p),
+                    standard_form_gram(StandardForm(atoms), p),
                     bound=2**10,
                 )
                 assert ok
@@ -408,7 +408,7 @@ def test_even_decompose_agrees_with_brute_force_identification():
             H = shuffle_basis(G, rng)
             C = block_diagonalize(H)[0]
             n0, n1 = even_decompose(C)
-            rebuilt = StandardForm.of([E0(k)] * n0 + ([E1(k)] if n1 else []))
+            rebuilt = StandardForm([E0(k)] * n0 + ([E1(k)] if n1 else []))
             ok, _ = brute_force_isomorphic(
                 C.gram(), standard_form_gram(rebuilt, 2), bound=2**10
             )
@@ -498,7 +498,7 @@ def test_counts_rule_brute_forced_at_t4_rho4():
 
 
 def test_hyperbolic_test_examples():
-    hyp3 = block_diagonalize(standard_form_gram(sf(Cyc.make(3, 1, 1), Cyc.make(3, 1, 2)), 3))[0]
+    hyp3 = block_diagonalize(standard_form_gram(sf(Cyc(3, 1, 1), Cyc(3, 1, 2)), 3))[0]
     assert hyperbolic_test(hyp3)
     e1 = comp(2, 2, [[2, 1], [1, 2]])
     assert not hyperbolic_test(e1)
@@ -512,10 +512,10 @@ def test_hyperbolic_test_matches_metabolizer_search():
     # odd p, rank 2: a metabolizer is automatically a direct summand, so
     # metabolic and hyperbolic coincide
     for form in [
-        sf(Cyc.make(3, 1, 1), Cyc.make(3, 1, 2)),
-        sf(Cyc.make(3, 1, 1), Cyc.make(3, 1, 1)),
-        sf(Cyc.make(5, 1, 1), Cyc.make(5, 1, 4)),
-        sf(Cyc.make(5, 1, 1), Cyc.make(5, 1, 2)),
+        sf(Cyc(3, 1, 1), Cyc(3, 1, 2)),
+        sf(Cyc(3, 1, 1), Cyc(3, 1, 1)),
+        sf(Cyc(5, 1, 1), Cyc(5, 1, 4)),
+        sf(Cyc(5, 1, 1), Cyc(5, 1, 2)),
     ]:
         p = form.primes()[0]
         G = standard_form_gram(form, p)
@@ -536,7 +536,7 @@ def test_hyperbolic_test_matches_metabolizer_search():
 
 def test_classify_nil():
     rep = classify(gram_matrix(NIL, 2))
-    assert rep.standard_form == sf(Cyc.make(2, 2, 3), E0(1))
+    assert rep.standard_form == sf(Cyc(2, 2, 3), E0(1))
     assert [c.parity for c in rep.components] == ["odd", "even"]
 
 
@@ -547,7 +547,7 @@ def test_classify_e02():
 
 def test_classify_trivial():
     rep = classify(gram_matrix(seifert((3, 1), (3, -1)), 3))
-    assert rep.standard_form == StandardForm.of(())
+    assert rep.standard_form == StandardForm(())
     assert rep.components == ()
 
 
@@ -563,15 +563,31 @@ def test_classify_invariant_under_pair_permutation():
 
 
 def test_standard_form_json_round_trip():
-    form = sf(Cyc.make(3, 2, 1), E0(2), E1(3))
+    form = sf(Cyc(3, 2, 1), E0(2), E1(3))
     assert StandardForm.from_json(form.to_json()) == form
     assert form.to_json() == {"atoms": [{"E1": 3}, {"E0": 2}, {"cyc": [3, 2, 1]}]}
 
 
+def test_a_cyclic_atom_is_valid_and_reduced_by_construction():
+    # the dataclass constructor used to accept any fields as given
+    for p, k, a in ((4, 1, 1), (3, 0, 1), (2, 2, 0)):
+        with pytest.raises(InvalidDataError):
+            Cyc(p, k, a)
+    assert Cyc(2, 3, 9) == Cyc(2, 3, 1)  # mod min(2^k, 8) at p = 2
+    assert Cyc(2, 5, 13).a == 5 and Cyc(2, 1, -1).a == 1 and Cyc(5, 2, -1).a == 24
+
+
+def test_a_standard_form_is_sorted_by_construction():
+    atoms = (Cyc(3, 1, 1), E0(1))
+    forward, backward = StandardForm(atoms), StandardForm(reversed(atoms))
+    assert forward == backward and forward.to_json() == backward.to_json()
+    assert forward.atoms == (E0(1), Cyc(3, 1, 1))
+
+
 def test_negation():
-    assert sf(Cyc.make(2, 2, 3)).negated() == sf(Cyc.make(2, 2, 1))
+    assert sf(Cyc(2, 2, 3)).negated() == sf(Cyc(2, 2, 1))
     assert sf(E0(2), E1(2)).negated() == sf(E0(2), E1(2))
-    assert sf(Cyc.make(5, 1, 2)).negated() == sf(Cyc.make(5, 1, 3))
+    assert sf(Cyc(5, 1, 2)).negated() == sf(Cyc(5, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +604,11 @@ def test_two_e1_is_two_e0():
 
 
 def test_e0_differs_from_diagonal():
-    assert not is_isomorphic(sf(E0(1)), sf(Cyc.make(2, 1, 1), Cyc.make(2, 1, 1)))
+    assert not is_isomorphic(sf(E0(1)), sf(Cyc(2, 1, 1), Cyc(2, 1, 1)))
 
 
 def test_self_isomorphic():
-    form = sf(Cyc.make(3, 2, 1), E0(2), Cyc.make(2, 3, 5))
+    form = sf(Cyc(3, 2, 1), E0(2), Cyc(2, 3, 5))
     assert is_isomorphic(form, form)
 
 
@@ -605,15 +621,15 @@ def _conjugated(invariant):
 
 
 def test_negation_conjugates_the_gauss_sums():
-    a = sf(Cyc.make(3, 1, 1))
-    b = sf(Cyc.make(3, 1, 2))
+    a = sf(Cyc(3, 1, 1))
+    b = sf(Cyc(3, 1, 2))
     assert not is_isomorphic(a, b)
     assert gauss_invariant(b) == _conjugated(gauss_invariant(a))
 
 
 def test_brute_force_reorder_witness():
-    g1 = standard_form_gram(sf(Cyc.make(3, 1, 1), Cyc.make(3, 1, 2)), 3)
-    g2 = standard_form_gram(sf(Cyc.make(3, 1, 2), Cyc.make(3, 1, 1)), 3)
+    g1 = standard_form_gram(sf(Cyc(3, 1, 1), Cyc(3, 1, 2)), 3)
+    g2 = standard_form_gram(sf(Cyc(3, 1, 2), Cyc(3, 1, 1)), 3)
     ok, witness = brute_force_isomorphic(g1, g2)
     assert ok and len(witness) == 2
 
@@ -629,8 +645,8 @@ def test_pair_shift_move_is_sound():
     # {a, b} and {a+4, b+4} mod 8 give isomorphic pairings at level 3
     units = (1, 3, 5, 7)
     for a, b in itertools.combinations_with_replacement(units, 2):
-        f = sf(Cyc.make(2, 3, a), Cyc.make(2, 3, b))
-        g = sf(Cyc.make(2, 3, a + 4), Cyc.make(2, 3, b + 4))
+        f = sf(Cyc(2, 3, a), Cyc(2, 3, b))
+        g = sf(Cyc(2, 3, a + 4), Cyc(2, 3, b + 4))
         assert canonical_form(f) == canonical_form(g)
         ok, _ = brute_force_isomorphic(
             standard_form_gram(f, 2), standard_form_gram(g, 2)
@@ -640,8 +656,8 @@ def test_pair_shift_move_is_sound():
 
 def test_unshifted_pairs_not_merged():
     # <1,1> and <3,3> are genuinely different at level 3
-    f = sf(Cyc.make(2, 3, 1), Cyc.make(2, 3, 1))
-    g = sf(Cyc.make(2, 3, 3), Cyc.make(2, 3, 3))
+    f = sf(Cyc(2, 3, 1), Cyc(2, 3, 1))
+    g = sf(Cyc(2, 3, 3), Cyc(2, 3, 3))
     assert canonical_form(f) != canonical_form(g)
     ok, _ = brute_force_isomorphic(
         standard_form_gram(f, 2), standard_form_gram(g, 2)
@@ -651,7 +667,7 @@ def test_unshifted_pairs_not_merged():
 
 def test_canonical_absorbs_mixed_level():
     # a diagonal unit plus E0 at the same level diagonalizes
-    mixed = sf(Cyc.make(2, 3, 1), E0(3))
+    mixed = sf(Cyc(2, 3, 1), E0(3))
     canon = canonical_form(mixed)
     assert all(isinstance(a, Cyc) for a in canon.atoms)
     ok, _ = brute_force_isomorphic(
@@ -681,20 +697,20 @@ def test_isomorphism_report_above_oracle_bound():
     # bound of 2^10; the invariants decide here as at every order
     from linkform.pairing import isomorphism_report
 
-    big1 = sf(*(Cyc.make(2, 3, 1) for _ in range(4)))
-    big2 = sf(*(Cyc.make(2, 3, 5) for _ in range(4)))
-    rep = isomorphism_report(big1, big1 + StandardForm.of(()))
+    big1 = sf(*(Cyc(2, 3, 1) for _ in range(4)))
+    big2 = sf(*(Cyc(2, 3, 5) for _ in range(4)))
+    rep = isomorphism_report(big1, big1 + StandardForm(()))
     assert rep == {"isomorphic": True, "method": "invariants"}
     rep = isomorphism_report(big1, big2)
     assert rep["isomorphic"]
     # <1,1,1,1>/8 and <3,3,3,3>/8 are isomorphic
-    big3 = sf(*(Cyc.make(2, 3, 3) for _ in range(4)))
+    big3 = sf(*(Cyc(2, 3, 3) for _ in range(4)))
     rep = isomorphism_report(big1, big3)
     assert rep == {"isomorphic": True, "method": "invariants"}
     _assert_isometry(big1, big3, [(0, 1, 1, 1), (1, 0, 1, 7), (1, 1, 3, 4), (1, 7, 4, 5)])
     # 4 <1>/4 + <1>/8 and 4 <3>/4 + <1>/8 (the <1>/8 atom comes first)
-    four = sf(*(Cyc.make(2, 2, 1) for _ in range(4)), Cyc.make(2, 3, 1))
-    three = sf(*(Cyc.make(2, 2, 3) for _ in range(4)), Cyc.make(2, 3, 1))
+    four = sf(*(Cyc(2, 2, 1) for _ in range(4)), Cyc(2, 3, 1))
+    three = sf(*(Cyc(2, 2, 3) for _ in range(4)), Cyc(2, 3, 1))
     assert is_isomorphic(four, three)
     _assert_isometry(
         four,
@@ -724,7 +740,7 @@ def test_gauss_arguments_match_direct_sums():
     for p, kmax in ((2, 5), (3, 4), (5, 3), (7, 2)):
         for k in range(1, kmax + 1):
             units = (1, 3, 5, 7) if p == 2 else (1, 2, 3, 6)
-            atoms = [Cyc.make(p, k, a) for a in units if a % p]
+            atoms = [Cyc(p, k, a) for a in units if a % p]
             if p == 2:
                 atoms += [E0(k)] + ([E1(k)] if k >= 2 else [])
             for atom in atoms:
@@ -737,10 +753,10 @@ def test_gauss_arguments_match_direct_sums():
 
 def test_gauss_invariant_adds_over_atoms():
     for form in (
-        sf(Cyc.make(2, 3, 3), Cyc.make(2, 2, 1), E1(2)),
-        sf(Cyc.make(2, 3, 5), E0(1), Cyc.make(2, 1, 1)),
-        sf(Cyc.make(3, 2, 2), Cyc.make(3, 1, 1), Cyc.make(3, 1, 2)),
-        sf(Cyc.make(5, 1, 2), Cyc.make(5, 2, 3), Cyc.make(7, 1, 3)),
+        sf(Cyc(2, 3, 3), Cyc(2, 2, 1), E1(2)),
+        sf(Cyc(2, 3, 5), E0(1), Cyc(2, 1, 1)),
+        sf(Cyc(3, 2, 2), Cyc(3, 1, 1), Cyc(3, 1, 2)),
+        sf(Cyc(5, 1, 2), Cyc(5, 2, 3), Cyc(7, 1, 3)),
     ):
         invariant = gauss_invariant(form)
         structure = [(p, k) for p, (ranks, _) in invariant for k, rho in ranks for _ in range(rho)]
@@ -792,7 +808,7 @@ def test_singular_gram_pairing_raises_rather_than_reads_false():
         GramPairing(3, ("e1", "e2"), (3, 3), ((1, 1), (1, 1))),
     ):
         p = singular.prime
-        fine = standard_form_gram(sf(Cyc.make(p, 1, 1), Cyc.make(p, 1, 1)), p)
+        fine = standard_form_gram(sf(Cyc(p, 1, 1), Cyc(p, 1, 1)), p)
         for call in (
             lambda: gauss_invariant(singular),
             lambda: is_isomorphic(singular, fine),
@@ -886,7 +902,7 @@ def _two_level_forms(k, rank):
     """Every multiset of atoms of total rank ``rank`` at 2-adic level k."""
     kinds = [E0(k)] + ([E1(k)] if k >= 2 else [])
     return [
-        list(blocks) + [Cyc.make(2, k, a) for a in units]
+        list(blocks) + [Cyc(2, k, a) for a in units]
         for nblocks in range(rank // 2 + 1)
         for blocks in itertools.combinations_with_replacement(kinds, nblocks)
         for units in itertools.combinations_with_replacement(TWO_UNITS[k], rank - 2 * nblocks)
@@ -964,8 +980,8 @@ def test_is_isomorphic_equals_brute_force_up_to_order_2_to_the_12():
 
 
 def test_canonical_odd_prime_reduces_to_rank_and_det():
-    f = sf(Cyc.make(5, 1, 2), Cyc.make(5, 1, 3))
-    g = sf(Cyc.make(5, 1, 1), Cyc.make(5, 1, 1))
+    f = sf(Cyc(5, 1, 2), Cyc(5, 1, 3))
+    g = sf(Cyc(5, 1, 1), Cyc(5, 1, 1))
     # 2*3 = 6 = 1 mod 5, a square; so both are rank 2 with square det
     assert canonical_form(f) == canonical_form(g)
 
@@ -1007,7 +1023,7 @@ def test_adjacent_level_two_adic_scramble_round_trip():
         for k in (3, 2, 1):
             if rng.random() < 0.55:
                 atoms += [
-                    Cyc.make(2, k, rng.choice(units[k]))
+                    Cyc(2, k, rng.choice(units[k]))
                     for _ in range(rng.randint(0, 2))
                 ]
             if rng.random() < 0.3:

@@ -229,7 +229,7 @@ def test_local_orders_r1():
     assert dict(dec.orders) == {"h": 3}
     assert dec.pairs == ((5, 3),) and dec.eps == Fraction(-3, 5)
     assert local_orders(seifert((5, 3)), 5).orders == ()
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(UnsupportedError, match="r = 1 space .* is not computed"):
         unsupported_r1_pairing(seifert((5, 3)))
 
 

@@ -20,12 +20,12 @@ from linkform.witt import (
 
 
 def sf(*atoms):
-    return StandardForm.of(atoms)
+    return StandardForm(atoms)
 
 
 def cyclic(p, k, b):
     """Witt class of the cyclic pairing <b / p^k> on Z/p^k."""
-    return witt_pairing(sf(Cyc.make(p, k, b)))
+    return witt_pairing(sf(Cyc(p, k, b)))
 
 
 def test_witt_cyclic_even_level_vanishes():
@@ -34,19 +34,26 @@ def test_witt_cyclic_even_level_vanishes():
 
 
 def test_witt_cyclic_examples():
-    assert cyclic(2, 1, 1) == WittElement.of({2: 1})
+    assert cyclic(2, 1, 1) == WittElement(((2, 1),))
     w = cyclic(3, 1, 1)
-    assert w == WittElement.of({3: 1})
+    assert w == WittElement(((3, 1),))
     assert not (w + w).is_zero()  # order 4 in the p=3 local group
     assert (w + w + w + w).is_zero()
     u = cyclic(5, 1, 2)  # 2 is a nonresidue mod 5
-    assert u == WittElement.of({5: 2})  # x + 2y for (x, y) = (0, 1)
+    assert u == WittElement(((5, 2),))  # x + 2y for (x, y) = (0, 1)
     assert (u + u).is_zero()
 
 
 def test_a_cyclic_atom_rejects_a_nonunit():
     with pytest.raises(InvalidDataError):
-        Cyc.make(3, 1, 6)
+        Cyc(3, 1, 6)
+
+
+def test_a_witt_element_is_normal_by_construction():
+    # zero locals used to be kept, so this was not zero
+    assert WittElement(((3, 0),)) == WittElement() and WittElement(((3, 0),)).is_zero()
+    assert WittElement([(5, 2), (3, 1), (2, 0)]).entries == ((3, 1), (5, 2))
+    assert WittElement({7: 3, 3: 1}.items()) == WittElement(((3, 1), (7, 3)))
 
 
 def test_witt_rational_examples():
@@ -65,9 +72,9 @@ def test_witt_rational_matches_restriction():
 def test_witt_pairing_atoms():
     assert witt_pairing(sf(E0(2))).is_zero()
     assert witt_pairing(sf(E1(2))).is_zero()
-    four = sf(*(Cyc.make(3, 1, 1) for _ in range(4)))
+    four = sf(*(Cyc(3, 1, 1) for _ in range(4)))
     assert witt_pairing(four).is_zero()
-    two = sf(Cyc.make(3, 1, 1), Cyc.make(3, 1, 1))
+    two = sf(Cyc(3, 1, 1), Cyc(3, 1, 1))
     assert not witt_pairing(two).is_zero()
 
 
@@ -79,22 +86,22 @@ def test_e1_metabolizer_exists():
 def test_metabolic_oracle_examples():
     ok, gens = metabolic_oracle(standard_form_gram(sf(E0(1)), 2))
     assert ok and len(gens) >= 1
-    two_halves = standard_form_gram(sf(Cyc.make(2, 1, 1), Cyc.make(2, 1, 1)), 2)
+    two_halves = standard_form_gram(sf(Cyc(2, 1, 1), Cyc(2, 1, 1)), 2)
     ok, gens = metabolic_oracle(two_halves)
     assert ok and gens == [[1, 1]]
-    ok, gens = metabolic_oracle(standard_form_gram(sf(Cyc.make(3, 1, 1)), 3))
+    ok, gens = metabolic_oracle(standard_form_gram(sf(Cyc(3, 1, 1)), 3))
     assert not ok and gens is None
 
 
 def test_metabolic_oracle_bound():
-    big = standard_form_gram(sf(*(Cyc.make(2, 3, 1) for _ in range(6))), 2)
+    big = standard_form_gram(sf(*(Cyc(2, 3, 1) for _ in range(6))), 2)
     with pytest.raises(SearchBoundExceeded):
         metabolic_oracle(big, bound=2**10)
 
 
 def test_metabolic_oracle_certifies_witt_zero():
     # orthogonal sum of a small pairing with its negative is metabolic
-    base = sf(Cyc.make(3, 1, 1), Cyc.make(3, 1, 2))
+    base = sf(Cyc(3, 1, 1), Cyc(3, 1, 2))
     doubled = base + base.negated()
     ok, _ = metabolic_oracle(standard_form_gram(doubled, 3), bound=2**16)
     assert ok
@@ -134,7 +141,7 @@ def _witt_seifert_reference(S):
     """The term-by-term fold: -(w(1/(P*Q)) + sum_i w(beta_i/alpha_i)) with
     one WittElement sum per term, eps = P/Q in lowest terms."""
     eps = euler_invariant(S)
-    total = WittElement.zero()
+    total = WittElement()
     if eps != 0:
         total = total + witt_rational(Fraction(1, eps.numerator * eps.denominator))
     for a, b in S.pairs:
@@ -184,20 +191,20 @@ def test_witt_rational_is_the_sum_of_its_cyclic_parts():
     for _ in range(1500):
         w = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6))
         a, b = w.denominator, w.numerator
-        want = WittElement.zero()
+        want = WittElement()
         for p, v in factorize(a).items():
             want = want + cyclic(p, v, (b * (a // p**v)) % p**v)
         assert witt_rational(w) == want, w
 
 
 def test_local_group_shapes():
-    assert cyclic(2, 1, 5) == WittElement.of({2: 1})
-    assert cyclic(7, 1, 3) == WittElement.of({7: 3})  # 3 is a nonresidue mod 7
-    assert cyclic(13, 1, 2) == WittElement.of({13: 2})
+    assert cyclic(2, 1, 5) == WittElement(((2, 1),))
+    assert cyclic(7, 1, 3) == WittElement(((7, 3),))  # 3 is a nonresidue mod 7
+    assert cyclic(13, 1, 2) == WittElement(((13, 2),))
 
 
 def test_witt_json():
-    w = witt_pairing(sf(Cyc.make(3, 1, 1), Cyc.make(2, 1, 1), Cyc.make(5, 1, 2)))
+    w = witt_pairing(sf(Cyc(3, 1, 1), Cyc(2, 1, 1), Cyc(5, 1, 2)))
     blob = w.to_json()
     assert blob == {"2": "1", "3": "1", "5": "(0,1)"}
 
@@ -205,12 +212,12 @@ def test_witt_json():
 def _witt_pairing_by_atoms(form):
     """The per-atom sum witt_pairing replaced: one WittElement per cyclic
     atom of odd k, each added with WittElement.__add__."""
-    total = WittElement.zero()
+    total = WittElement()
     for atom in form.atoms:
         if isinstance(atom, Cyc) and atom.k % 2:
             p, a = atom.p, atom.a
             square = p == 2 or legendre(a, p) == 1
-            total = total + WittElement.of({p: 1 if square else 3 if p % 4 == 3 else 2})
+            total = total + WittElement(((p, 1 if square else 3 if p % 4 == 3 else 2),))
     return total
 
 
@@ -228,7 +235,7 @@ def test_witt_pairing_fold_matches_the_per_atom_sum():
                 atoms.append(E1(k))
             else:
                 a = rng.randrange(1, p**k)
-                atoms.append(Cyc.make(p, k, a + (a % p == 0)))
+                atoms.append(Cyc(p, k, a + (a % p == 0)))
         form = sf(*atoms)
         seen.update(type(a).__name__ for a in form.atoms if type(a) is not Cyc or a.k % 2 == 0)
         assert witt_pairing(form) == _witt_pairing_by_atoms(form), form
@@ -240,7 +247,7 @@ def _small_cyclic_forms(p):
     p = 3, k = 1 otherwise, every unit."""
     kmax = {2: 3, 3: 2}.get(p, 1)
     atoms = sorted(
-        {Cyc.make(p, k, a) for k in range(1, kmax + 1) for a in range(1, p**k) if a % p},
+        {Cyc(p, k, a) for k in range(1, kmax + 1) for a in range(1, p**k) if a % p},
         key=lambda c: (c.k, c.a),
     )
     return [sf(*c) for r in (1, 2) for c in combinations_with_replacement(atoms, r)]
