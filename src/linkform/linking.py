@@ -47,7 +47,7 @@ that ``GramPairing.components`` keeps, so ``welldefined_check`` and
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -126,6 +126,19 @@ class GramPairing:
         singular pairing raises InvalidDataError on every read.
         """
         return tuple(block_diagonalize(self))
+
+    @_memo
+    def element_classes(self) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+        """The elements x grouped by class (order of x, N l(x, x) mod N), each
+        class in lexicographic order, from one ``element_table`` pass.
+
+        Computed on first use and kept like ``components``, so the oracles
+        that compare a pairing with others enumerate it once.  Read-only.
+        """
+        classes = defaultdict(list)
+        for x, o, q in element_table(self.modulus, self.matrix, self.orders):
+            classes[o, q].append(x)
+        return dict(classes)
 
     def group_order(self) -> int:
         return prod(self.orders) if self.orders else 1
@@ -364,10 +377,11 @@ def image(A, y) -> list[int]:
 
 
 def self_link_profile(G: GramPairing) -> Counter:
-    """Multiset of (element order, self-linking value); an isomorphism invariant."""
+    """Multiset of (element order, self-linking value); an isomorphism invariant.
+
+    A view of ``G.element_classes``: each class counted by its size."""
     N = G.modulus
-    counts = Counter((o, q) for _, o, q in element_table(N, G.matrix, G.orders))
-    return Counter({(o, Fraction(q, N)): c for (o, q), c in counts.items()})
+    return Counter({(o, Fraction(q, N)): len(xs) for (o, q), xs in G.element_classes.items()})
 
 
 def welldefined_check(G: GramPairing) -> list[str]:

@@ -22,7 +22,6 @@ kept as a test oracle.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from math import prod
@@ -35,7 +34,6 @@ from .linking import (
     _int_det,
     block_diagonalize,  # noqa: F401  (public here too, and traced as pairing.block_diagonalize)
     dot,
-    element_table,
     gram_matrix,
     image,
 )
@@ -620,12 +618,16 @@ def brute_force_isomorphic(
     equal order, preserving all pairing values; a complete assignment that
     generates G2 is an isomorphism.  By Burnside's basis theorem the images
     generate the p-group G2 iff they span G2/pG2: iff their nonzero rows, on
-    the coordinates of order > 1, have a determinant prime to p.  Returns
-    (found, witness), the witness mapping generator labels of G1 to
-    coefficient tuples in G2.
-    Pairing values are compared as integers mod N (``GramPairing.matrix``),
-    each check one dot product with the precomputed A2 z of an assigned
-    image z.
+    the coordinates of order > 1, have a determinant prime to p.  So an image
+    that depends mod p on those chosen before it is skipped, as no completion
+    can generate; the order of the search, the first witness and the verdict
+    are those of testing complete assignments alone.  Returns (found,
+    witness), the witness mapping generator labels of G1 to coefficient
+    tuples in G2.
+    Candidates come from ``G2.element_classes``: the elements of the
+    generator's order and self-linking, in lexicographic order.  Pairing
+    values are compared as integers mod N (``GramPairing.matrix``), each
+    check one dot product with the precomputed A2 z of an assigned image z.
     """
     if sorted(G1.orders) != sorted(G2.orders):
         return False, None
@@ -634,35 +636,51 @@ def brute_force_isomorphic(
         raise SearchBoundExceeded(
             f"group order {size} exceeds the brute-force bound {bound}"
         )
-    N, A1, A2 = G1.modulus, G1.matrix, G2.matrix
-    table = element_table(N, A2, G2.orders)
-    profile = Counter((o, q) for _, o, q in element_table(N, A1, G1.orders))
-    if Counter((o, q) for _, o, q in table) != profile:
-        return False, None
-    # candidates for generator i: elements of its order and self-linking
-    cands = [
-        [y for y, o, q in table if o == G1.orders[i] and q == A1[i][i]]
-        for i in range(G1.rank)
-    ]
+    classes = G2.element_classes
+    if (G1.orders, G1.matrix) != (G2.orders, G2.matrix):  # else one enumeration serves both
+        sizes = {c: len(xs) for c, xs in G1.element_classes.items()}
+        if sizes != {c: len(xs) for c, xs in classes.items()}:
+            return False, None
+    p, N, A1, A2 = G2.prime, G1.modulus, G1.matrix, G2.matrix
+    cands = [classes.get((n, A1[i][i]), ()) for i, n in enumerate(G1.orders)]
 
     keep = [j for j, n in enumerate(G2.orders) if n > 1]
     assignment: list[tuple[int, ...]] = []
     paired: list[list[int]] = []  # A2 z for each assigned image z
+    basis: list[tuple[int, list[int]]] = []  # echelon basis mod p: (pivot, row)
+
+    def reduce(y) -> list[int]:
+        """y on the coordinates of order > 1, reduced mod p by ``basis``."""
+        v = [y[j] % p for j in keep]
+        for piv, row in basis:
+            if v[piv]:
+                c = v[piv]
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        return v
 
     def extend(i: int):
         if i == G1.rank:
             rows = [[y[j] for j in keep] for y in assignment if any(y)]
-            return _int_det(rows) % G2.prime != 0
-        want = A1[i]
+            return _int_det(rows) % p != 0
+        want, grows = A1[i], G1.orders[i] > 1
         for y in cands[i]:
             if any(dot(y, paired[j]) % N != want[j] for j in range(i)):
                 continue
+            if grows:
+                v = reduce(y)
+                piv = next((j for j, a in enumerate(v) if a), None)
+                if piv is None:
+                    continue  # y depends on the images so far mod p
+                inv = pow(v[piv], -1, p)
+                basis.append((piv, [a * inv % p for a in v]))
             assignment.append(y)
             paired.append(image(A2, y))
             if extend(i + 1):
                 return True
             assignment.pop()
             paired.pop()
+            if grows:
+                basis.pop()
         return False
 
     if extend(0):

@@ -305,7 +305,7 @@ def _sphere2_candidates(k: int, residues, lower_targets, tag: str):
                 yield f"lens[2,{b2},1,{j}]", _balanced(4 * q, 1, [(q, b2), *low])
 
     for flipped in (False, True):
-        top = sorted(((-b) % mk if flipped else b % mk) for b in residues)
+        top = sorted((-b) % mk for b in residues) if flipped else residues
         suffix = "/flipped" if flipped else ""
         top_variants = [top]
         if mk == 8:

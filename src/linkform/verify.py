@@ -124,7 +124,8 @@ def rand_sphere_homogeneous(
             # a larger first cone order; homogeneity is then automatic since
             # the leading numerator stays a p-unit
             alphas[0] = p ** (k + 1)
-        if sum(Fraction(b, a) for a, b in zip(alphas, betas)) != 0 and all(
+        # eps != 0, in integers: every alpha divides alphas[0]
+        if sum(b * (alphas[0] // a) for a, b in zip(alphas, betas)) != 0 and all(
             gcd(a, b) == 1 for a, b in zip(alphas, betas)
         ):
             pairs = tuple(zip(alphas, betas))
@@ -348,7 +349,10 @@ def _check_round_trip(target: StandardForm, mode: str, failures: list) -> None:
 
 
 def suite_realize(cfg: RunConfig) -> dict:
-    """Round trips: classify(gram(realize(target))) matches the target.
+    """Round trips: realize(target) in each mode gives data that realize
+    itself verified (by gauss_invariant, ``verified``) and whose Euler
+    number fits the mode, eps = 0 in flat and eps != 0 in sphere mode.
+    A refusal or error counts as a failure.
 
     Random odd-order targets run in both modes, and so do the forms of
     all_two_homogeneous_forms: every 2-homogeneous class with k <= 3,
@@ -454,6 +458,10 @@ def suite_thm7(cfg: RunConfig) -> dict:
     rng = random.Random(cfg.seed)
     failures = []
     trials = 0
+    # one pairing per rank, so each is enumerated once by brute_force_isomorphic
+    hyperbolic = {
+        rho: standard_form_gram(StandardForm([E0(2)] * (rho // 2)), 2) for rho in (2, 4)
+    }
     for i in range(n):
         rho = rng.choice([2, 4])
         S = rand_thm7_data(rng, rho)
@@ -465,9 +473,8 @@ def suite_thm7(cfg: RunConfig) -> dict:
         trials += 1
         by_matrix = hyperbolic_test(comp)
         by_counts = hyperbolic_from_counts(div4_diagonal_count(S), rho)
-        hyperbolic_form = StandardForm([E0(2)] * (rho // 2))
         by_force = brute_force_isomorphic(
-            comp.gram(), standard_form_gram(hyperbolic_form, 2), bound=cfg.oracle_bound
+            comp.gram(), hyperbolic[rho], bound=cfg.oracle_bound
         )[0]
         if not (by_matrix == by_counts == by_force):
             failures.append(

@@ -14,8 +14,9 @@ addition mod 4 at p = 3 mod 4 and exclusive or at every other prime.  The
 class of a cyclic pairing a -> [a^2 b / p^k] vanishes for even k and equals
 the class of <b mod p> for odd k; E0 and E1 are metabolic.  For a Seifert
 manifold the class of the full pairing has a closed form in the Seifert
-invariants, which witt_seifert evaluates.  A ``WittElement`` is normal
-by construction: zero locals are dropped, the rest sorted by prime.
+invariants, which witt_seifert evaluates.  A ``WittElement`` is valid and
+normal by construction: one local per prime, each in range, zero locals
+dropped and the rest sorted by prime.
 """
 
 from __future__ import annotations
@@ -41,12 +42,20 @@ def _local_neg(p: int, a: int) -> int:
 @dataclass(frozen=True)
 class WittElement:
     """Element of the direct sum over primes of W(F_p), from any iterable of
-    (p, local) pairs; ``WittElement()`` is zero."""
+    (p, local) pairs; ``WittElement()`` is zero.  Construction refuses
+    (InvalidDataError) a prime given twice and a local outside W(F_p):
+    [0, 2) at p = 2, [0, 4) elsewhere."""
 
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted((p, v) for p, v in self.entries if v)))
+        entries = sorted(self.entries)
+        for i, (p, v) in enumerate(entries):
+            if i and entries[i - 1][0] == p:
+                raise InvalidDataError(f"prime {p} given twice in a Witt element")
+            if not 0 <= v < (2 if p == 2 else 4):
+                raise InvalidDataError(f"local Witt class {v} at p = {p} lies outside W(F_{p})")
+        object.__setattr__(self, "entries", tuple((p, v) for p, v in entries if v))
 
     def local(self, p: int) -> int:
         for q, v in self.entries:

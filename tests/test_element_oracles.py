@@ -6,6 +6,7 @@ return the same profiles, verdicts, witnesses and metabolizers.
 """
 
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -20,7 +21,7 @@ from linkform.linking import (
     gram_matrix,
     self_link_profile,
 )
-from linkform.pairing import brute_force_isomorphic
+from linkform.pairing import E0, StandardForm, brute_force_isomorphic, standard_form_gram
 from linkform.seifert import SeifertData, seifert
 from linkform.verify import RunConfig, run_suite
 from linkform.witt import metabolic_oracle
@@ -180,6 +181,64 @@ def test_brute_force_matches_the_fraction_reference_on_random_pairings():
     for (G, H), (G2, _) in zip(pairs, pairs[1:] + pairs[:1]):
         assert brute_force_isomorphic(G, H) == ref_brute_force_isomorphic(G, H)
         assert brute_force_isomorphic(G, G2) == ref_brute_force_isomorphic(G, G2)
+
+
+def test_brute_force_on_equal_copies_matches_the_fraction_reference():
+    # equal but distinct pairings share one enumeration (their class map)
+    for G, H in _random_pairings(65, 40, 2**8):
+        for A in (G, H):
+            copy = GramPairing(A.prime, A.labels, A.orders, A.matrix)
+            assert copy == A and copy is not A
+            got = brute_force_isomorphic(A, copy)
+            assert got == ref_brute_force_isomorphic(A, copy), A
+            assert got[0] and "element_classes" not in vars(A), A
+
+
+def test_brute_force_answers_large_self_comparisons_quickly():
+    # E0(2)^3 has order 4096.  On the zero pairing of (Z/2)^6 every
+    # assignment keeps the values, so a search that tested generation only
+    # at complete assignments walked through dependent ones for minutes;
+    # images that depend mod 2 on those already chosen are now skipped as
+    # they come.  The alarm turns a regression into a failure, not a hang.
+    E = standard_form_gram(StandardForm([E0(2)] * 3), 2)
+    zero = GramPairing(2, tuple(f"e{i}" for i in range(6)), (2,) * 6, ((0,) * 6,) * 6)
+
+    def stop(signum, frame):
+        raise TimeoutError("brute_force_isomorphic took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        for G in (E, zero):
+            copy = GramPairing(G.prime, G.labels, G.orders, G.matrix)
+            assert brute_force_isomorphic(G, G, bound=2**12)[0]
+            assert brute_force_isomorphic(G, copy, bound=2**12)[0]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.slow
+def test_brute_force_matches_the_fraction_reference_at_order_2_12():
+    # about 15 s, nearly all in the reference; run with pytest -m slow.
+    # 2-primary pairings of order 2^12 with three to seven cone points of
+    # orders 2^k u (k <= 3), each against a basis-shuffled image
+    rng = random.Random(66)
+    shapes = set()
+    while len(shapes) < 6:
+        pairs = []
+        for _ in range(rng.randint(3, 7)):
+            a = 2 ** rng.randint(1, 3) * rng.choice([1, 1, 3, 5])
+            b = rng.choice([b for b in range(-9, 10) if b and gcd(a, b) == 1])
+            pairs.append((a, b))
+        G = gram_matrix(SeifertData(0, tuple(pairs)), 2)
+        if G.group_order() != 2**12:
+            continue
+        H = shuffle_basis(G, rng)
+        got = brute_force_isomorphic(G, H, bound=2**12)
+        assert got[0] and got == ref_brute_force_isomorphic(G, H), (G, H)
+        shapes.add(G.orders)
+    assert max(len(orders) for orders in shapes) >= 6
 
 
 def _random_degenerate_pairing(rng):

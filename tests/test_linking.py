@@ -241,3 +241,30 @@ def test_element_helpers():
     assert eval_pair(G, (1, 1, 0), (1, 1, 0)) == 0  # 0 + 0 + 2*(1/2) = 1 = 0
     prof = self_link_profile(G)
     assert sum(prof.values()) == 16
+
+
+def test_element_classes_group_the_element_table():
+    # the class map is element_table grouped by (order, N l(x, x)), each class
+    # in lexicographic order, built once and kept on the pairing
+    rng = random.Random(29)
+    cfg = RunConfig(max_r=5, max_alpha=12)
+    pairings = [gram_matrix(NIL, 2)]
+    while len(pairings) < 80:
+        S = rand_seifert(rng, cfg)
+        if S.r >= 2:
+            G = gram_matrix(S, rng.choice([2, 3]))
+            if 1 < G.group_order() <= 2**10:
+                pairings.append(G)
+    for G in pairings:
+        want = {}
+        for x, o, q in element_table(G.modulus, G.matrix, G.orders):
+            want.setdefault((o, q), []).append(x)
+        assert G.element_classes == want, G
+        assert all(xs == sorted(xs) for xs in G.element_classes.values())
+        assert G.element_classes is G.element_classes
+        N = G.modulus
+        assert self_link_profile(G) == {
+            (o, Fraction(q, N)): len(xs) for (o, q), xs in want.items()
+        }
+    assert len({G.prime for G in pairings}) == 2
+    assert sum(len(set(G.orders)) > 1 for G in pairings) >= 5

@@ -54,6 +54,19 @@ def test_a_witt_element_is_normal_by_construction():
     assert WittElement(((3, 0),)) == WittElement() and WittElement(((3, 0),)).is_zero()
     assert WittElement([(5, 2), (3, 1), (2, 0)]).entries == ((3, 1), (5, 2))
     assert WittElement({7: 3, 3: 1}.items()) == WittElement(((3, 1), (7, 3)))
+    # a repeated prime read local(3) == 1 but wrote {"3": "2"}; a local of 3
+    # at p = 2 lay outside W(F_2) = Z/2
+    for entries in (
+        ((3, 1), (3, 2)),
+        ((3, 0), (3, 1)),
+        ((2, 3),),
+        ((2, 2),),
+        ((3, 4),),
+        ((5, -1),),
+    ):
+        with pytest.raises(InvalidDataError):
+            WittElement(entries)
+    assert WittElement(((2, 1), (3, 3), (5, 3))).entries == ((2, 1), (3, 3), (5, 3))
 
 
 def test_witt_rational_examples():
