@@ -69,7 +69,8 @@ def _unique_keys(pairs: list) -> dict:
     """``object_pairs_hook``: a key given twice would be read as its last value."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        seen = set()  # one pass: the first key met a second time
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
         raise InvalidDataError(f"duplicate key {key!r}")
     return obj
 

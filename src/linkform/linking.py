@@ -50,6 +50,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -322,35 +323,25 @@ def block_diagonalize(G: GramPairing) -> list[HomogeneousComponent]:
 def element_table(N: int, A, orders) -> list[tuple[tuple[int, ...], int, int]]:
     """(x, order of x, x^T A x mod N) for every element x, in lexicographic order.
 
-    Built as an odometer, one coordinate at a time.  Fixing x_0..x_{k-1}
-    leaves the prefix value q and the cross terms
-    lin[j] = sum_{i<k} x_i (A_ij + A_ji) for j >= k; setting x_k adds
-    x_k lin[k] + x_k^2 A_kk.  So each element costs O(rank) integer
-    additions, and the last coordinate O(1).
+    Built as an odometer, one coordinate at a time, that carries integers
+    only: over the prefixes x_0..x_{k-1}, one flat list each holds the value
+    q, the order and every cross term lin[j] = sum_{i<k} x_i (A_ij + A_ji),
+    j >= k.  Setting x_k adds x_k lin[k] + x_k^2 A_kk to q and
+    x_k (A_kj + A_jk) to lin[j], so each element costs O(rank) integer
+    additions.  The tuples x come from ``itertools.product``, in the same order.
     """
     r = len(orders)
-    states = [((), 0, [0] * r, 1)]  # (prefix, q, lin[k:], order)
+    qs, ords = [0], [1]
+    lin = [[0] for _ in range(r)]
     for k, n in enumerate(orders):
-        d = A[k][k]
-        ords = [n // gcd(n, c) for c in range(n)]
-        if k == r - 1:
-            return [
-                (x + (c,), lcm(o, ords[c]), (q + c * (lin[0] + d * c)) % N)
-                for x, q, lin, o in states
-                for c in range(n)
-            ]
-        cross = [(A[k][j] + A[j][k]) % N for j in range(k + 1, r)]
-        states = [
-            (
-                x + (c,),
-                (q + c * (lin[0] + d * c)) % N,
-                [(v + c * a) % N for v, a in zip(lin[1:], cross)],
-                lcm(o, ords[c]),
-            )
-            for x, q, lin, o in states
-            for c in range(n)
-        ]
-    return [((), 1, 0)]
+        d, cs = A[k][k], range(n)
+        qs = [(q + c * (l + d * c)) % N for q, l in zip(qs, lin[k]) for c in cs]
+        step = [n // gcd(n, c) for c in cs]
+        ords = [lcm(o, s) for o in ords for s in step]
+        for j in range(k + 1, r):
+            steps = [c * (A[k][j] + A[j][k]) % N for c in cs]
+            lin[j] = [v + s for v in lin[j] for s in steps]
+    return list(zip(product(*map(range, orders)), ords, qs))
 
 
 def span(gens, orders) -> set[tuple[int, ...]]:

@@ -376,8 +376,11 @@ def classify_seifert(S: SeifertData, primes=None) -> dict[int, ClassificationRep
 
 
 def standard_form_of(S: SeifertData) -> StandardForm:
-    """Standard form of the full linking pairing of M(g;S)."""
-    reports = classify_seifert(S).values()
+    """Standard form of the full linking pairing of M(g;S); r = 1 is refused,
+    and a prime without torsion, which adds no atom, is not classified."""
+    unsupported_r1_pairing(S)
+    primes = [p for p in relevant_primes(S) if local_orders(S, p).orders]
+    reports = classify_seifert(S, primes).values()
     return StandardForm(a for rep in reports for a in rep.standard_form.atoms)
 
 

@@ -132,12 +132,18 @@ def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
     descending ``vals``, so alpha_{i+1} divides alpha_i p-locally; the q_i'
     of ``orders`` are the ``kept`` pairs after the second, and s comes last.
     Labels refer to positions after reordering at p.  For r = 1 the group
-    is cyclic, generated by the image of the regular fibre h.
+    is cyclic, generated by the image of the regular fibre h.  The record
+    keeps the Euler number as the Fraction ``eps`` and reads it through its
+    integer numerator and denominator: ``free_rank`` is 1 exactly when the
+    numerator is 0, and s has order p^v, v = v_p(alpha_1 alpha_2 eps), if v > 0.
     """
     found = S.local.get(p)
     if found is None:
         found = S.local[p] = _local_record(S, p)
     return found
+
+
+_LABELS = tuple(f"q{i + 1}'" for i in range(16))  # the q_i' by 0-based position
 
 
 def _local_record(S: SeifertData, p: int) -> LocalDecomposition:
@@ -152,12 +158,14 @@ def _local_record(S: SeifertData, p: int) -> LocalDecomposition:
         orders = ((("h", p**e),) if e > 0 else ())
         return LocalDecomposition(p, orders, 0, pairs, vals, (), eps)
     rp = S.r - vals.count(0)
-    orders = [(f"q{i + 1}'", p ** vals[i]) for i in range(2, rp)]
-    if eps != 0:
-        vs = vals[0] + vals[1] + padic_val(eps.numerator, p) - padic_val(eps.denominator, p)
+    num, den = eps.numerator, eps.denominator  # read once; no Fraction compare
+    labels = _LABELS if rp <= len(_LABELS) else [f"q{i + 1}'" for i in range(rp)]
+    orders = [(labels[i], p ** vals[i]) for i in range(2, rp)]
+    if num:
+        vs = vals[0] + vals[1] + padic_val(num, p) - padic_val(den, p)
         if vs > 0:
             orders.append(("s", p**vs))
-    return LocalDecomposition(p, tuple(orders), int(eps == 0), pairs, vals, pairs[2:rp], eps)
+    return LocalDecomposition(p, tuple(orders), int(not num), pairs, vals, pairs[2:rp], eps)
 
 
 def structure_check(S: SeifertData) -> dict:

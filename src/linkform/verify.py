@@ -17,7 +17,6 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .arith import factorize, legendre, padic_val, square_class
@@ -231,13 +230,16 @@ def d_class_from_data(S: SeifertData, p: int) -> int:
 
     Evaluates, directly on the Seifert invariants, the square class that
     d_invariant computes from the Gram matrix.  Preconditions as in
-    d_formula_case; raises otherwise.
+    d_formula_case; raises otherwise.  Every alpha_i it reads has valuation
+    exactly k, so each unit class is a Legendre symbol of integers: of
+    alpha_i / p^k, and for a flat head of alpha_1 alpha_2 / p^2k.  Only the
+    sphere head alpha_1 eps, a fraction, goes through square_class.
     """
     case = d_formula_case(S, p)
     if case is None:
         raise UnsupportedError("closed-form determinant class does not apply")
     dec = local_orders(S, p)
-    pairs, eps = dec.pairs, dec.eps
+    pairs = dec.pairs
     rp = sum(v > 0 for v in dec.vals)
     pk = p ** dec.vals[rp - 1]
     flat = case == "flat"
@@ -245,9 +247,10 @@ def d_class_from_data(S: SeifertData, p: int) -> int:
     for j, (a, b) in enumerate(pairs[:rp]):
         cls *= legendre(b, p)
         if j > flat:  # the unit parts of alpha_2.. (sphere) or alpha_3.. (flat)
-            cls *= square_class(Fraction(a, pk), p)
-    head = Fraction(pairs[0][0], pairs[1][0]) if flat else pairs[0][0] * eps
-    return cls * square_class(head, p)
+            cls *= legendre(a // pk, p)
+    if flat:
+        return cls * legendre(pairs[0][0] // pk * (pairs[1][0] // pk), p)
+    return cls * square_class(pairs[0][0] * dec.eps, p)
 
 
 def suite_thm3(cfg: RunConfig) -> dict:
@@ -552,26 +555,24 @@ def suite_witt(cfg: RunConfig) -> dict:
 
 
 def _check_local_group(p: int, elems) -> str | None:
-    def lift(v):
-        return WittElement(((p, v),))
-
-    zero = WittElement()
+    lift = {v: WittElement(((p, v),)) for v in (*elems, 1)}  # each value once
+    zero, x = WittElement(), lift[1]
     for a in elems:
-        ea = lift(a)
+        ea = lift[a]
         if ea + zero != ea or ea + (-ea) != zero:
             return f"identity/inverse fails at {a}"
         for b in elems:
-            if lift(a) + lift(b) != lift(b) + lift(a):
+            eb = lift[b]
+            if ea + eb != eb + ea:
                 return f"commutativity fails at {a},{b}"
             for c in elems:
-                if (lift(a) + lift(b)) + lift(c) != lift(a) + (lift(b) + lift(c)):
+                if (ea + eb) + lift[c] != ea + (eb + lift[c]):
                     return f"associativity fails at {a},{b},{c}"
     if p % 4 == 3:
-        x = lift(1)
         powers = {1: x, 2: x + x, 3: x + x + x, 4: x + x + x + x}
         if powers[4] != zero or powers[2] == zero:
             return "generator order is not 4"
-    elif p != 2 and lift(1) + lift(1) != zero:
+    elif p != 2 and x + x != zero:
         return "order-2 law fails"
     return None
 

@@ -5,15 +5,17 @@ Seifert data with large cone orders, and, kept as references, the
 piece-by-piece realization selection, the sum-zero unit tuples over the
 full list of fixed tails, the three-term orthogonalisation of
 the block decomposition, the block decomposition that sorts the generators
-by order first, and a Smith normal form with divisibility repair."""
+by order first, a Smith normal form with divisibility repair, the element
+table built by an odometer that carries each prefix tuple, and the closed
+determinant class read through Fractions."""
 
 import importlib
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
-from linkform.arith import bareiss, ext_gcd, least_nonresidue, legendre, padic_val
+from linkform.arith import bareiss, ext_gcd, least_nonresidue, legendre, padic_val, square_class
 from linkform.errors import (
     InvalidDataError,
     UnrealizableError,
@@ -25,6 +27,7 @@ from linkform.pairing import Cyc, StandardForm, canonical_form
 from linkform.pairing import gauss_invariant, local_invariant_from_data
 from linkform.seifert import SeifertData
 from linkform.torsion import local_orders
+from linkform.verify import d_formula_case
 
 # the package re-exports the function realize under the submodule's name
 R = importlib.import_module("linkform.realize")
@@ -395,3 +398,51 @@ def reference_smith_normal_form(matrix) -> tuple[int, ...]:
                 row[t] = row[bad]
         diag.append(g)
     return tuple(diag) + (0,) * (min(m, n) - rank)
+
+
+def reference_element_table(N: int, A, orders) -> list[tuple[tuple[int, ...], int, int]]:
+    """linking.element_table as it was: an odometer whose states carry the
+    prefix tuple, the value, the cross terms lin[k:] and the order."""
+    r = len(orders)
+    states = [((), 0, [0] * r, 1)]  # (prefix, q, lin[k:], order)
+    for k, n in enumerate(orders):
+        d = A[k][k]
+        ords = [n // gcd(n, c) for c in range(n)]
+        if k == r - 1:
+            return [
+                (x + (c,), lcm(o, ords[c]), (q + c * (lin[0] + d * c)) % N)
+                for x, q, lin, o in states
+                for c in range(n)
+            ]
+        cross = [(A[k][j] + A[j][k]) % N for j in range(k + 1, r)]
+        states = [
+            (
+                x + (c,),
+                (q + c * (lin[0] + d * c)) % N,
+                [(v + c * a) % N for v, a in zip(lin[1:], cross)],
+                lcm(o, ords[c]),
+            )
+            for x, q, lin, o in states
+            for c in range(n)
+        ]
+    return [((), 1, 0)]
+
+
+def reference_d_class_from_data(S: SeifertData, p: int) -> int:
+    """verify.d_class_from_data as it was, with every unit class read by
+    square_class on a Fraction."""
+    case = d_formula_case(S, p)
+    if case is None:
+        raise UnsupportedError("closed-form determinant class does not apply")
+    dec = local_orders(S, p)
+    pairs, eps = dec.pairs, dec.eps
+    rp = sum(v > 0 for v in dec.vals)
+    pk = p ** dec.vals[rp - 1]
+    flat = case == "flat"
+    cls = legendre(-1, p) if (rp - flat) % 2 else 1
+    for j, (a, b) in enumerate(pairs[:rp]):
+        cls *= legendre(b, p)
+        if j > flat:
+            cls *= square_class(Fraction(a, pk), p)
+    head = Fraction(pairs[0][0], pairs[1][0]) if flat else pairs[0][0] * eps
+    return cls * square_class(head, p)

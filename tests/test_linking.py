@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
@@ -15,7 +16,7 @@ from linkform.linking import (
 )
 from linkform.seifert import euler_invariant, seifert
 from linkform.verify import RunConfig, rand_seifert
-from support import elements, eval_pair, reorder_at_prime
+from support import elements, eval_pair, reference_element_table, reorder_at_prime
 
 NIL = seifert((2, 1), (2, 1), (2, 1), (2, -1))
 
@@ -241,6 +242,34 @@ def test_element_helpers():
     assert eval_pair(G, (1, 1, 0), (1, 1, 0)) == 0  # 0 + 0 + 2*(1/2) = 1 = 0
     prof = self_link_profile(G)
     assert sum(prof.values()) == 16
+
+
+def test_element_table_matches_the_prefix_tuple_reference():
+    # the integer odometer returns the reference's list entry for entry: the
+    # class order, the brute-force search order, its first witness and the
+    # metabolizer's pool order all follow it
+    rng = random.Random(30)
+    mixed = 0
+    for trial in range(270):
+        p, r, kind = (2, 3, 5)[trial % 3], trial % 6, ("random", "zero", "rank one")[trial // 6 % 3]
+        orders = [p ** rng.randrange(3) for _ in range(r)]
+        while prod(orders) > 2**11:
+            orders[rng.randrange(r)] = 1
+        N = max(orders, default=1)
+        v = [rng.randrange(N) for _ in range(r)]
+        A = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                entry = {"random": rng.randrange(N), "zero": 0, "rank one": v[i] * v[j] % N}
+                A[i][j] = A[j][i] = entry[kind]
+        assert element_table(N, A, orders) == reference_element_table(N, A, orders), (orders, A)
+        mixed += len(set(orders)) > 1
+    assert mixed >= 100
+    # raw orders that are not powers of one prime: an order is an lcm, not a max
+    for orders in ((2, 3), (6, 4, 3)):
+        N = lcm(*orders)
+        A = [[(i + j + 1) % N for j in orders] for i in orders]
+        assert element_table(N, A, orders) == reference_element_table(N, A, orders)
 
 
 def test_element_classes_group_the_element_table():

@@ -32,12 +32,17 @@ from linkform.pairing import (
     standard_form_of,
 )
 from linkform.seifert import relevant_primes, seifert
+from linkform.torsion import local_orders
 from linkform.verify import (
+    RunConfig,
     d_class_from_data,
     d_formula_case,
     div4_diagonal_count,
     hyperbolic_from_counts,
     hyperbolic_test,
+    rand_flat_homogeneous,
+    rand_seifert,
+    rand_sphere_homogeneous,
 )
 from support import (
     elements,
@@ -45,6 +50,7 @@ from support import (
     even_predicate_from_data,
     rand_block_seifert,
     reference_block_diagonalize,
+    reference_d_class_from_data,
     reorder_at_prime,
     shuffle_basis,
     sorting_block_diagonalize,
@@ -305,6 +311,24 @@ def test_d_formula_matches_matrix_on_known_cases():
 # diagonalization of odd components
 
 
+def test_d_class_from_data_matches_the_fraction_reference():
+    # integer Legendre symbols give the class that square_class read from
+    # Fractions, on the draws of suite_thm3 at seeds 0-9
+    seen = Counter()
+    for seed in range(10):
+        rng = random.Random(seed)
+        for p in (3, 5, 7):
+            for _ in range(50):
+                flat = rng.random() < 0.5
+                S = rand_flat_homogeneous(rng, p) if flat else rand_sphere_homogeneous(rng, p)
+                case = d_formula_case(S, p)
+                if case is not None:
+                    cls = d_class_from_data(S, p)
+                    assert cls == reference_d_class_from_data(S, p), (S, p)
+                    seen[case, cls] += 1
+    assert set(seen) == {("flat", 1), ("flat", -1), ("sphere", 1), ("sphere", -1)}
+
+
 def test_diagonalize_rank1():
     assert diagonalize_odd(comp(2, 3, [[3]])) == [Cyc(2, 3, 3)]
 
@@ -560,6 +584,35 @@ def test_classify_invariant_under_pair_permutation():
         got = classify_seifert(seifert(*pairs))
         for p in (2, 3, 5):
             assert is_isomorphic(got[p].standard_form, base[p])
+
+
+def test_standard_form_of_is_the_atoms_of_every_relevant_prime(monkeypatch):
+    # only primes with torsion are classified; the others add no atom
+    rng = random.Random(30)
+    cfg = RunConfig(max_r=6, max_alpha=12)
+    torsion_free = 0
+    for _ in range(300):
+        S = rand_seifert(rng, cfg)
+        if S.r < 2:
+            continue
+        reports = classify_seifert(S).values()  # every relevant prime
+        assert standard_form_of(S) == StandardForm(
+            a for rep in reports for a in rep.standard_form.atoms
+        )
+        torsion_free += any(not local_orders(S, p).orders for p in relevant_primes(S))
+    assert torsion_free >= 20
+    # r = 1 is refused even when no relevant prime has torsion
+    assert not local_orders(seifert((3, 1)), 3).orders
+    for S in (seifert((3, 1)), seifert((5, 2))):
+        with pytest.raises(UnsupportedError):
+            standard_form_of(S)
+    # a singular pairing at a prime with torsion is still refused
+    import linkform.pairing as pairing
+
+    singular = GramPairing(2, ("x", "y"), (2, 4), ((0, 0), (0, 1)))
+    monkeypatch.setattr(pairing, "gram_matrix", lambda S, p: singular)
+    with pytest.raises(InvalidDataError, match="singular"):
+        standard_form_of(NIL)
 
 
 def test_standard_form_json_round_trip():
