@@ -118,8 +118,9 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         g, n = -g, -n
     # all solutions differ by multiples of a/g in n; pick the canonical one
     step = abs(a) // g
-    n0 = n % step
-    n = min((n0, n0 - step), key=lambda x: (abs(x), -x))
+    n = n % step
+    if 2 * n > step:  # n - step is nearer 0; a tie keeps n > 0
+        n -= step
     m = (g - n * b) // a
     assert m * a + n * b == g
     return g, m, n

@@ -196,7 +196,7 @@ def gram_matrix(S: SeifertData, p: int) -> GramPairing:
             A[i][m] = A[m][i] = p_part(bi, ai, p, N)
     if bezout:  # l(s, s), both terms times the denominator of eps
         n = bezout[1]
-        en, ed = decomp.eps.numerator, decomp.eps.denominator
+        en, ed = decomp.euler
         A[m][m] = p_part(-(a1 * ed + n * a1 * a2 * en), a1 * a2 * a2 * en, p, N)
     return GramPairing(p, labels, orders, tuple(map(tuple, A)))
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from math import prod
+from operator import itemgetter
 
 from .arith import is_prime, least_nonresidue, legendre, padic_val, square_class_name
 from .errors import InvalidDataError, SearchBoundExceeded, UnsupportedError
@@ -492,18 +493,6 @@ def _prime_invariant(levels) -> tuple:
     return tuple((k, rank) for k, rank, *_ in levels), tuple(args)
 
 
-def _unit_value(num: int, den: int, p: int, v: int) -> int | None:
-    """The unit u of num/den = p^v u mod 8 (p = 2) or mod p, or None if
-    num/den is 0 or has another valuation."""
-    if not num:
-        return None
-    vn, vd = padic_val(num, p), padic_val(den, p)
-    if vn - vd != v:
-        return None
-    # an odd unit is its own inverse mod 8
-    return num // p**vn * (den // p**vd) % (8 if p == 2 else p)
-
-
 def local_invariant_from_data(S: SeifertData, p: int) -> tuple:
     """The invariant at p of gram_matrix(S, p), read from the Seifert data.
 
@@ -524,48 +513,57 @@ def local_invariant_from_data(S: SeifertData, p: int) -> tuple:
     its determinant decides one E1 (k >= 2, unit +-3 mod 8).  A level whose
     determinant has the wrong valuation raises InvalidDataError (singular),
     as block_diagonalize does.
+
+    Only valuations are compared, and they are known but for one per step:
+    the levels k are the record's ``vals``, the numerator of F is a p-adic
+    unit (-beta_2^2 beta_i, as p divides alpha_i and alpha_2, or -1 for s),
+    v_p of its denominator alpha_i^2 is 2k, and v_p(tn) is carried along.
+    So a pivot test takes one valuation, of tn'.
     """
     unsupported_r1_pairing(S)
     decomp = local_orders(S, p)
     a2, b2 = decomp.pairs[1]
-    # (order, F numerator, F denominator, x numerator, x denominator)
+    # (k, F numerator, F denominator, its valuation, x numerator, x denominator)
     gens = [
-        (order, -b2 * b2 * b, a * a, b, a)
-        for (_, order), (a, b) in zip(decomp.orders, decomp.kept)
+        (k, -b2 * b2 * b, a * a, 2 * k, b, a) for k, (a, b) in zip(decomp.vals[2:], decomp.kept)
     ]
     if decomp.bezout:  # s, the last generator
-        m, en, ed = decomp.bezout[0], decomp.eps.numerator, decomp.eps.denominator
-        order = decomp.orders[-1][1]
-        gens.append((order, -1, a2 * a2 * b2 * en, b2 * en, b2 * ed - m * a2 * a2 * en))
-    gens.sort(key=lambda g: -g[0])  # stable: s follows the q_i' of its order
-    tn, td = b2, a2
+        m, (en, ed) = decomp.bezout[0], decomp.euler
+        fd = a2 * a2 * b2 * en
+        k = padic_val(decomp.orders[-1][1], p)
+        gens.append((k, -1, fd, padic_val(fd, p), b2 * en, b2 * ed - m * a2 * a2 * en))
+        gens.sort(key=itemgetter(0), reverse=True)  # stable: s follows the q_i' of its order
+    tn, td, vt = b2, a2, 0 if decomp.vals[1] else padic_val(b2, p)
     levels = []
-    for order, group in groupby(gens, lambda g: g[0]):
-        k = padic_val(order, p)
+    for k, group in groupby(gens, itemgetter(0)):
         rest = list(group)
         rank = len(rest)
         units = []
         while p == 2 and rest:  # 1x1 pivots of valuation -k
-            for j, (_, fn, fd, xn, xd) in enumerate(rest):
-                t = tn * xd + xn * td
-                u = _unit_value(fn * t, fd * tn, 2, -k)
-                if u is not None:
-                    units.append(u)  # _level reads a unit mod 2^k only at k >= 3
-                    tn, td = t, td * xd
+            for j, (_, fn, fd, vd, xn, xd) in enumerate(rest):
+                t, w = tn * xd + xn * td, vt + vd - k  # the pivot F t/tn needs v(t) = w
+                if t and padic_val(t, 2) == w:
+                    # an odd unit is its own inverse mod 8; _level reads
+                    # it mod 2^k only at k >= 3
+                    units.append(fn * (t >> w) * (fd >> vd) * (tn >> vt) % 8)
+                    tn, td, vt = t, td * xd, w
                     del rest[j]
                     break
             else:
                 break
-        num, den = 1, tn
-        for _, fn, fd, xn, xd in rest:
-            tn, td = tn * xd + xn * td, td * xd
-            num, den = num * fn, den * fd
-        d = _unit_value(num * tn, den, p, -k * len(rest)) if rest else 1
-        if d is None:
-            raise InvalidDataError(
-                f"singular pairing: top block of order {order} has determinant "
-                f"divisible by {p}"
-            )
+        d = 1
+        if rest:
+            num, den, vden = 1, tn, vt
+            for _, fn, fd, vd, xn, xd in rest:
+                tn, td = tn * xd + xn * td, td * xd
+                num, den, vden = num * fn, den * fd, vden + vd
+            vt = vden - k * len(rest)
+            if not tn or padic_val(tn, p) != vt:
+                raise InvalidDataError(
+                    f"singular pairing: top block of order {p**k} has determinant "
+                    f"divisible by {p}"
+                )
+            d = num * (tn // p**vt) * (den // p**vden) % (8 if p == 2 else p)
         if p != 2:
             levels.append(_level(p, k, rank, d=legendre(d, p)))
         else:

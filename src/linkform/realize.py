@@ -495,14 +495,18 @@ def exhaustive_search(
     A survivor is decided once per manifold: M(0; S) depends only on the
     multiset of pairs (a_i, b_i mod a_i) and on eps (Seifert's
     classification; Orlik, Seifert Manifolds, LNM 291, 1972), and the alphas
-    fix A, so (sorted (a_i, b_i mod a_i), D) names it.  verify_realization
-    runs on the first SeifertData of each key in the order of the result; a
-    later candidate reuses the verdict and is built only when reported.
-    That SeifertData decides the orientation reversal too: b_i -> -b_i
-    negates the pairing, so the key (sorted (a_i, -b_i mod a_i), -D)
-    realizes target iff S realizes target.negated(), a comparison with the
-    invariant kept on S.  The survivors are closed under reversal, so each
-    manifold is still checked once.
+    fix A, so that multiset and D name it.  Each residue class (a, b mod a)
+    of the pool is a digit of base max_r + 1, read once per pool position,
+    and a survivor's key is (the sum of its positions' digits, D): the sum
+    counts the pairs per class, at most max_r each.  verify_realization runs
+    on the first survivor of each key in the order of the result, the only
+    one whose SeifertData is built before it is reported; a later one reuses
+    the verdict.  That SeifertData decides the orientation reversal too:
+    b_i -> -b_i negates the pairing, so the key of the classes
+    (a_i, -b_i mod a_i) with -D realizes target iff S realizes
+    target.negated(), a comparison with the invariant kept on S.  The
+    survivors are closed under reversal, so each manifold is still checked
+    once.
     """
     alphas = sorted(alphas)
     if max_r < 1 or max_beta < 1 or not alphas or alphas[0] < 2:
@@ -587,17 +591,25 @@ def exhaustive_search(
 
     walk(0, 0, 1, [()] * len(primes), [])
     survivors.sort(key=lambda s: (len(s[0]), s[0]))  # by r, then by pool position
+    # each residue class (a, b mod a) is a digit of base max_r + 1, so the
+    # sum over a survivor's pool positions counts its pairs per class
+    digits = {}
+
+    def digit(a, b):
+        return digits.setdefault((a, b % a), (max_r + 1) ** len(digits))
+
+    codes = [digit(a, b) for a, b in pool]
+    flips = [digit(a, -b) for a, b in pool]
     verdicts, negated = {}, target.negated()
     for js, d in survivors:
-        path = tuple(pool[j] for j in js)
-        key = (tuple(sorted((a, b % a) for a, b in path)), d)
+        key = (sum(map(codes.__getitem__, js)), d)
         S = None
         if key not in verdicts:
-            S = SeifertData(0, path)
+            S = SeifertData(0, tuple(map(pool.__getitem__, js)))
             verdicts[key] = verify_realization(S, target)
-            flipped = (tuple(sorted((a, -b % a) for a, b in path)), -d)
+            flipped = (sum(map(flips.__getitem__, js)), -d)
             if flipped not in verdicts:
                 verdicts[flipped] = verify_realization(S, negated)
         if verdicts[key]:
-            hits.append(S or SeifertData(0, path))
+            hits.append(S or SeifertData(0, tuple(map(pool.__getitem__, js))))
     return hits

@@ -3,11 +3,13 @@
 S is an ordered list of coprime pairs (alpha_i, beta_i) with alpha_i >= 2
 describing the exceptional fibres; g is the genus of the orientable base.
 The generalized Euler number eps = -sum(beta_i/alpha_i) is kept exact and
-computed once per instance (``SeifertData.eps``), as are the relevant
-primes (``relevant``), each per-prime record of ``torsion.local_orders``
-(``local``) and the complete invariant of the linking pairing
-(``gauss``); beta_i are deliberately not normalized mod alpha_i since eps
-depends on the actual integers.
+computed once per instance, as the integer pair ``SeifertData.euler`` in
+lowest terms; the Fraction ``SeifertData.eps`` is built from it only when
+read.  So are the factorization of each distinct cone order
+(``factored``), the relevant primes (``relevant``), each per-prime record
+of ``torsion.local_orders`` (``local``) and the complete invariant of the
+linking pairing (``gauss``); beta_i are deliberately not normalized mod
+alpha_i since eps depends on the actual integers.
 
 Data is validated once, at construction: ``SeifertData`` raises
 InvalidDataError on a violated invariant, so every function taking one may
@@ -65,43 +67,56 @@ class SeifertData:
         return len(self.pairs)
 
     @_memo
-    def eps(self) -> Fraction:
-        """Generalized Euler number -sum(beta_i/alpha_i); independent of genus.
+    def euler(self) -> tuple[int, int]:
+        """eps as (numerator, denominator) in lowest terms, denominator > 0,
+        and (0, 1) for eps = 0: -D/A in integers, with A = prod alpha_i and
+        D = sum beta_i A/alpha_i, reduced by one gcd.
 
-        Computed on first use as -D/A in integers, with A = prod alpha_i and
-        D = sum beta_i A/alpha_i, and kept in the instance ``__dict__``,
-        outside the dataclass fields, so it takes no part in ==, hash, repr
-        or JSON.
+        Kept in the instance ``__dict__``, outside the dataclass fields, so
+        it takes no part in ==, hash, repr or JSON; so are the attributes
+        below.
         """
         A = prod(a for a, _ in self.pairs)
-        return Fraction(-sum(b * (A // a) for a, b in self.pairs), A)
+        D = sum(b * (A // a) for a, b in self.pairs)
+        g = gcd(D, A)
+        return -D // g, A // g
+
+    @_memo
+    def eps(self) -> Fraction:
+        """Generalized Euler number -sum(beta_i/alpha_i); independent of genus."""
+        return Fraction(*self.euler)
+
+    @_memo
+    def factored(self) -> dict[int, dict[int, int]]:
+        """alpha -> factorize(alpha), once per distinct cone order."""
+        return {a: factorize(a) for a in {a for a, _ in self.pairs}}
 
     @_memo
     def local(self) -> dict:
-        """prime -> the record of ``torsion.local_orders`` at that prime.
-
-        Filled by local_orders and kept in ``__dict__`` like ``eps``.
-        """
+        """prime -> the record of ``torsion.local_orders`` at that prime,
+        filled by local_orders."""
         return {}
 
     @_memo
     def relevant(self) -> tuple[int, ...]:
-        """relevant_primes(self), kept in ``__dict__`` like ``eps``."""
-        primes = {p for a in dict.fromkeys(a for a, _ in self.pairs) for p in factorize(a)}
-        if self.eps != 0:
-            primes.update(factorize(self.eps.numerator))
+        """relevant_primes(self)."""
+        primes = {p for f in self.factored.values() for p in f}
+        if self.euler[0]:
+            primes.update(factorize(self.euler[0]))
         return tuple(sorted(primes))
 
     @_memo
     def gauss(self) -> tuple:
-        """``pairing.gauss_invariant(self)``, kept in ``__dict__`` like ``eps``.
+        """``pairing.gauss_invariant(self)``.
 
         Every relevant prime is read before the trivial ones are dropped, so
         r = 1 and a singular pairing raise, on every read.
         """
-        from .pairing import local_invariant_from_data  # late import avoids a cycle
-
-        found = [(p, local_invariant_from_data(self, p)) for p in relevant_primes(self)]
+        global _pairing
+        if _pairing is None:
+            from . import pairing as _pairing
+        read = _pairing.local_invariant_from_data
+        found = [(p, read(self, p)) for p in self.relevant]
         return tuple((p, inv) for p, inv in found if inv[0])
 
     def to_json(self) -> dict:
@@ -116,6 +131,9 @@ class SeifertData:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDataError(f"bad Seifert data: {obj!r}") from exc
         return cls(genus, pairs)
+
+
+_pairing = None  # the pairing module (it imports this one), set by the first gauss
 
 
 def json_int(x) -> int:

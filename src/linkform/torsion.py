@@ -12,7 +12,10 @@ leaves the diagonal presentation
 
     alpha_1*alpha_2*eps * s = 0,    alpha_i * q_i' = 0  (3 <= i <= r),
 
-so the p-primary part is a direct sum of explicit cyclic groups.
+so the p-primary part is a direct sum of explicit cyclic groups.  That
+record is read in integers: v_p(alpha_i) from the factorization of each
+distinct cone order and eps from its integer numerator and denominator,
+both kept on the SeifertData.
 """
 
 from __future__ import annotations
@@ -35,7 +38,12 @@ class LocalDecomposition:
     pairs: tuple[tuple[int, int], ...]  # the Seifert pairs reordered at prime
     vals: tuple[int, ...]  # v_p(alpha_i) of the reordered pairs, descending
     kept: tuple[tuple[int, int], ...]  # the pairs of the kept q_i', in label order
-    eps: Fraction  # the Euler number
+    euler: tuple[int, int]  # the Euler number as SeifertData.euler
+
+    @_memo
+    def eps(self) -> Fraction:
+        """The Euler number as a Fraction, built on first read."""
+        return Fraction(*self.euler)
 
     def order_multiset(self) -> tuple[int, ...]:
         return tuple(sorted((n for _, n in self.orders), reverse=True))
@@ -133,9 +141,10 @@ def local_orders(S: SeifertData, p: int) -> LocalDecomposition:
     of ``orders`` are the ``kept`` pairs after the second, and s comes last.
     Labels refer to positions after reordering at p.  For r = 1 the group
     is cyclic, generated by the image of the regular fibre h.  The record
-    keeps the Euler number as the Fraction ``eps`` and reads it through its
-    integer numerator and denominator: ``free_rank`` is 1 exactly when the
-    numerator is 0, and s has order p^v, v = v_p(alpha_1 alpha_2 eps), if v > 0.
+    reads v_p(alpha_i) from ``S.factored`` and keeps the Euler number as the
+    integer pair ``euler`` of ``S.euler`` (``eps`` is its Fraction):
+    ``free_rank`` is 1 exactly when the numerator is 0, and s has order p^v,
+    v = v_p(alpha_1 alpha_2 eps), if v > 0.
     """
     found = S.local.get(p)
     if found is None:
@@ -149,23 +158,23 @@ _LABELS = tuple(f"q{i + 1}'" for i in range(16))  # the q_i' by 0-based position
 def _local_record(S: SeifertData, p: int) -> LocalDecomposition:
     if not is_prime(p):  # every p-local function reaches this record
         raise InvalidDataError(f"{p} is not a prime")
-    ranked = [(padic_val(a, p), (a, b)) for a, b in S.pairs]
+    factored = S.factored
+    ranked = [(factored[a].get(p, 0), (a, b)) for a, b in S.pairs]
     vals, pairs = zip(*sorted(ranked, key=itemgetter(0), reverse=True))
-    eps = euler_invariant(S)
+    euler = num, den = S.euler
     if S.r == 1:
         b1 = pairs[0][1]
         e = padic_val(b1, p) if b1 % p == 0 else 0
         orders = ((("h", p**e),) if e > 0 else ())
-        return LocalDecomposition(p, orders, 0, pairs, vals, (), eps)
+        return LocalDecomposition(p, orders, 0, pairs, vals, (), euler)
     rp = S.r - vals.count(0)
-    num, den = eps.numerator, eps.denominator  # read once; no Fraction compare
     labels = _LABELS if rp <= len(_LABELS) else [f"q{i + 1}'" for i in range(rp)]
     orders = [(labels[i], p ** vals[i]) for i in range(2, rp)]
     if num:
         vs = vals[0] + vals[1] + padic_val(num, p) - padic_val(den, p)
         if vs > 0:
             orders.append(("s", p**vs))
-    return LocalDecomposition(p, tuple(orders), int(not num), pairs, vals, pairs[2:rp], eps)
+    return LocalDecomposition(p, tuple(orders), int(not num), pairs, vals, pairs[2:rp], euler)
 
 
 def structure_check(S: SeifertData) -> dict:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import as_fraction, factorize, legendre
+from .arith import factorize, legendre
 from .errors import InvalidDataError, SearchBoundExceeded
 from .linking import GramPairing, dot, element_table, image, span
 from .pairing import Cyc, StandardForm
@@ -103,16 +103,6 @@ def _add_rational(locals_: dict, b: int, a: int) -> None:
     for p, v in factorize(a).items():
         if v % 2:
             _add_unit(locals_, p, b * (a // p**v))
-
-
-def witt_rational(w) -> WittElement:
-    """Witt class of the pairing (n, n') -> [n n' w] on Z/denominator(w)."""
-    w = as_fraction(w)
-    if w == 0:
-        raise InvalidDataError("witt_rational needs a nonzero rational")
-    locals_ = {}
-    _add_rational(locals_, w.numerator, w.denominator)
-    return WittElement(locals_.items())
 
 
 def witt_pairing(sf: StandardForm) -> WittElement:

@@ -6,8 +6,9 @@ piece-by-piece realization selection, the sum-zero unit tuples over the
 full list of fixed tails, the three-term orthogonalisation of
 the block decomposition, the block decomposition that sorts the generators
 by order first, a Smith normal form with divisibility repair, the element
-table built by an odometer that carries each prefix tuple, and the closed
-determinant class read through Fractions."""
+table built by an odometer that carries each prefix tuple, the closed
+determinant class read through Fractions, and the Witt class of a cyclic
+pairing on Z/denominator(w) that witt_seifert is summed against."""
 
 import importlib
 import itertools
@@ -15,7 +16,15 @@ import random
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from linkform.arith import bareiss, ext_gcd, least_nonresidue, legendre, padic_val, square_class
+from linkform.arith import (
+    as_fraction,
+    bareiss,
+    ext_gcd,
+    least_nonresidue,
+    legendre,
+    padic_val,
+    square_class,
+)
 from linkform.errors import (
     InvalidDataError,
     UnrealizableError,
@@ -28,6 +37,7 @@ from linkform.pairing import gauss_invariant, local_invariant_from_data
 from linkform.seifert import SeifertData
 from linkform.torsion import local_orders
 from linkform.verify import d_formula_case
+from linkform.witt import WittElement, _add_rational
 
 # the package re-exports the function realize under the submodule's name
 R = importlib.import_module("linkform.realize")
@@ -446,3 +456,13 @@ def reference_d_class_from_data(S: SeifertData, p: int) -> int:
             cls *= square_class(Fraction(a, pk), p)
     head = Fraction(pairs[0][0], pairs[1][0]) if flat else pairs[0][0] * eps
     return cls * square_class(head, p)
+
+
+def witt_rational(w) -> WittElement:
+    """Witt class of the pairing (n, n') -> [n n' w] on Z/denominator(w)."""
+    w = as_fraction(w)
+    if w == 0:
+        raise InvalidDataError("witt_rational needs a nonzero rational")
+    locals_ = {}
+    _add_rational(locals_, w.numerator, w.denominator)
+    return WittElement(locals_.items())

@@ -10,9 +10,12 @@ that each name still exists in its linkform module.
 Isomorphism is decided by exact invariants; the brute-force isomorphism
 and metabolizer searches are test oracles, called only by the verify
 suites, and the closed forms that only the thm3 and thm7 suites check are
-named nowhere else.  The module-level imports between the modules of the
-package form no cycle, so each module loads with only the layers below
-it.  The source is read with ast, so nothing is imported for these.
+named nowhere else.  The Smith-form oracle is reached only from the
+compute report and the verify suites, and references kept in
+tests/support.py (``witt_rational``) are named nowhere in the package.
+The module-level imports between the modules of the package form no
+cycle, so each module loads with only the layers below it.  The source
+is read with ast, so nothing is imported for these.
 """
 
 import ast
@@ -86,22 +89,55 @@ CLOSED_FORMS = (
 )
 
 
-def test_search_oracles_are_called_only_by_the_verify_suites():
-    callers = {"brute_force_isomorphic": set(), "metabolic_oracle": set()}
-    namers = {name: set() for name in CLOSED_FORMS}
-    for name, tree in _src_trees().items():
+def _callers(names):
+    """name -> {(module file, enclosing top-level def)} of the calls to it."""
+    found = {name: set() for name in names}
+    for file, tree in _src_trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in found:
+                        found[called].add((file, getattr(top, "name", None)))
+    return found
+
+
+def _namers(names):
+    """name -> the module files that use, define, import or read it as an attribute."""
+    found = {name: set() for name in names}
+    for file, tree in _src_trees().items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called in callers:
-                    callers[called].add(name)
-            # a use, an attribute, an imported name or a definition
             for field in ("id", "attr", "name"):
-                if getattr(node, field, None) in namers:
-                    namers[getattr(node, field)].add(name)
-    assert callers == {"brute_force_isomorphic": {"verify.py"}, "metabolic_oracle": {"verify.py"}}
-    assert namers == {name: {"verify.py"} for name in CLOSED_FORMS}
+                if getattr(node, field, None) in found:
+                    found[getattr(node, field)].add(file)
+    return found
+
+
+def test_search_oracles_are_called_only_by_the_verify_suites():
+    callers = _callers(("brute_force_isomorphic", "metabolic_oracle"))
+    assert {name: {file for file, _ in where} for name, where in callers.items()} == {
+        "brute_force_isomorphic": {"verify.py"},
+        "metabolic_oracle": {"verify.py"},
+    }
+    assert _namers(CLOSED_FORMS) == {name: {"verify.py"} for name in CLOSED_FORMS}
+
+
+def test_the_smith_form_oracle_is_reached_only_from_compute_and_verify():
+    # the Smith form and its presentation are called only by the check that
+    # compares them with local_orders, and that only by the compute report
+    # and the verify suites
+    found = _callers(("structure_check", "smith_normal_form", "presentation_matrix"))
+    check = found.pop("structure_check")
+    assert {(file, where) for file, where in check if file != "verify.py"} == {
+        ("cli.py", "_seifert_report")
+    }
+    assert ("verify.py", "suite_structure") in check
+    assert found == {name: {("torsion.py", "structure_check")} for name in found}
+
+
+def test_test_references_are_not_in_the_package():
+    assert _namers(("witt_rational",)) == {"witt_rational": set()}
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,8 @@ def _s_case(S: SeifertData, p: int) -> str | None:
     if "s" in dict(local.orders):
         a2, b2 = local.pairs[1]
         _, m, _ = ext_gcd(a2, b2)
-        if b2 == m * a2 * a2 * local.eps:
+        en, ed = local.euler
+        if b2 * ed == m * a2 * a2 * en:  # b2 = m a2^2 eps
             return "E_s = 0 with other generators" if len(local.orders) > 1 else "E_s = 0"
     return None
 
@@ -87,15 +88,27 @@ def test_matches_gram_path_on_random_block_data():
     assert seen["even level at 2"] and seen["pair pivot at odd p"], seen
 
 
+def _data(max_alpha: int, max_beta: int, rs):
+    """Every datum with r in rs, alpha <= max_alpha and 0 < |beta| <= max_beta."""
+    pool = [
+        (a, b)
+        for a in range(2, max_alpha + 1)
+        for b in range(-max_beta, max_beta + 1)
+        if b and gcd(a, b) == 1
+    ]
+    return itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(pool, r) for r in rs
+    )
+
+
 def test_matches_gram_path_on_every_small_datum():
-    # every datum with r <= 3, alpha <= 8 and |beta| <= 8.  The Gram path
-    # runs once per manifold, keyed by (sorted (a, b mod a), eps) as in
-    # exhaustive_search; the data path runs on every datum.
-    pool = [(a, b) for a in range(2, 9) for b in range(-8, 9) if b and gcd(a, b) == 1]
+    # every datum with r <= 3, alpha <= 8 and |beta| <= 8, and the pool of
+    # the benchmark's deep searches (r = 4, 5, alpha <= 4, |beta| <= 3), so
+    # every manifold those searches decide.  The Gram path runs once per
+    # manifold, keyed by (sorted (a, b mod a), eps) as in exhaustive_search;
+    # the data path runs on every datum.
     oracle, seen = {}, Counter()
-    for pairs in itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(pool, r) for r in (2, 3)
-    ):
+    for pairs in itertools.chain(_data(8, 8, (2, 3)), _data(4, 3, (4, 5))):
         S = SeifertData(0, pairs)
         key = (tuple(sorted((a, b % a) for a, b in pairs)), S.eps)
         if key not in oracle:

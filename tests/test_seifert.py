@@ -178,6 +178,19 @@ def test_euler_cached_once_and_outside_the_fields(S):
     assert [f.name for f in dataclasses.fields(S)] == ["genus", "pairs"]
 
 
+@given(valid_seifert(max_r=4, max_alpha=10**4, max_beta=10**4), st.booleans())
+def test_integer_euler_pair_is_eps_in_lowest_terms(S, flat):
+    if flat:  # with the negated pairs appended, eps = 0 and r <= 8
+        S = SeifertData(S.genus, S.pairs + tuple((a, -b) for a, b in S.pairs))
+    num, den = S.euler
+    assert den > 0 and gcd(num, den) == 1
+    assert Fraction(num, den) == _euler_sum(S) == S.eps
+    assert (num, den) == (S.eps.numerator, S.eps.denominator)
+    assert ((num, den) == (0, 1)) == (S.eps == 0)
+    assert S.eps == 0 or not flat
+    assert "euler" not in vars(SeifertData(S.genus, S.pairs))
+
+
 @settings(max_examples=60, deadline=None)
 @given(valid_seifert(max_r=6).filter(lambda S: S.r >= 2))
 def test_gauss_kept_once_and_outside_the_fields(S):

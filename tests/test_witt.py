@@ -14,9 +14,9 @@ from linkform.witt import (
     WittElement,
     metabolic_oracle,
     witt_pairing,
-    witt_rational,
     witt_seifert,
 )
+from support import witt_rational
 
 
 def sf(*atoms):
